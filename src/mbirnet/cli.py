@@ -182,27 +182,29 @@ def _load_refiners(refiner_dir: Path):
     return [load_refiner(f) for f in files]
 
 
+def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit):
+    """Run the configured solver from the back-projection start."""
+    solver = cfg["solver"]
+    n = cfg["problem"]["n"]
+    feasible = cfgmod.build_feasible(solver)
+    net_config = cfgmod.build_solver_config(solver)
+    x0 = backprojection_init(datafit, (n, n))
+    if solver["kind"] == "bcd":
+        return run_bcd_net(net_config, refiners, datafit, feasible, x0, solver["inner_iters"])
+    return run_momentum_net(net_config, refiners, datafit, feasible, x0)
+
+
 def cmd_reconstruct(args) -> int:
     cfg = _apply_overrides(cfgmod.load_config(args.config), args)
-    problem = cfg["problem"]
-    solver = cfg["solver"]
     out = _out_dir(args)
     manifest = RunManifest("reconstruct", args, out)
 
     datafit = _load_problem_dir(Path(args.input))
     refiners = _load_refiners(Path(args.refiners))
-    n = problem["n"]
+    n = cfg["problem"]["n"]
     if datafit.n != n * n:
         raise ShapeError(f"operator input dim {datafit.n} does not match n={n}")
-    feasible = cfgmod.build_feasible(solver)
-    net_config = cfgmod.build_solver_config(solver)
-    x0 = backprojection_init(datafit, (n, n))
-
-    if solver["kind"] == "bcd":
-        trace = run_bcd_net(net_config, refiners, datafit, feasible, x0,
-                            solver["inner_iters"])
-    else:
-        trace = run_momentum_net(net_config, refiners, datafit, feasible, x0)
+    trace = _run_solver(cfg, refiners, datafit)
     if trace.aborted:
         raise NumericFailure(f"non-finite iterate at iteration {trace.abort_iteration}")
 
@@ -213,7 +215,7 @@ def cmd_reconstruct(args) -> int:
     manifest.add(recon)
     manifest.add(trace_path)
     manifest.write()
-    print(f"reconstructed with {solver['kind']} in {len(trace) - 1} iterations -> {recon}")
+    print(f"reconstructed with {cfg['solver']['kind']} in {len(trace) - 1} iterations -> {recon}")
     return 0
 
 
@@ -314,23 +316,14 @@ def cmd_compare(args) -> int:
     traces = {}
     for path, cfg in zip(args.config, configs):
         label = Path(path).stem
-        solver = cfg["solver"]
-        n = cfg["problem"]["n"]
-        feasible = cfgmod.build_feasible(solver)
-        net_config = cfgmod.build_solver_config(solver)
-        x0 = backprojection_init(datafit, (n, n))
-        if solver["kind"] == "bcd":
-            trace = run_bcd_net(net_config, refiners, datafit, feasible, x0,
-                                solver["inner_iters"])
-        else:
-            trace = run_momentum_net(net_config, refiners, datafit, feasible, x0)
+        trace = _run_solver(cfg, refiners, datafit)
         if trace.aborted:
             raise NumericFailure(f"{label}: non-finite iterate")
         traces[label] = trace
         tpath = out / f"trace_{label}.csv"
         trace.to_csv(tpath)
         manifest.add(tpath)
-        rows.append([label, solver["kind"], len(trace) - 1, trace.final.objective,
+        rows.append([label, cfg["solver"]["kind"], len(trace) - 1, trace.final.objective,
                      sum(r.wall_ms for r in trace.records)])
 
     # iterations until the objective is within 0.1% of the best final value

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .linops import FeasibleSet
 from .refiners import delta_measure, lipschitz_estimate, paired_epsilon
-from .solver import IterateTrace, MomentumNetConfig, Refiner, run_momentum_net
+from .solver import (IterateTrace, MomentumNetConfig, Refiner, _fmt, _refiner_at,
+                     run_momentum_net)
 from .training import TrainingSample, backprojection_init
 
 
@@ -49,10 +50,6 @@ class DiagnosticsResult:
                     writer.writerow([i + 1, _fmt(self.kappa[i])])
 
 
-def _fmt(v: float) -> str:
-    return "nan" if v != v else f"{v:.17g}"
-
-
 def _pair_indices(n_samples: int, n_pairs: int, rng: np.random.Generator):
     if n_samples < 2:
         return [(0, 0)]
@@ -74,19 +71,12 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
 
     traces: list[IterateTrace] = []
     for s in samples:
-        one_off = MomentumNetConfig(
-            n_iter=config.n_iter, rho=config.rho, gamma=s.gamma, chi=None,
-            delta=config.delta, lam=config.lam, convex=config.convex,
-            extrapolate=config.extrapolate, sharp_majorizer=config.sharp_majorizer,
-            record_fixed_point=False)
+        one_off = replace(config, gamma=s.gamma, chi=None, record_fixed_point=False)
         x0 = s.x0 if s.x0 is not None else backprojection_init(s.datafit, shape)
         traces.append(run_momentum_net(one_off, refiners, s.datafit, feasible, x0))
 
     n_iter = min(len(t) - 1 for t in traces)
     idx_pairs = _pair_indices(len(samples), n_pairs, rng)
-
-    def refiner_at(i: int):
-        return refiners[min(i, len(refiners) - 1)]
 
     kappa = np.full(n_iter, math.nan)
     epsilon = np.full(n_iter, math.nan)
@@ -96,11 +86,12 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
         inputs = [t.records[k - 1].x.reshape(shape) for t in traces]
         lip_pairs = [(inputs[a], inputs[b]) for a, b in idx_pairs if a != b]
         if lip_pairs:
-            kappa[k - 1] = lipschitz_estimate(refiner_at(k - 1), lip_pairs)
+            kappa[k - 1] = lipschitz_estimate(_refiner_at(refiners, k - 1), lip_pairs)
         if k >= 2 and len(refiners) >= 2:
             prev_inputs = [t.records[k - 2].x.reshape(shape) for t in traces]
             eps_pairs = [(inputs[a], prev_inputs[b]) for a, b in idx_pairs]
-            epsilon[k - 1] = paired_epsilon(refiner_at(k - 1), refiner_at(k - 2), eps_pairs)
+            epsilon[k - 1] = paired_epsilon(_refiner_at(refiners, k - 1),
+                                          _refiner_at(refiners, k - 2), eps_pairs)
             delta[k - 1] = max(
                 delta_measure(t.records[k].z, t.records[k - 1].z, t.records[k - 1].x)
                 for t in traces)

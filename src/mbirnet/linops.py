@@ -268,8 +268,10 @@ class QuadraticDataFit:
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen(np.ravel(self.weights)))
         object.__setattr__(self, "measurements", _frozen(np.ravel(self.measurements)))
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be entrywise nonnegative")
+        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
+            raise ValueError("weights must be finite and entrywise nonnegative")
+        if not np.all(np.isfinite(self.measurements)):
+            raise ValueError("measurements must be finite")
         if self.weights.size != self.op.out_dim:
             raise ShapeError("weights length must equal operator output dim")
         if self.measurements.size != self.op.out_dim:
@@ -304,9 +306,6 @@ class DiagonalMajorizer:
     @property
     def scaled_diag(self) -> np.ndarray:
         return self.lam * self.diag
-
-    def with_lam(self, lam: float) -> "DiagonalMajorizer":
-        return DiagonalMajorizer(self.diag, lam)
 
     def shifted(self, gamma: float, lam: Optional[float] = None) -> "DiagonalMajorizer":
         """Majorizer for the gradient of f + (gamma/2)||x - z||^2."""

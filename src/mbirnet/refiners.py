@@ -9,7 +9,11 @@ Three refiner families operate on 2-D images via circular convolution:
                       flipped encoder bank; with a tight-frame bank this is the
                       exact proximal update of the convolutional sparse prior.
 
-All refiners are immutable value objects; calling one applies the forward map.
+All refiners are immutable value objects; calling one applies the forward map
+to one (h, w) image.  Each forward pass is written once, on (B, h, w) stacks
+(`_scnn_forward`, `_dcnn_forward`), and the training gradients reuse it, so
+the trained network is the one that reconstructs.  `solver.run_caol_bpegm`
+keeps its own tied forward on purpose: it is the independent oracle.
 """
 
 from __future__ import annotations
@@ -96,6 +100,58 @@ def _square_side(filters: np.ndarray) -> int:
     return filters.shape[1]
 
 
+def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray):
+    """(rfft2 of u, thresholded analysis codes (K, B, h, w)) of a (B, h, w) stack."""
+    uhat = np.fft.rfft2(u, axes=(-2, -1))
+    code = np.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
+    return uhat, soft_threshold(code, thresholds[:, None, None, None])
+
+
+def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
+                  u: np.ndarray):
+    """sum_k d_k conv T_thr(e_k conv u) on a (B, h, w) stack, without residual.
+
+    The filters come as spectra, so a tied decoder can pass conj(ehat).
+    Returns (output, rfft2 of u, codes, rfft2 of codes); the gradient reuses
+    the last three, and a code is nonzero exactly where it passed its threshold.
+    """
+    uhat, hidden = _scnn_codes(ehat, thresholds, u)
+    hhat = np.fft.rfft2(hidden, axes=(-2, -1))
+    # complex products are not bitwise commutative; codes-first is the order
+    # single-image reconstruction has always used
+    out = np.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=u.shape[-2:], axes=(-2, -1))
+    return out, uhat, hidden, hhat
+
+
+def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,
+                  keep: bool = False):
+    """u - sum_k l_k conv feat_k on a (B, h, w) stack, ReLU between layers.
+
+    Returns (output, rfft2 of u, middle-layer spectra (K, K, h, w//2+1) each,
+    last-layer spectrum, [(feature map, its rfft2) per layer]).  Without
+    `keep` only the last layer's spectra and feature map are retained.
+    """
+    shape = u.shape[-2:]
+    uhat = np.fft.rfft2(u, axes=(-2, -1))
+    feat = np.maximum(np.fft.irfft2(filter_fft(first, shape)[:, None] * uhat[None],
+                                    s=shape, axes=(-2, -1)), 0.0)
+    layers = [(feat, np.fft.rfft2(feat, axes=(-2, -1)))]
+    mhats = []
+    for layer in mid:
+        mhat = np.stack([filter_fft(layer[k], shape) for k in range(layer.shape[0])])
+        mixed = np.einsum("kcab,cnab->knab", mhat, layers[-1][1])
+        feat = np.maximum(np.fft.irfft2(mixed, s=shape, axes=(-2, -1)), 0.0)
+        if not keep:  # the forward alone needs only the current layer
+            layers.clear()
+            mhats.clear()
+        mhats.append(mhat)
+        layers.append((feat, np.fft.rfft2(feat, axes=(-2, -1))))
+    lhat = filter_fft(last, shape)
+    out = u - np.fft.irfft2(np.sum(layers[-1][1] * lhat[:, None], axis=0),
+                            s=shape, axes=(-2, -1))
+    return out, uhat, mhats, lhat, layers
+
+
 # ---------------------------------------------------------------------------
 # refiners
 # ---------------------------------------------------------------------------
@@ -141,10 +197,9 @@ class ScnnRefiner:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
-        code = conv_stack(filter_fft(self.enc_filters, u.shape), u)
-        hidden = soft_threshold(code, self.thresholds[:, None, None])
-        dhat = filter_fft(self.dec_filters, u.shape)
-        out = np.fft.irfft2(np.sum(dhat * np.fft.rfft2(hidden, axes=(-2, -1)), axis=0), s=u.shape)
+        out = _scnn_forward(filter_fft(self.enc_filters, u.shape),
+                            filter_fft(self.dec_filters, u.shape),
+                            self.thresholds, u[None])[0][0]
         return out + u if self.residual else out
 
     @classmethod
@@ -204,16 +259,8 @@ class DcnnRefiner:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
-        shape = u.shape
-        feat = np.maximum(conv_stack(filter_fft(self.first_filters, shape), u), 0.0)
-        for layer in self.mid_filters:
-            fhat = np.stack([filter_fft(layer[k], shape) for k in range(self.n_filters)])
-            feat_hat = np.fft.rfft2(feat, axes=(-2, -1))
-            mixed = np.einsum("kcab,cab->kab", fhat, feat_hat)
-            feat = np.maximum(np.fft.irfft2(mixed, s=shape, axes=(-2, -1)), 0.0)
-        lhat = filter_fft(self.last_filters, shape)
-        correction = np.fft.irfft2(np.sum(lhat * np.fft.rfft2(feat, axes=(-2, -1)), axis=0), s=shape)
-        return u - correction
+        return _dcnn_forward(self.first_filters, self.mid_filters, self.last_filters,
+                             u[None])[0][0]
 
     @classmethod
     def init_random(cls, K: int, R: int, L: int, rng: np.random.Generator) -> "DcnnRefiner":
@@ -266,16 +313,13 @@ class TiedCaolRefiner:
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Thresholded analysis coefficients T_beta(h_k conv u)."""
         u = as_f64(u)
-        code = conv_stack(filter_fft(self.filters, u.shape), u)
-        return soft_threshold(code, self.thresholds[:, None, None])
+        return _scnn_codes(filter_fft(self.filters, u.shape), self.thresholds, u[None])[1][:, 0]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
         hhat = filter_fft(self.filters, u.shape)
-        hidden = self.codes(u)
         # flip(conj(h)) in the spatial domain is conj(H) in Fourier
-        return np.fft.irfft2(np.sum(np.conj(hhat) * np.fft.rfft2(hidden, axes=(-2, -1)), axis=0),
-                             s=u.shape)
+        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None])[0][0]
 
 
 class IdentityRefiner:
@@ -393,36 +437,37 @@ def save_refiner(path, refiner) -> None:
 
 
 def load_refiner(path):
-    """Read a refiner written by `save_refiner`."""
+    """Read a refiner written by `save_refiner`; a malformed file is a ValueError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a refiner container")
-        header = fh.readline().decode().split()
+        header = fh.readline().decode(errors="replace").split()
         blob = fh.read()
-    kind, K, R = header[0], int(header[1]), int(header[2])
-    r = math.isqrt(R)
-
-    def take(count, offset):
-        end = offset + 8 * count
-        return np.frombuffer(blob[offset:end], dtype="<f8").astype(np.float64), end
-
+    kind = header[0] if header else ""
+    if kind not in ("scnn", "dcnn", "tied"):
+        raise ValueError(f"{path}: unknown refiner type tag {kind!r}")
+    try:
+        K, R, flag = (int(tok) for tok in header[1:])
+    except ValueError:
+        raise ValueError(f"{path}: {kind} header needs three integers, "
+                         f"got {' '.join(header[1:])!r}") from None
+    r = math.isqrt(max(R, 0))
+    if K < 1 or R < 1 or r * r != R or (kind == "dcnn" and flag < 2):
+        raise ValueError(f"{path}: invalid {kind} header {' '.join(header)!r}")
+    sizes = {"scnn": [K * R, K * R, K],
+             "dcnn": [K * R, (flag - 2) * K * K * R, K * R],
+             "tied": [K * R, K]}[kind]
+    if len(blob) != 8 * sum(sizes):
+        raise ValueError(f"{path}: payload is {len(blob)} bytes, "
+                         f"its header implies {8 * sum(sizes)}")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    arrays = np.split(values, np.cumsum(sizes)[:-1])
     if kind == "scnn":
-        residual = bool(int(header[3]))
-        enc, off = take(K * R, 0)
-        dec, off = take(K * R, off)
-        thr, off = take(K, off)
-        return ScnnRefiner(enc.reshape(K, r, r), dec.reshape(K, r, r), thr, residual)
+        enc, dec, thr = arrays
+        return ScnnRefiner(enc.reshape(K, r, r), dec.reshape(K, r, r), thr, bool(flag))
     if kind == "dcnn":
-        L = int(header[3])
-        first, off = take(K * R, 0)
-        mid, off = take((L - 2) * K * K * R, off)
-        last, off = take(K * R, off)
-        return DcnnRefiner(first.reshape(K, r, r),
-                           mid.reshape(L - 2, K, K, r, r),
+        first, mid, last = arrays
+        return DcnnRefiner(first.reshape(K, r, r), mid.reshape(flag - 2, K, K, r, r),
                            last.reshape(K, r, r))
-    if kind == "tied":
-        tf_flag = bool(int(header[3]))
-        filters, off = take(K * R, 0)
-        thr, off = take(K, off)
-        return TiedCaolRefiner(filters.reshape(K, r, r), thr, tf_flag)
-    raise ValueError(f"{path}: unknown refiner type tag {kind!r}")
+    filters, thr = arrays
+    return TiedCaolRefiner(filters.reshape(K, r, r), thr, bool(flag))

@@ -255,13 +255,6 @@ def _refiner_at(refiners: Sequence[Refiner], i: int) -> Refiner:
     return refiners[min(i, len(refiners) - 1)]
 
 
-def _start_record(x0: np.ndarray, datafit: QuadraticDataFit) -> IterateRecord:
-    rec = IterateRecord(it=0, objective=datafit.value(x0), step_residual=0.0, wall_ms=0.0)
-    rec.x = x0.copy()
-    rec.z = x0.copy()
-    return rec
-
-
 def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
                       refiner: Refiner, datafit: QuadraticDataFit, gamma: float,
                       feasible: FeasibleSet, m_big: DiagonalMajorizer,
@@ -278,6 +271,50 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
     return x_new, z, momentum_update(state)
 
 
+def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
+           gamma: float, feasible: FeasibleSet, x0: ImageVector, step,
+           fixed_point=None) -> IterateTrace:
+    """Loop shared by the unrolled solvers.
+
+    `step(refiner, x)` returns (x_new, z) for one iteration; the driver times
+    it, records the MBIR objective F(x_new; y, z) and a copy of both images,
+    and aborts on a non-finite iterate.  `fixed_point(refiner, x_new)`, when
+    given, fills the record's fixed-point residual.
+    """
+    if n_iter > 0 and len(refiners) == 0:
+        raise ValueError("need at least one refiner")
+    x = x0.data.copy()
+    trace = IterateTrace(shape=x0.shape)
+    trace.append(IterateRecord(it=0, objective=datafit.value(x), step_residual=0.0,
+                               x=x.copy(), z=x.copy()))
+    # non-finite values are an abort signal here, not an IEEE event worth warning on
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_iter):
+            t0 = time.perf_counter()
+            refiner = _refiner_at(refiners, i)
+            x_new, z = step(refiner, x)
+            wall = (time.perf_counter() - t0) * 1e3
+            rec = IterateRecord(
+                it=i + 1,
+                objective=MbirObjective(datafit, gamma, z, feasible).value(x_new),
+                step_residual=float(np.linalg.norm(x_new - x)),
+                wall_ms=wall,
+                x=x_new.copy(),
+                z=z.copy(),
+            )
+            if not np.all(np.isfinite(x_new)):
+                rec.objective = math.nan
+                trace.append(rec)
+                trace.aborted = True
+                trace.abort_iteration = i + 1
+                return trace
+            if fixed_point is not None:
+                rec.fixed_point_residual = fixed_point(refiner, x_new)
+            trace.append(rec)
+            x = x_new
+    return trace
+
+
 def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
                      datafit: QuadraticDataFit, feasible: FeasibleSet,
                      x0: ImageVector) -> IterateTrace:
@@ -287,47 +324,26 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     last entry repeats.  A non-finite iterate aborts the run, leaving the
     offending iteration flagged on the trace.
     """
-    if config.n_iter > 0 and len(refiners) == 0:
-        raise ValueError("need at least one refiner")
     shape = x0.shape
-    x = x0.data.copy()
-    x_prev = x.copy()
+    x_prev = x0.data.copy()
     m_f = diag_majorizer(datafit)
     gamma = config.resolve_gamma(m_f)
     m_big = m_f.shifted(gamma, lam=config.lam)
     state = MomentumState(delta=config.delta, sharp=config.sharp_majorizer)
 
-    trace = IterateTrace(shape=shape)
-    trace.append(_start_record(x, datafit))
-    # non-finite values are an abort signal here, not an IEEE event worth warning on
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(config.n_iter):
-            t0 = time.perf_counter()
-            refiner = _refiner_at(refiners, i)
-            x_new, z, state = momentum_net_step(x, x_prev, state, refiner, datafit,
-                                                gamma, feasible, m_big, config, shape)
-            wall = (time.perf_counter() - t0) * 1e3
-            rec = IterateRecord(
-                it=i + 1,
-                objective=MbirObjective(datafit, gamma, z, feasible).value(x_new),
-                step_residual=float(np.linalg.norm(x_new - x)),
-                wall_ms=wall,
-            )
-            rec.x = x_new.copy()
-            rec.z = z.copy()
-            if not np.all(np.isfinite(x_new)):
-                rec.objective = math.nan
-                trace.append(rec)
-                trace.aborted = True
-                trace.abort_iteration = i + 1
-                return trace
-            if config.record_fixed_point:
-                rec.fixed_point_residual = fixed_point_residual(
-                    ImageVector(x_new, shape), refiner, config, datafit, feasible,
-                    m_big, gamma=gamma)
-            trace.append(rec)
-            x_prev, x = x, x_new
-    return trace
+    def step(refiner, x):
+        nonlocal state, x_prev
+        x_new, z, state = momentum_net_step(x, x_prev, state, refiner, datafit, gamma,
+                                            feasible, m_big, config, shape)
+        x_prev = x
+        return x_new, z
+
+    def fixed_point(refiner, x_new):
+        return fixed_point_residual(ImageVector(x_new, shape), refiner, config, datafit,
+                                    feasible, m_big, gamma=gamma)
+
+    return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step,
+                  fixed_point if config.record_fixed_point else None)
 
 
 # ---------------------------------------------------------------------------
@@ -367,40 +383,15 @@ def run_bcd_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     """
     if inner_iters < 1:
         raise ValueError("inner_iters must be >= 1")
-    if config.n_iter > 0 and len(refiners) == 0:
-        raise ValueError("need at least one refiner")
     shape = x0.shape
-    x = x0.data.copy()
-    m_f = diag_majorizer(datafit)
-    gamma = config.resolve_gamma(m_f)
+    gamma = config.resolve_gamma(diag_majorizer(datafit))
 
-    trace = IterateTrace(shape=shape)
-    trace.append(_start_record(x, datafit))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(config.n_iter):
-            t0 = time.perf_counter()
-            refiner = _refiner_at(refiners, i)
-            z = refiner(x.reshape(shape)).ravel()
-            obj = MbirObjective(datafit, gamma, z, feasible)
-            x_new = _flat(apg_solve(obj, x, inner_iters))
-            wall = (time.perf_counter() - t0) * 1e3
-            rec = IterateRecord(
-                it=i + 1,
-                objective=obj.value(x_new),
-                step_residual=float(np.linalg.norm(x_new - x)),
-                wall_ms=wall,
-            )
-            rec.x = x_new.copy()
-            rec.z = z.copy()
-            if not np.all(np.isfinite(x_new)):
-                rec.objective = math.nan
-                trace.append(rec)
-                trace.aborted = True
-                trace.abort_iteration = i + 1
-                return trace
-            trace.append(rec)
-            x = x_new
-    return trace
+    def step(refiner, x):
+        z = refiner(x.reshape(shape)).ravel()
+        obj = MbirObjective(datafit, gamma, z, feasible)
+        return _flat(apg_solve(obj, x, inner_iters)), z
+
+    return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step)
 
 
 # ---------------------------------------------------------------------------

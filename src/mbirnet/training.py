@@ -5,7 +5,10 @@ sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
 refiner.  Gradients through the networks are computed analytically (FFT-domain
 circular convolutions; subgradient 0 at soft-threshold kinks and at ReLU(0))
-and fed to a built-in adaptive-moment optimizer.
+and fed to a built-in adaptive-moment optimizer.  The forward half of each
+gradient is the refiner's own batched forward pass (`refiners._scnn_forward`,
+`refiners._dcnn_forward`), so training fits exactly the map that
+reconstruction runs; only the backward half is written here.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from .linops import (DiagonalMajorizer, ImageVector, QuadraticDataFit, ShapeError,
                      as_f64, diag_majorizer, spectral_spread)
 from .prox import soft_threshold
-from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, filter_fft,
-                       flip_filter)
+from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
+                       _scnn_forward, filter_fft, flip_filter)
 from .solver import MomentumNetConfig, MomentumState, momentum_net_step
 
 
@@ -144,17 +147,8 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     # thresholds pinned at the floor no longer respond to their log-parameter
     dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
 
-    ehat = filter_fft(enc, shape)
     dhat = filter_fft(dec, shape)
-    uhat = np.fft.rfft2(inputs, axes=(-2, -1))
-
-    code = np.fft.irfft2(ehat[:, None] * uhat[None], s=shape, axes=(-2, -1))
-    tcol = thr[:, None, None, None]
-    mask = np.abs(code) > tcol
-    sgn = np.sign(code)
-    hidden = np.where(mask, code - tcol * sgn, 0.0)
-    hhat = np.fft.rfft2(hidden, axes=(-2, -1))
-    out = np.fft.irfft2(np.sum(dhat[:, None] * hhat, axis=0), s=shape, axes=(-2, -1))
+    out, uhat, hidden, hhat = _scnn_forward(filter_fft(enc, shape), dhat, thr, inputs)
     if residual:
         out = out + inputs
     resid = out - targets
@@ -165,8 +159,9 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     g_dec = _extract_taps(
         np.fft.irfft2(np.conj(hhat) * ghat[None], s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
     g_hidden = np.fft.irfft2(np.conj(dhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
-    g_thr = -dthr * np.sum(g_hidden * np.where(mask, sgn, 0.0), axis=(1, 2, 3))
-    g_code_hat = np.fft.rfft2(np.where(mask, g_hidden, 0.0), axes=(-2, -1))
+    # a code passed its threshold exactly where it is nonzero, with the sign it had
+    g_thr = -dthr * np.sum(g_hidden * np.sign(hidden), axis=(1, 2, 3))
+    g_code_hat = np.fft.rfft2(np.where(hidden != 0.0, g_hidden, 0.0), axes=(-2, -1))
     g_enc = _extract_taps(
         np.fft.irfft2(np.conj(uhat)[None] * g_code_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
     return loss, {"enc": g_enc, "dec": g_dec, "thr": g_thr}
@@ -177,28 +172,11 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
     """Batched loss and analytic parameter gradients for the dCNN refiner."""
     b, h, w = inputs.shape
     shape = (h, w)
-    k = first.shape[0]
     rh, rw = first.shape[1], first.shape[2]
     n_mid = mid.shape[0]
 
-    uhat = np.fft.rfft2(inputs, axes=(-2, -1))
-    fhat = filter_fft(first, shape)
-    pre = np.fft.irfft2(fhat[:, None] * uhat[None], s=shape, axes=(-2, -1))
-    feats = [np.maximum(pre, 0.0)]
-    masks = [pre > 0]
-    mhats = []
-    feat_hats = [np.fft.rfft2(feats[0], axes=(-2, -1))]
-    for li in range(n_mid):
-        mhat = np.stack([filter_fft(mid[li, kk], shape) for kk in range(k)])  # (K, K, h, wr)
-        mhats.append(mhat)
-        pre = np.fft.irfft2(np.einsum("kcab,cnab->knab", mhat, feat_hats[-1]),
-                            s=shape, axes=(-2, -1))
-        feats.append(np.maximum(pre, 0.0))
-        masks.append(pre > 0)
-        feat_hats.append(np.fft.rfft2(feats[-1], axes=(-2, -1)))
-    lhat = filter_fft(last, shape)
-    out = inputs - np.fft.irfft2(np.sum(lhat[:, None] * feat_hats[-1], axis=0),
-                                 s=shape, axes=(-2, -1))
+    out, uhat, mhats, lhat, layers = _dcnn_forward(first, mid, last, inputs, keep=True)
+    feats, feat_hats = zip(*layers)
     resid = out - targets
     loss = 0.5 * float(np.sum(resid * resid)) / b
 
@@ -210,13 +188,14 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
     g_feat = -np.fft.irfft2(np.conj(lhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
     g_mid = np.zeros_like(mid)
     for li in range(n_mid - 1, -1, -1):
-        g_pre_hat = np.fft.rfft2(np.where(masks[li + 1], g_feat, 0.0), axes=(-2, -1))
+        # a ReLU passes its gradient exactly where its output is positive
+        g_pre_hat = np.fft.rfft2(np.where(feats[li + 1] > 0, g_feat, 0.0), axes=(-2, -1))
         corr = np.fft.irfft2(np.conj(feat_hats[li])[None] * g_pre_hat[:, None],
                              s=shape, axes=(-2, -1))  # (K, K, B, h, w)
         g_mid[li] = _extract_taps(corr.sum(axis=2), rh, rw)
         g_feat = np.fft.irfft2(np.einsum("kcab,knab->cnab", np.conj(mhats[li]), g_pre_hat),
                                s=shape, axes=(-2, -1))
-    g_pre_hat = np.fft.rfft2(np.where(masks[0], g_feat, 0.0), axes=(-2, -1))
+    g_pre_hat = np.fft.rfft2(np.where(feats[0] > 0, g_feat, 0.0), axes=(-2, -1))
     g_first = _extract_taps(
         np.fft.irfft2(np.conj(uhat)[None] * g_pre_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
     return loss, {"first": g_first, "mid": g_mid, "last": g_last}
@@ -442,10 +421,7 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
     right = 0.0
     for residual_img, inp in conv_loss_pairs:
         shape = inp.shape
-        code = np.fft.irfft2(filter_fft(enc, shape) * np.fft.rfft2(inp), s=shape, axes=(-2, -1))
-        hidden = soft_threshold(code, thr[:, None, None])
-        dhat = filter_fft(dec, shape)
-        recon = np.fft.irfft2(np.sum(dhat * np.fft.rfft2(hidden, axes=(-2, -1)), axis=0), s=shape)
+        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp[None])[0][0]
         left += float(np.sum((residual_img - recon / r) ** 2))
 
         patches = extract_patches(inp, rh)

@@ -197,6 +197,19 @@ class TestCmdReconstruct:
                      "--refiners", str(t / "refs"), "--input", str(t / "nowhere"),
                      "--out", str(t / "rec2")]) == 4
 
+    def test_malformed_refiner_is_config_error(self, blur_workspace, capsys):
+        t = blur_workspace
+        bad = t / "badrefs"
+        bad.mkdir()
+        (bad / "refiner_000.rfn").write_bytes(b"MBIRNET-REFINER v1\nscnn\n")
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(bad), "--input", str(t / "sim"),
+                     "--out", str(t / "recx")]) == 2
+        err = capsys.readouterr().err
+        assert "refiner_000.rfn" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_diverging_refiner_numeric_failure(self, blur_workspace):
         t = blur_workspace
         bad = t / "badrefs"

@@ -93,8 +93,13 @@ class TestDatafitGradient:
         assert np.array_equal(mn.datafit_gradient(f, np.array([1.0, 1.0])), [45.0, 62.0])
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            mn.QuadraticDataFit(mn.IdentityOperator(2), np.array([1.0, -1.0]), np.zeros(2))
+        # non-finite weights or measurements are rejected at construction too
+        for weights, measurements in [([1.0, -1.0], [0.0, 0.0]), ([1.0, np.nan], [0.0, 0.0]),
+                                      ([1.0, np.inf], [0.0, 0.0]), ([1.0, 1.0], [np.inf, 0.0]),
+                                      ([1.0, 1.0], [0.0, np.nan])]:
+            with pytest.raises(ValueError):
+                mn.QuadraticDataFit(mn.IdentityOperator(2), np.array(weights),
+                                    np.array(measurements))
 
 
 class TestDiagMajorizer:

@@ -261,3 +261,27 @@ class TestSerialization:
         p.write_bytes(b"not a refiner")
         with pytest.raises(ValueError):
             mn.load_refiner(p)
+
+    def _saved(self, tmp_path, rng):
+        path = tmp_path / "r.rfn"
+        mn.save_refiner(path, mn.ScnnRefiner.init_random(2, 9, rng))
+        return path, path.read_bytes()
+
+    def test_short_header_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        magic = b"MBIRNET-REFINER v1\n"
+        path.write_bytes(magic + b"scnn\n" + data.split(b"\n", 2)[2])
+        with pytest.raises(ValueError, match="r.rfn"):
+            mn.load_refiner(path)
+
+    def test_truncated_payload_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data[:-16])
+        with pytest.raises(ValueError, match="r.rfn.*payload"):
+            mn.load_refiner(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path, data = self._saved(tmp_path, rng)
+        path.write_bytes(data + b"\0" * 8)
+        with pytest.raises(ValueError, match="r.rfn.*payload"):
+            mn.load_refiner(path)

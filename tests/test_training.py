@@ -98,16 +98,38 @@ class TestAnalyticGradients:
             {"first": first, "mid": mid, "last": last}, grads)
         assert worst <= 1e-4
 
-    def test_loss_matches_refining_loss(self, rng):
-        ref = mn.ScnnRefiner.init_random(2, 9, rng)
+    @staticmethod
+    def _loss(ref, inputs, targets):
+        if isinstance(ref, mn.ScnnRefiner):
+            return scnn_value_and_grad(np.asarray(ref.enc_filters), np.asarray(ref.dec_filters),
+                                       np.asarray(ref.log_thresholds), ref.residual,
+                                       inputs, targets)[0]
+        return dcnn_value_and_grad(np.asarray(ref.first_filters), np.asarray(ref.mid_filters),
+                                   np.asarray(ref.last_filters), inputs, targets)[0]
+
+    @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
+    def test_loss_matches_refining_loss(self, rng, arch):
+        if arch == "scnn":
+            ref = mn.ScnnRefiner.init_random(2, 9, rng)
+        else:
+            ref = mn.DcnnRefiner.init_random(2, 9, 3, rng)
         inputs = rng.standard_normal((3, 8, 8))
         targets = rng.standard_normal((3, 8, 8))
-        loss, _ = scnn_value_and_grad(np.asarray(ref.enc_filters),
-                                      np.asarray(ref.dec_filters),
-                                      np.asarray(ref.log_thresholds), True,
-                                      inputs, targets)
         pairs = list(zip(targets, inputs))
-        assert loss == pytest.approx(mn.refining_loss(ref, pairs), rel=1e-12)
+        assert self._loss(ref, inputs, targets) == pytest.approx(
+            mn.refining_loss(ref, pairs), rel=1e-12)
+
+    @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
+    def test_single_image_loss_is_the_refiner_forward_bitwise(self, rng, arch):
+        # at this size numpy evaluates a product with a temporary operand in
+        # place, with the operands swapped, and complex products are not
+        # bitwise commutative: both paths must still compute the same bits
+        if arch == "scnn":
+            ref = mn.ScnnRefiner.init_random(25, 25, rng)
+        else:
+            ref = mn.DcnnRefiner.init_random(25, 25, 3, rng)
+        u = rng.standard_normal((1, 64, 64))
+        assert self._loss(ref, u, ref(u[0])[None]) == 0.0
 
 
 class TestTrainRefiner:
