@@ -27,10 +27,10 @@ from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                      write_pgm, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
-from .linops import QuadraticDataFit, ShapeError
+from .linops import QuadraticDataFit, ShapeError, diag_majorizer
 from .refiners import load_refiner, save_refiner
 from .solver import NumericFailure, run_bcd_net, run_momentum_net
-from .training import TrainingSample, backprojection_init, greedy_train
+from .training import TrainingSample, backprojection_init, greedy_train, select_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_problem_dir(input_dir: Path) -> QuadraticDataFit:
-    op_path = input_dir / "operator.txt"
-    if not op_path.exists():
-        raise FileNotFoundError(f"missing operator file {op_path}")
-    op = read_operator(op_path)
-    y = read_vector_csv(input_dir / "y.csv")
-    w = read_vector_csv(input_dir / "weights.csv")
-    return QuadraticDataFit(op, w, y)
+def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
+                  operators: dict) -> QuadraticDataFit:
+    """Data fit from files under `base`; `operators` maps resolved operator paths
+    to parsed operators, so each file is parsed once per command and shared."""
+    key = (base / operator).resolve()
+    if key not in operators:
+        operators[key] = read_operator(base / operator)
+    return QuadraticDataFit(operators[key], read_vector_csv(base / weights),
+                            read_vector_csv(base / measurements))
 
 
 def _load_refiners(refiner_dir: Path):
@@ -199,7 +200,7 @@ def cmd_reconstruct(args) -> int:
     out = _out_dir(args)
     manifest = RunManifest("reconstruct", args, out)
 
-    datafit = _load_problem_dir(Path(args.input))
+    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
     refiners = _load_refiners(Path(args.refiners))
     n = cfg["problem"]["n"]
     if datafit.n != n * n:
@@ -224,20 +225,15 @@ def _load_samples(manifest_cfg: dict, base: Path, lam: float):
     gamma = manifest_cfg["gamma"]
     if (chi is None) == (gamma is None):
         raise ConfigError("training manifest must set exactly one of chi or gamma")
+    operators = {}
     samples = []
     for entry in manifest_cfg["samples"]:
         truth = read_pgm(base / entry["truth"])
-        op = read_operator(base / entry["operator"])
-        y = read_vector_csv(base / entry["measurements"])
-        w = read_vector_csv(base / entry["weights"])
-        datafit = QuadraticDataFit(op, w, y)
-        if gamma is not None:
-            from .linops import diag_majorizer
-            m_f = diag_majorizer(datafit)
-            samples.append(TrainingSample(truth, datafit, gamma,
-                                          m_f.shifted(gamma, lam=lam)))
-        else:
-            samples.append(TrainingSample.build(truth, datafit, chi, lam=lam))
+        datafit = _load_datafit(base, entry["operator"], entry["measurements"],
+                                entry["weights"], operators)
+        m_f = diag_majorizer(datafit)
+        g = select_gamma(m_f, chi) if gamma is None else gamma
+        samples.append(TrainingSample(truth, datafit, g, m_f.shifted(g, lam=lam)))
     return samples
 
 
@@ -248,10 +244,9 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     manifest = RunManifest("train", args, out)
 
-    base = Path(args.config).parent
     solver = manifest_cfg["solver"]
     net_config = cfgmod.build_solver_config(solver, n_iter=manifest_cfg["train"]["n_iter"])
-    samples = _load_samples(manifest_cfg, base, solver["lam"])
+    samples = _load_samples(manifest_cfg, Path(args.config).parent, solver["lam"])
     arch = cfgmod.build_arch(manifest_cfg["train"])
     train_config = cfgmod.build_train_config(manifest_cfg["train"], manifest_cfg["seed"])
     feasible = cfgmod.build_feasible(solver)
@@ -280,12 +275,11 @@ def cmd_diagnose(args) -> int:
     out = _out_dir(args)
     manifest = RunManifest("diagnose", args, out)
 
-    base = Path(args.config).parent
     solver = manifest_cfg["solver"]
     refiners = _load_refiners(Path(args.refiners))
     # diagnostics are estimated over the trained depth: one refiner per iteration
     net_config = cfgmod.build_solver_config(solver, n_iter=len(refiners))
-    samples = _load_samples(manifest_cfg, base, solver["lam"])
+    samples = _load_samples(manifest_cfg, Path(args.config).parent, solver["lam"])
     feasible = cfgmod.build_feasible(solver)
 
     result = run_diagnostics(refiners, samples, net_config, feasible,
@@ -311,7 +305,7 @@ def cmd_compare(args) -> int:
             c["seed"] = args.seed
 
     refiners = _load_refiners(Path(args.refiners))
-    datafit = _load_problem_dir(Path(args.input))
+    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
     rows = []
     traces = {}
     for path, cfg in zip(args.config, configs):

@@ -3,12 +3,19 @@ plain-text sparse-operator format (header `rows cols nnz`, then triples)."""
 
 from __future__ import annotations
 
+import math
+import re
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
 from .linops import ImageVector, ShapeError, SparseMatrixOperator
 
 PGM_MAXVAL = 65535
+# `P5 width height maxval`, fields separated by whitespace or `#` comment lines
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+_TRIPLE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def write_pgm(path, image: ImageVector) -> None:
@@ -24,27 +31,16 @@ def write_pgm(path, image: ImageVector) -> None:
 def read_pgm(path) -> ImageVector:
     with open(path, "rb") as fh:
         blob = fh.read()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(blob) and blob[pos:pos + 1].isspace():
-            pos += 1
-        if blob[pos:pos + 1] == b"#":  # comment line
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(blob[start:pos])
-    pos += 1  # single whitespace after maxval
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: expected binary PGM (P5)")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM (P5) header")
+    w, h, maxval = (int(t) for t in header.groups())
     if maxval != PGM_MAXVAL:
         raise ValueError(f"{path}: expected maxval {PGM_MAXVAL}, got {maxval}")
-    data = np.frombuffer(blob, dtype=">u2", count=h * w, offset=pos)
-    return ImageVector(data.astype(np.float64) / PGM_MAXVAL, (h, w))
+    pixels = blob[header.end():]
+    if len(pixels) != 2 * w * h:
+        raise ValueError(f"{path}: {len(pixels)} pixel bytes for {w}x{h}, expected {2 * w * h}")
+    return ImageVector(np.frombuffer(pixels, dtype=">u2") / PGM_MAXVAL, (h, w))
 
 
 def write_vector_csv(path, vec) -> None:
@@ -56,8 +52,19 @@ def write_vector_csv(path, vec) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        values = [float(line) for line in fh if line.strip()]
+    values = []
+    with open(path, "rb") as fh:  # float() parses bytes, so no decode step can fail
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                v = float(line)
+            except ValueError:
+                v = math.nan  # reported with the non-finite values below
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: line {lineno}: expected a finite number, "
+                                 f"got {line.strip().decode('latin-1')!r}")
+            values.append(v)
     return np.array(values, dtype=np.float64)
 
 
@@ -78,19 +85,22 @@ def write_operator(path, op) -> None:
 
 
 def read_operator(path) -> SparseMatrixOperator:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 3:
+        if len(header) != 3 or not all(t.isdigit() for t in header):
             raise ValueError(f"{path}: malformed operator header")
         rows, cols, nnz = (int(t) for t in header)
-        r = np.empty(nnz, dtype=np.int64)
-        c = np.empty(nnz, dtype=np.int64)
-        v = np.empty(nnz, dtype=np.float64)
-        for i in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: truncated triple list at entry {i}")
-            r[i], c[i], v[i] = int(parts[0]), int(parts[1]), float(parts[2])
-    if nnz and (r.max() >= rows or c.max() >= cols):
+        try:
+            with warnings.catch_warnings():  # an empty triple list is checked below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                triples = np.loadtxt(fh, dtype=_TRIPLE, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed triple list: {exc}") from None
+    if triples.size != nnz:
+        raise ValueError(f"{path}: header declares {nnz} triples, found {triples.size}")
+    r, c, v = triples["row"], triples["col"], triples["value"]
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{path}: non-finite triple value")
+    if nnz and (min(r.min(), c.min()) < 0 or r.max() >= rows or c.max() >= cols):
         raise ShapeError(f"{path}: triple index outside declared shape")
     return SparseMatrixOperator(sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr())

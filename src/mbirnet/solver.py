@@ -146,16 +146,12 @@ class IterateRecord:
     objective: float
     step_residual: float
     fixed_point_residual: float = math.nan
-    epsilon: float = math.nan
-    delta: float = math.nan
-    kappa: float = math.nan
     wall_ms: float = 0.0
     x: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
 
 
-TRACE_COLUMNS = ("iter", "objective", "step_residual", "fixed_point_residual",
-                 "epsilon", "delta", "kappa", "wall_ms")
+TRACE_COLUMNS = ("iter", "objective", "step_residual", "fixed_point_residual", "wall_ms")
 
 
 @dataclass
@@ -206,8 +202,7 @@ class IterateTrace:
             writer.writerow(TRACE_COLUMNS)
             for r in self.records:
                 writer.writerow([r.it] + [_fmt(v) for v in (
-                    r.objective, r.step_residual, r.fixed_point_residual,
-                    r.epsilon, r.delta, r.kappa, r.wall_ms)])
+                    r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)])
 
 
 def _fmt(v: float) -> str:

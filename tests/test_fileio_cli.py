@@ -1,8 +1,10 @@
 import json
+import shutil
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mbirnet as mn
 from mbirnet.cli import main
@@ -36,6 +38,26 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(p)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P5 16")
+        with pytest.raises(ValueError, match="x.pgm"):
+            read_pgm(p)
+
+    def test_short_pixel_data_rejected(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        write_pgm(p, mn.shepp_logan(16))
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="x.pgm"):
+            read_pgm(p)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        write_pgm(p, mn.shepp_logan(16))
+        p.write_bytes(p.read_bytes() + b"\x00\x00")
+        with pytest.raises(ValueError, match="x.pgm"):
+            read_pgm(p)
+
 
 class TestVectorCsv:
     def test_round_trip_exact(self, tmp_path, rng):
@@ -44,16 +66,31 @@ class TestVectorCsv:
         write_vector_csv(path, vec)
         assert np.array_equal(read_vector_csv(path), vec)
 
+    @pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf"])
+    def test_non_numeric_or_non_finite_line_rejected(self, tmp_path, bad):
+        path = tmp_path / "v.csv"
+        path.write_text(f"1.5\n\n{bad}\n2.5\n")
+        with pytest.raises(ValueError, match="v.csv: line 3"):
+            read_vector_csv(path)
+
 
 class TestOperatorFile:
     def test_sparse_round_trip_exact(self, tmp_path, rng):
         import scipy.sparse as sp
         mat = sp.random(14, 9, density=0.3, random_state=0, format="csr")
-        op = mn.SparseMatrixOperator(mat)
+        extreme = mat.copy()
+        # magnitudes 1e-300..1e300 of both signs, plus subnormals
+        extreme.data = rng.choice([-1.0, 1.0], mat.nnz) * 10.0 ** rng.uniform(-300, 300, mat.nnz)
+        extreme.data[:4] = [5e-324, -2.5e-310, 1e-300, -1e300]
         path = tmp_path / "A.txt"
-        write_operator(path, op)
-        back = read_operator(path)
-        assert (back.matrix != op.matrix).nnz == 0
+        for m in (mat, extreme, mn.build_radon(mn.CtGeometry(16, 8)).matrix):
+            op = mn.SparseMatrixOperator(m)
+            write_operator(path, op)
+            back = read_operator(path)
+            assert (back.matrix != op.matrix).nnz == 0
+            assert back.matrix.data.tobytes() == op.matrix.data.tobytes()
+            assert np.array_equal(back.matrix.indices, op.matrix.indices)
+            assert np.array_equal(back.matrix.indptr, op.matrix.indptr)
 
     def test_header_shape(self, tmp_path):
         op = mn.SparseMatrixOperator(np.eye(3))
@@ -74,6 +111,57 @@ class TestOperatorFile:
         p.write_text("2 2 1\n5 0 1.0\n")
         with pytest.raises(mn.ShapeError):
             read_operator(p)
+
+    @pytest.mark.parametrize("text", [
+        "2 2 2\n0 0 1.0\n",              # fewer triples than declared
+        "2 2 1\n0 0 1.0\n1 1 2.0\n",     # more triples than declared
+        "2 2 0\n0 0 1.0\n",              # triples where none are declared
+        "2 2 1\n0.5 0 1.0\n",            # non-integer index
+        "2 2 1\n-1 0 1.0\n",             # negative index
+        "2 2 1\n0 0 abc\n",              # non-numeric value
+        "2 2 1\n0 0 nan\n",              # non-finite values
+        "2 2 1\n0 0 -inf\n",
+    ], ids=["short", "long", "long-empty", "fractional-index", "negative-index",
+            "non-numeric", "nan", "-inf"])
+    def test_malformed_triples_rejected(self, tmp_path, text):
+        p = tmp_path / "A.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="A.txt"):
+            read_operator(p)
+
+
+def _corrupted(valid: bytes):
+    """Strategy: `valid` cut short, or with one to four bytes overwritten."""
+    cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+    changes = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
+                       min_size=1, max_size=4)
+
+    def overwrite(pairs):
+        data = bytearray(valid)
+        for i, b in pairs:
+            data[i] = b
+        return bytes(data)
+    return st.one_of(cut, changes.map(overwrite))
+
+
+class TestReaderFuzz:
+    @pytest.mark.parametrize("name, write, read", [
+        ("img.pgm", lambda p: write_pgm(p, mn.shepp_logan(16)), read_pgm),
+        ("A.txt", lambda p: write_operator(p, mn.build_blur(mn.binomial_kernel(0.3), (4, 4))),
+         read_operator),
+        ("v.csv", lambda p: write_vector_csv(p, np.linspace(-2.0, 3.0, 7)), read_vector_csv),
+    ], ids=["pgm", "operator", "vector"])
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_file_returns_or_names_itself(self, tmp_path, name, write, read, data):
+        path = tmp_path / name
+        write(path)
+        path.write_bytes(data.draw(_corrupted(path.read_bytes())))
+        try:
+            read(path)
+        except ValueError as exc:  # any other exception type fails the test
+            assert name in str(exc)
 
 
 BLUR_CONFIG = textwrap.dedent("""\
@@ -164,8 +252,7 @@ class TestCmdReconstruct:
                      "--refiners", str(t / "refs"), "--input", str(t / "sim"),
                      "--out", str(t / "rec")]) == 0
         header = (t / "rec" / "trace.csv").read_text().splitlines()[0]
-        assert header == ("iter,objective,step_residual,fixed_point_residual,"
-                          "epsilon,delta,kappa,wall_ms")
+        assert header == "iter,objective,step_residual,fixed_point_residual,wall_ms"
 
     def test_noextrap_flag_matches_api_run(self, blur_workspace):
         t = blur_workspace
@@ -208,6 +295,19 @@ class TestCmdReconstruct:
                      "--out", str(t / "recx")]) == 2
         err = capsys.readouterr().err
         assert "refiner_000.rfn" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_malformed_operator_is_config_error(self, blur_workspace, capsys):
+        t = blur_workspace
+        shutil.copytree(t / "sim", t / "badsim")
+        with open(t / "badsim" / "operator.txt", "a") as fh:
+            fh.write("0 0 1.0\n")  # one triple more than the header declares
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(t / "refs"), "--input", str(t / "badsim"),
+                     "--out", str(t / "recx")]) == 2
+        err = capsys.readouterr().err
+        assert "operator.txt" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
     def test_diverging_refiner_numeric_failure(self, blur_workspace):
@@ -302,6 +402,16 @@ class TestCmdTrain:
         assert loss_lines[0] == "epoch,loss"
         assert len(loss_lines) == 1 + 4  # header + epochs rows
 
+    def test_truncated_truth_is_config_error(self, tmp_path, capsys):
+        manifest = _write_ct_training_set(tmp_path, stages=1)
+        truth = manifest.parent / "t1.pgm"
+        truth.write_bytes(truth.read_bytes()[:-10])
+        capsys.readouterr()
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert "t1.pgm" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_rerun_bit_identical(self, tmp_path):
         manifest = _write_ct_training_set(tmp_path)
         for d in ("t1", "t2"):
@@ -358,6 +468,29 @@ class TestCmdDiagnose:
         a = (tmp_path / "d1" / "diagnostics.csv").read_bytes()
         b = (tmp_path / "d2" / "diagnostics.csv").read_bytes()
         assert a == b
+
+
+class TestOperatorParsedOnce:
+    @pytest.mark.parametrize("files", [1, 2])
+    def test_train_and_diagnose_parse_each_operator_file_once(self, tmp_path, monkeypatch,
+                                                              files):
+        manifest = _write_ct_training_set(tmp_path, stages=1, epochs=1)
+        if files == 2:  # the first sample names a copy, the other two share A.txt
+            shutil.copy(manifest.parent / "A.txt", manifest.parent / "B.txt")
+            text = manifest.read_text()
+            manifest.write_text(text.replace("operator: A.txt", "operator: B.txt", 1))
+        calls = []
+
+        def counting_read_operator(path):
+            calls.append(path)
+            return read_operator(path)
+        monkeypatch.setattr("mbirnet.cli.read_operator", counting_read_operator)
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 0
+        assert len(calls) == files
+        calls.clear()
+        assert main(["diagnose", "--config", str(manifest), "--refiners", str(tmp_path / "tr"),
+                     "--out", str(tmp_path / "dg"), "--pairs", "2"]) == 0
+        assert len(calls) == files
 
 
 class TestManifestChecksums:

@@ -350,5 +350,5 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "iter,objective,step_residual,fixed_point_residual,epsilon,delta,kappa,wall_ms"
+        assert header == "iter,objective,step_residual,fixed_point_residual,wall_ms"
         assert len(path.read_text().splitlines()) == 5
