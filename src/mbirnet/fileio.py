@@ -103,4 +103,7 @@ def read_operator(path) -> SparseMatrixOperator:
         raise ValueError(f"{path}: non-finite triple value")
     if nnz and (min(r.min(), c.min()) < 0 or r.max() >= rows or c.max() >= cols):
         raise ShapeError(f"{path}: triple index outside declared shape")
-    return SparseMatrixOperator(sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr())
+    try:
+        return SparseMatrixOperator(sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr())
+    except (MemoryError, OverflowError):  # the declared shape, not the triples, is too big
+        raise ValueError(f"{path}: cannot allocate the declared {rows}x{cols} operator") from None

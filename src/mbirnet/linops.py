@@ -347,13 +347,6 @@ class FeasibleSet:
             return np.maximum(v, 0.0)
         return np.clip(v, self.lo, self.hi)
 
-    def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "nonneg":
-            return bool(np.all(v >= -tol))
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
 
 @dataclass(frozen=True)
 class MbirObjective:

@@ -333,18 +333,19 @@ class IdentityRefiner:
 # empirical diagnostics
 # ---------------------------------------------------------------------------
 
-def paired_epsilon(r_next, r_prev, pairs) -> float:
+def paired_epsilon(pairs) -> float:
     """Empirical slack of the paired-nonexpansiveness bound over sample pairs.
 
-    Returns max over (u, v) of max(0, ||r_next(u) - r_prev(v)||^2 - ||u - v||^2).
+    Returns max over ((u, r_next(u)), (v, r_prev(v))) of
+    max(0, ||r_next(u) - r_prev(v)||^2 - ||u - v||^2).
     """
     if len(pairs) == 0:
         raise ValueError("need at least one (u, v) pair")
     worst = 0.0
-    for u, v in pairs:
+    for (u, ru), (v, rv) in pairs:
         u = as_f64(u)
         v = as_f64(v)
-        d_out = r_next(u) - r_prev(v)
+        d_out = ru - rv
         gap = float(np.sum(d_out * d_out) - np.sum((u - v) ** 2))
         worst = max(worst, gap)
     return max(worst, 0.0)
@@ -361,18 +362,18 @@ def delta_measure(z_next, z_prev, x) -> float:
     return max(gap, 0.0)
 
 
-def lipschitz_estimate(refiner, samples) -> float:
-    """Empirical Lipschitz constant max ||R(u) - R(v)|| / ||u - v||."""
-    if len(samples) == 0:
+def lipschitz_estimate(pairs) -> float:
+    """Empirical Lipschitz constant max ||R(u) - R(v)|| / ||u - v|| over ((u, R(u)), (v, R(v)))."""
+    if len(pairs) == 0:
         raise ValueError("need at least one (u, v) pair")
     worst = 0.0
-    for u, v in samples:
+    for (u, ru), (v, rv) in pairs:
         u = as_f64(u)
         v = as_f64(v)
         denom = float(np.linalg.norm(u - v))
         if denom == 0.0:
             raise ValueError("coincident sample pair")
-        worst = max(worst, float(np.linalg.norm(refiner(u) - refiner(v))) / denom)
+        worst = max(worst, float(np.linalg.norm(ru - rv)) / denom)
     return worst
 
 

@@ -112,7 +112,6 @@ class MomentumNetConfig:
     lam: float = 1.0
     convex: bool = True
     extrapolate: bool = True
-    sharp_majorizer: bool = False
     record_fixed_point: bool = True
 
     def __post_init__(self):
@@ -179,14 +178,8 @@ class IterateTrace:
     def iterates(self) -> list[np.ndarray]:
         return [r.x for r in self.records]
 
-    def refined(self) -> list[np.ndarray]:
-        return [r.z for r in self.records]
-
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.records])
-
-    def step_residuals(self) -> np.ndarray:
-        return np.array([r.step_residual for r in self.records])
 
     def relative_step_residuals(self) -> np.ndarray:
         """Step residuals scaled by max(1, ||x||) of the previous iterate."""
@@ -251,11 +244,11 @@ def _refiner_at(refiners: Sequence[Refiner], i: int) -> Refiner:
 
 
 def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
-                      refiner: Refiner, datafit: QuadraticDataFit, gamma: float,
+                      refined: np.ndarray, datafit: QuadraticDataFit, gamma: float,
                       feasible: FeasibleSet, m_big: DiagonalMajorizer,
-                      config: MomentumNetConfig, shape: tuple[int, int]):
-    """One full iteration; returns (x_new, z, new momentum state)."""
-    z = (1.0 - config.rho) * x + config.rho * refiner(x.reshape(shape)).ravel()
+                      config: MomentumNetConfig):
+    """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
+    z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
         e_diag = extrapolation_matrix(m_big, m_big, state, config.lam, config.convex)
         x_acute = x + e_diag * (x - x_prev)
@@ -324,12 +317,12 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     m_f = diag_majorizer(datafit)
     gamma = config.resolve_gamma(m_f)
     m_big = m_f.shifted(gamma, lam=config.lam)
-    state = MomentumState(delta=config.delta, sharp=config.sharp_majorizer)
+    state = MomentumState(delta=config.delta)
 
     def step(refiner, x):
         nonlocal state, x_prev
-        x_new, z, state = momentum_net_step(x, x_prev, state, refiner, datafit, gamma,
-                                            feasible, m_big, config, shape)
+        x_new, z, state = momentum_net_step(x, x_prev, state, refiner(x.reshape(shape)),
+                                            datafit, gamma, feasible, m_big, config)
         x_prev = x
         return x_new, z
 

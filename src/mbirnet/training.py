@@ -3,12 +3,14 @@
 Each reconstruction iteration gets its own refiner, trained to map the current
 sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
-refiner.  Gradients through the networks are computed analytically (FFT-domain
-circular convolutions; subgradient 0 at soft-threshold kinks and at ReLU(0))
-and fed to a built-in adaptive-moment optimizer.  The forward half of each
-gradient is the refiner's own batched forward pass (`refiners._scnn_forward`,
-`refiners._dcnn_forward`), so training fits exactly the map that
-reconstruction runs; only the backward half is written here.
+refiner (`_advance`, the one sample trajectory, which diagnostics follow too:
+each refiner runs once per sample per iteration).  Gradients through the
+networks are computed analytically (FFT-domain circular convolutions;
+subgradient 0 at soft-threshold kinks and at ReLU(0)) and fed to a built-in
+adaptive-moment optimizer.  The forward half of each gradient is the refiner's
+own batched forward pass (`refiners._scnn_forward`, `refiners._dcnn_forward`),
+so training fits exactly the map that reconstruction runs; only the backward
+half is written here.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linops import (DiagonalMajorizer, ImageVector, QuadraticDataFit, ShapeError,
-                     as_f64, diag_majorizer, spectral_spread)
+from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, QuadraticDataFit,
+                     ShapeError, as_f64, diag_majorizer, spectral_spread)
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
                        _scnn_forward, filter_fft, flip_filter)
-from .solver import MomentumNetConfig, MomentumState, momentum_net_step
+from .solver import MomentumNetConfig, MomentumState, Refiner, momentum_net_step
 
 
 class TrainingAborted(RuntimeError):
@@ -335,6 +337,27 @@ def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> Im
     return ImageVector(bp, shape)
 
 
+def _starts(samples: Sequence[TrainingSample], shape: tuple[int, int]) -> list[np.ndarray]:
+    """Flat start iterates: each sample's x0, else its back-projection."""
+    return [(s.x0 if s.x0 is not None else backprojection_init(s.datafit, shape)).data.copy()
+            for s in samples]
+
+
+def _advance(samples: Sequence[TrainingSample], xs, xs_prev, state: MomentumState,
+             refiner: Refiner, config: MomentumNetConfig, feasible, shape: tuple[int, int]):
+    """One momentum iteration for every sample, in order, with one refiner and
+    each sample's own gamma and majorizer.  Returns the refiner outputs R(x) as
+    (h, w) images, the refined images z, the new iterates and the new momentum
+    state (the same for every sample)."""
+    steps = []
+    for s, x, x_prev in zip(samples, xs, xs_prev):
+        out = refiner(x.reshape(shape))
+        steps.append((out, *momentum_net_step(x, x_prev, state, out, s.datafit, s.gamma,
+                                               feasible, s.majorizer, config)))
+    outs, xs_new, zs, states = zip(*steps)
+    return outs, zs, xs_new, states[0]
+
+
 def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
                  net_config: MomentumNetConfig, train_config: TrainConfig,
                  feasible=None):
@@ -344,7 +367,6 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
     Stage 0 starts from fan-in-scaled random filters; later stages warm-start
     from the previous stage's parameters.  Returns (refiners, histories).
     """
-    from .linops import FeasibleSet
     if feasible is None:
         feasible = FeasibleSet.nonneg()
     if net_config.n_iter < 1:
@@ -354,13 +376,8 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
     rng = np.random.default_rng(train_config.seed)
 
     shape = samples[0].truth.shape
-    xs = []
-    for s in samples:
-        start = s.x0 if s.x0 is not None else backprojection_init(s.datafit, shape)
-        xs.append(start.data.copy())
-    xs_prev = [x.copy() for x in xs]
-    states = [MomentumState(delta=net_config.delta, sharp=net_config.sharp_majorizer)
-              for _ in samples]
+    xs = xs_prev = _starts(samples, shape)
+    state = MomentumState(delta=net_config.delta)
 
     refiners = []
     histories = []
@@ -371,11 +388,9 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         current, history = train_refiner(current, pairs, train_config, rng=stage_rng)
         refiners.append(current)
         histories.append(history)
-        for j, s in enumerate(samples):
-            x_new, _, states[j] = momentum_net_step(
-                xs[j], xs_prev[j], states[j], current, s.datafit, s.gamma,
-                feasible, s.majorizer, net_config, shape)
-            xs_prev[j], xs[j] = xs[j], x_new
+        _, _, xs_new, state = _advance(samples, xs, xs_prev, state, current, net_config,
+                                       feasible, shape)
+        xs_prev, xs = xs, xs_new
     return refiners, histories
 
 

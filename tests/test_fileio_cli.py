@@ -1,6 +1,7 @@
 import json
 import shutil
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +128,15 @@ class TestOperatorFile:
         p = tmp_path / "A.txt"
         p.write_text(text)
         with pytest.raises(ValueError, match="A.txt"):
+            read_operator(p)
+
+    # shapes beyond any address space (and, last, beyond int64): nothing is allocated
+    @pytest.mark.parametrize("header", [f"{10**17} 2 1", f"2 {10**17} 1", f"{10**20} 2 1"],
+                             ids=["rows", "cols", "int64-overflow"])
+    def test_unallocatable_shape_rejected(self, tmp_path, header):
+        p = tmp_path / "A.txt"
+        p.write_text(f"{header}\n0 0 1.0\n")
+        with pytest.raises(ValueError, match="A.txt.*cannot allocate"):
             read_operator(p)
 
 
@@ -458,6 +468,18 @@ class TestCmdDiagnose:
         lines = (tmp_path / "dg" / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "iter,kappa"
 
+    @pytest.mark.parametrize("pairs", ["0", "-1"])
+    def test_pair_count_below_one_is_config_error(self, tmp_path, capsys, pairs):
+        manifest = _write_ct_training_set(tmp_path, stages=1, epochs=1)
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", "--config", str(manifest), "--refiners", str(tmp_path / "tr"),
+                     "--out", str(tmp_path / "dg"), "--pairs", pairs]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert f"need at least one sample pair, got {pairs}" in err
+        assert not (tmp_path / "dg" / "diagnostics.csv").exists()
+
     def test_fixed_seed_identical_csv(self, tmp_path):
         manifest = _write_ct_training_set(tmp_path)
         assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 0
@@ -468,6 +490,99 @@ class TestCmdDiagnose:
         a = (tmp_path / "d1" / "diagnostics.csv").read_bytes()
         b = (tmp_path / "d2" / "diagnostics.csv").read_bytes()
         assert a == b
+
+
+def _ct_samples(count, n=16, n_views=8):
+    """In-memory CT samples sharing one operator; the first starts from x0 = 0.5."""
+    op = mn.build_radon(mn.CtGeometry(n, n_views))
+    rng = np.random.default_rng(0)
+    samples = []
+    for i in range(count):
+        truth = mn.random_ellipse_phantom(n, rng)
+        y, w = mn.simulate_ct(truth, op, 1e5, 25.0, seed=i)
+        x0 = mn.ImageVector(np.full(n * n, 0.5), (n, n)) if i == 0 else None
+        samples.append(mn.TrainingSample.build(truth, mn.QuadraticDataFit(op, w, y), 10.0,
+                                               x0=x0))
+    return samples
+
+
+def _diagnostics_from_traces(refiners, samples, config, feasible, n_pairs, seed):
+    """kappa/epsilon/delta rows from whole `run_momentum_net` traces, one per sample,
+    calling the refiners again on every pair member."""
+    rng = np.random.default_rng(seed)
+    shape = samples[0].truth.shape
+    traces = []
+    for s in samples:
+        x0 = s.x0 if s.x0 is not None else mn.backprojection_init(s.datafit, shape)
+        traces.append(mn.run_momentum_net(
+            replace(config, gamma=s.gamma, chi=None, record_fixed_point=False),
+            refiners, s.datafit, feasible, x0))
+    n = len(samples)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b] if n > 1 else [(0, 0)]
+    if len(pairs) > n_pairs:
+        pairs = [pairs[i] for i in rng.choice(len(pairs), size=n_pairs, replace=False)]
+    n_iter = min(len(t) - 1 for t in traces)
+    rows = np.full((n_iter, 3), np.nan)
+    for k in range(1, n_iter + 1):
+        r_k = refiners[min(k - 1, len(refiners) - 1)]
+        u = [t.records[k - 1].x.reshape(shape) for t in traces]
+        lip = [((u[a], r_k(u[a])), (u[b], r_k(u[b]))) for a, b in pairs if a != b]
+        if lip:
+            rows[k - 1, 0] = mn.lipschitz_estimate(lip)
+        if k >= 2 and len(refiners) >= 2:
+            r_prev = refiners[min(k - 2, len(refiners) - 1)]
+            v = [t.records[k - 2].x.reshape(shape) for t in traces]
+            rows[k - 1, 1] = mn.paired_epsilon([((u[a], r_k(u[a])), (v[b], r_prev(v[b])))
+                                                for a, b in pairs])
+            rows[k - 1, 2] = max(mn.delta_measure(t.records[k].z, t.records[k - 1].z,
+                                                  t.records[k - 1].x) for t in traces)
+    return rows
+
+
+class _CountingRefiner:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return 0.5 * u
+
+
+class TestDiagnosticsTrajectory:
+    def test_each_refiner_runs_once_per_sample_per_iteration(self):
+        refiners = [_CountingRefiner() for _ in range(3)]
+        cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=10.0)
+        res = mn.run_diagnostics(refiners, _ct_samples(3), cfg, mn.FeasibleSet.nonneg(),
+                                 n_pairs=6)
+        assert res.n_iter == 4
+        # 3 samples x 4 iterations; the last refiner repeats at iteration 4
+        assert [r.calls for r in refiners] == [3, 3, 6]
+
+    @pytest.mark.parametrize("count,n_pairs", [(3, 4), (3, 100), (1, 100)])
+    def test_matches_rows_from_whole_solver_traces(self, count, n_pairs):
+        rng = np.random.default_rng(1)
+        refiners = [mn.ScnnRefiner.init_random(4, 9, rng, init_threshold=0.05) for _ in range(3)]
+        samples = _ct_samples(count)
+        cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=10.0)
+        feasible = mn.FeasibleSet.nonneg()
+        res = mn.run_diagnostics(refiners, samples, cfg, feasible, n_pairs=n_pairs, seed=5)
+        want = _diagnostics_from_traces(refiners, samples, cfg, feasible, n_pairs, seed=5)
+        got = np.column_stack([res.kappa, res.epsilon, res.delta])
+        assert got.shape == (4, 3)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all(np.isfinite(want[1:, 1:]))
+        assert np.all(np.isfinite(want[:, 0])) == (count > 1)
+
+    def test_non_finite_iterate_truncates_rows(self):
+        def blow_up(u):
+            return np.full_like(u, np.nan)
+
+        refiners = [mn.IdentityRefiner(), mn.IdentityRefiner(), blow_up, mn.IdentityRefiner()]
+        cfg = mn.MomentumNetConfig(n_iter=6, rho=0.5, chi=10.0)
+        res = mn.run_diagnostics(refiners, _ct_samples(3), cfg, mn.FeasibleSet.nonneg())
+        assert res.n_iter == 3  # iteration 3 yields the first non-finite iterate; its row stays
+        assert np.allclose(res.kappa[:2], 1.0)
+        assert res.epsilon.shape == res.delta.shape == (3,)
 
 
 class TestOperatorParsedOnce:

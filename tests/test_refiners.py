@@ -123,23 +123,23 @@ class TestDiagnostics:
     def test_paired_epsilon_identity(self, rng):
         ident = mn.IdentityRefiner()
         u = rng.standard_normal((4, 4))
-        assert mn.paired_epsilon(ident, ident, [(u, u)]) == 0.0
+        assert mn.paired_epsilon([((u, ident(u)), (u, ident(u)))]) == 0.0
 
     def test_paired_epsilon_expansive(self):
         double = lambda u: 2 * u
         u = np.array([[1.0, 0.0]])
         v = np.array([[0.0, 0.0]])
-        assert mn.paired_epsilon(double, double, [(u, v)]) == pytest.approx(3.0)
+        assert mn.paired_epsilon([((u, double(u)), (v, double(v)))]) == pytest.approx(3.0)
 
     def test_paired_epsilon_constant_maps(self, rng):
         zero = lambda u: np.zeros_like(u)
         pairs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
                  for _ in range(4)]
-        assert mn.paired_epsilon(zero, zero, pairs) == 0.0
+        assert mn.paired_epsilon([((u, zero(u)), (v, zero(v))) for u, v in pairs]) == 0.0
 
     def test_paired_epsilon_empty(self):
         with pytest.raises(ValueError):
-            mn.paired_epsilon(mn.IdentityRefiner(), mn.IdentityRefiner(), [])
+            mn.paired_epsilon([])
 
     def test_delta_measure_cases(self):
         x = np.zeros(2)
@@ -154,14 +154,18 @@ class TestDiagnostics:
     def test_lipschitz_cases(self, rng):
         pairs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
                  for _ in range(5)]
-        assert mn.lipschitz_estimate(mn.IdentityRefiner(), pairs) == pytest.approx(1.0)
-        assert mn.lipschitz_estimate(lambda u: 2 * u, pairs) == pytest.approx(2.0)
-        assert mn.lipschitz_estimate(lambda u: np.zeros_like(u), pairs) == 0.0
+
+        def through(refiner):
+            return [((u, refiner(u)), (v, refiner(v))) for u, v in pairs]
+
+        assert mn.lipschitz_estimate(through(mn.IdentityRefiner())) == pytest.approx(1.0)
+        assert mn.lipschitz_estimate(through(lambda u: 2 * u)) == pytest.approx(2.0)
+        assert mn.lipschitz_estimate(through(lambda u: np.zeros_like(u))) == 0.0
 
     def test_lipschitz_coincident_pair(self):
         u = np.ones((2, 2))
         with pytest.raises(ValueError):
-            mn.lipschitz_estimate(mn.IdentityRefiner(), [(u, u.copy())])
+            mn.lipschitz_estimate([((u, u), (u.copy(), u.copy()))])
 
 
 class TestNonexpansiveSufficient:
