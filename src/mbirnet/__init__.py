@@ -1,11 +1,9 @@
 """Model-based image reconstruction with momentum-extrapolated refining networks."""
 
-from .linops import (CircularConvOperator, DenseMatrixOperator, DiagonalMajorizer,
-                     FeasibleSet, IdentityOperator, ImageVector, LinearOperator,
-                     MajorizationReport, MbirObjective, QuadraticDataFit, ShapeError,
-                     SparseMatrixOperator, apply_forward, datafit_gradient,
-                     diag_majorizer, mbir_gradient, power_iteration, spectral_spread,
-                     verify_majorization)
+from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MajorizationReport,
+                     MbirObjective, QuadraticDataFit, ShapeError, SparseMatrixOperator,
+                     datafit_gradient, diag_majorizer, mbir_gradient, power_iteration,
+                     select_gamma, spectral_spread, verify_majorization)
 from .prox import ThresholdVector, prox_indicator, prox_l1_metric, soft_threshold
 from .refiners import (DcnnRefiner, IdentityRefiner, NonexpansiveReport, ScnnRefiner,
                        TiedCaolRefiner, delta_measure, lipschitz_estimate,
@@ -17,8 +15,7 @@ from .solver import (IterateRecord, IterateTrace, MomentumNetConfig, MomentumSta
                      momentum_update, run_bcd_net, run_caol_bpegm, run_momentum_net)
 from .training import (PatchBoundReport, RefinerArch, TrainConfig, TrainingAborted,
                        TrainingSample, backprojection_init, greedy_train,
-                       patch_loss_bound_check, refining_loss, select_gamma,
-                       train_refiner)
+                       patch_loss_bound_check, refining_loss, train_refiner)
 from .imaging import (CtGeometry, binomial_kernel, build_blur, build_radon, psnr,
                       random_ellipse_phantom, rmse, shepp_logan, simulate_ct)
 from .diagnostics import DiagnosticsResult, run_diagnostics

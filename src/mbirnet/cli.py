@@ -27,10 +27,10 @@ from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                      write_pgm, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
-from .linops import QuadraticDataFit, ShapeError, diag_majorizer
+from .linops import QuadraticDataFit, ShapeError, diag_majorizer, select_gamma
 from .refiners import load_refiner, save_refiner
 from .solver import NumericFailure, run_bcd_net, run_momentum_net
-from .training import TrainingSample, backprojection_init, greedy_train, select_gamma
+from .training import TrainingSample, backprojection_init, greedy_train
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,9 @@ def read_vector_csv(path) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def write_operator(path, op) -> None:
-    """Sparse/dense matrix as text triples under a `rows cols nnz` header."""
-    if isinstance(op, SparseMatrixOperator):
-        mat = op.matrix.tocoo()
-    elif hasattr(op, "to_sparse"):
-        mat = op.to_sparse().tocoo()
-    elif hasattr(op, "matrix"):
-        mat = sp.coo_matrix(op.matrix)
-    else:
-        mat = sp.coo_matrix(np.asarray(op))
+def write_operator(path, op: SparseMatrixOperator) -> None:
+    """The operator's matrix as text triples under a `rows cols nnz` header."""
+    mat = op.matrix.tocoo()
     with open(path, "w") as fh:
         fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
         for r, c, v in zip(mat.row, mat.col, mat.data):

@@ -9,8 +9,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .linops import (CircularConvOperator, ImageVector, LinearOperator, ShapeError,
-                     SparseMatrixOperator, as_f64)
+from .linops import ImageVector, ShapeError, SparseMatrixOperator, as_f64
 
 FULL_VIEW_COUNT = 180  # 1-degree parallel-beam grid from which views are subsampled
 
@@ -184,7 +183,7 @@ def build_radon(geom: CtGeometry) -> SparseMatrixOperator:
     return SparseMatrixOperator(mat.tocsr())
 
 
-def simulate_ct(x: ImageVector, op: LinearOperator, incident: float, sigma2: float,
+def simulate_ct(x: ImageVector, op: SparseMatrixOperator, incident: float, sigma2: float,
                 seed: Optional[int] = None, noiseless: bool = False):
     """Post-log sinogram and statistical weights from a transmission scan.
 
@@ -213,16 +212,37 @@ def simulate_ct(x: ImageVector, op: LinearOperator, incident: float, sigma2: flo
     return y, weights
 
 
-def build_blur(kernel, image_shape: tuple[int, int]) -> CircularConvOperator:
-    """Circulant blur operator; adjoint is correlation with the flipped kernel."""
-    return CircularConvOperator(kernel, image_shape)
+def build_blur(kernel, image_shape: tuple[int, int]) -> SparseMatrixOperator:
+    """2-D circular convolution as a circulant CSR matrix, one band per nonzero tap.
+
+    The kernel taps sit on centered offsets (range(r) - r//2 per axis) and the
+    boundary is circular, so row n holds tap (a, b) in the column of the pixel
+    displaced from n by (a - kh//2, b - kw//2); the adjoint is correlation.
+    """
+    kernel = as_f64(np.atleast_2d(kernel))
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError("kernel must be finite")
+    h, w = int(image_shape[0]), int(image_shape[1])
+    kh, kw = kernel.shape
+    if kh > h or kw > w:
+        raise ShapeError(f"kernel {kernel.shape} larger than image {(h, w)}")
+    n = h * w
+    rows_grid, cols_grid = np.divmod(np.arange(n), w)
+    taps = np.argwhere(kernel != 0.0)
+    dy = taps[:, :1] - kh // 2
+    dx = taps[:, 1:] - kw // 2
+    cols = ((rows_grid - dy) % h) * w + (cols_grid - dx) % w
+    rows = np.broadcast_to(np.arange(n), cols.shape)
+    data = np.repeat(kernel[kernel != 0.0], n)
+    return SparseMatrixOperator(sp.coo_matrix((data, (rows.ravel(), cols.ravel())),
+                                              shape=(n, n)).tocsr())
 
 
 def binomial_kernel(c: float = 0.3) -> np.ndarray:
     """Mild normalized blur: c * delta + (1 - c) * separable binomial 3x3.
 
     Entries are nonnegative with unit sum, so the circulant data-fit majorizer
-    is exactly the identity and the smallest singular value stays at c.
+    is the identity up to rounding and the smallest singular value stays at c.
     """
     if not 0.0 <= c <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")

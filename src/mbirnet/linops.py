@@ -1,4 +1,4 @@
-"""Linear operators, quadratic data-fit terms, and diagonal majorizers.
+"""The sparse forward operator, quadratic data-fit terms, and diagonal majorizers.
 
 Everything downstream (proximal steps, solvers, training) consumes the types
 defined here.  All numerics are double precision; the types are value objects
@@ -62,13 +62,6 @@ class ImageVector:
         return self.data.size
 
 
-def _match_return(x, out: np.ndarray):
-    """Return `out` as ImageVector when the input was one."""
-    if isinstance(x, ImageVector):
-        return ImageVector(out, x.shape)
-    return out
-
-
 def _flat(x) -> np.ndarray:
     if isinstance(x, ImageVector):
         return x.data
@@ -76,30 +69,20 @@ def _flat(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear operators
+# forward operator
 # ---------------------------------------------------------------------------
 
-class LinearOperator:
-    """Abstract forward/adjoint pair u -> Au, v -> A^T v.
+class SparseMatrixOperator:
+    """Forward model u -> Au backed by a scipy CSR matrix, with adjoint v -> A^T v.
 
-    Subclasses provide `forward`, `adjoint` and `majorizer_diag`, the latter
-    returning diag(|A^T| W |A| 1) for a nonnegative weight vector, which is a
-    diagonal curvature bound for the weighted normal matrix A^T W A.
+    Every forward model is one: the sparse-view Radon matrix, the circulant
+    blur (`imaging.build_blur`) and any operator read from disk.
     """
 
-    shape: tuple[int, int]  # (m, n) = (output dim, input dim)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def majorizer_diag(self, weights: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
+    def __init__(self, matrix):
+        self.matrix = sp.csr_matrix(matrix).astype(np.float64)
+        self.shape = self.matrix.shape  # (m, n) = (output dim, input dim)
+        self._adj = self.matrix.T.tocsr()
 
     @property
     def in_dim(self) -> int:
@@ -109,148 +92,22 @@ class LinearOperator:
     def out_dim(self) -> int:
         return self.shape[0]
 
-    def _check_in(self, x: np.ndarray):
+    def forward(self, x):
+        x = _flat(x)
         if x.size != self.in_dim:
             raise ShapeError(f"operator expects input of length {self.in_dim}, got {x.size}")
+        return self.matrix @ x
 
-    def _check_out(self, y: np.ndarray):
+    def adjoint(self, y):
+        y = _flat(y)
         if y.size != self.out_dim:
             raise ShapeError(f"operator expects adjoint input of length {self.out_dim}, got {y.size}")
-
-
-class DenseMatrixOperator(LinearOperator):
-    """Operator backed by an explicit dense matrix."""
-
-    def __init__(self, matrix):
-        self.matrix = _frozen(np.atleast_2d(matrix))
-        self.shape = self.matrix.shape
-
-    def forward(self, x):
-        x = _flat(x)
-        self._check_in(x)
-        return self.matrix @ x
-
-    def adjoint(self, y):
-        y = _flat(y)
-        self._check_out(y)
-        return self.matrix.T @ y
-
-    def majorizer_diag(self, weights):
-        a = np.abs(self.matrix)
-        return a.T @ (as_f64(weights) * (a @ np.ones(self.in_dim)))
-
-
-class SparseMatrixOperator(LinearOperator):
-    """Operator backed by a scipy CSR matrix (e.g. a sparse-view Radon matrix)."""
-
-    def __init__(self, matrix):
-        self.matrix = sp.csr_matrix(matrix).astype(np.float64)
-        self.shape = self.matrix.shape
-        self._adj = self.matrix.T.tocsr()
-
-    def forward(self, x):
-        x = _flat(x)
-        self._check_in(x)
-        return self.matrix @ x
-
-    def adjoint(self, y):
-        y = _flat(y)
-        self._check_out(y)
         return self._adj @ y
 
     def majorizer_diag(self, weights):
+        """diag(|A^T| W |A| 1), a diagonal curvature bound for A^T W A."""
         a = sp.csr_matrix(abs(self.matrix))
         return np.asarray(a.T @ (as_f64(weights) * (a @ np.ones(self.in_dim))))
-
-
-class IdentityOperator(LinearOperator):
-    def __init__(self, n: int):
-        self.shape = (n, n)
-
-    def forward(self, x):
-        x = _flat(x)
-        self._check_in(x)
-        return x.copy()
-
-    adjoint = forward
-
-    def majorizer_diag(self, weights):
-        return as_f64(weights).copy()
-
-
-class CircularConvOperator(LinearOperator):
-    """2-D circular convolution with a small kernel; adjoint is correlation.
-
-    The kernel taps sit on centered offsets (range(r) - r//2 per axis) and the
-    boundary condition is circulant, so the operator is an N x N circulant
-    matrix whose entries are the kernel taps.
-    """
-
-    def __init__(self, kernel, image_shape: tuple[int, int]):
-        self.kernel = _frozen(np.atleast_2d(kernel))
-        if not np.all(np.isfinite(self.kernel)):
-            raise ValueError("kernel must be finite")
-        self.image_shape = (int(image_shape[0]), int(image_shape[1]))
-        n = self.image_shape[0] * self.image_shape[1]
-        self.shape = (n, n)
-        self._khat = np.fft.rfft2(embed_kernel(self.kernel, self.image_shape))
-        self._abs_khat = np.fft.rfft2(embed_kernel(np.abs(self.kernel), self.image_shape))
-
-    def _conv(self, x, khat):
-        u = _flat(x).reshape(self.image_shape)
-        out = np.fft.irfft2(khat * np.fft.rfft2(u), s=self.image_shape)
-        return out.ravel()
-
-    def forward(self, x):
-        self._check_in(_flat(x))
-        return self._conv(x, self._khat)
-
-    def adjoint(self, y):
-        self._check_out(_flat(y))
-        return self._conv(y, np.conj(self._khat))
-
-    def majorizer_diag(self, weights):
-        w = as_f64(weights)
-        s = float(np.sum(np.abs(self.kernel)))
-        return self._conv(w * s, np.conj(self._abs_khat))
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Materialize the circulant matrix (one band per kernel tap)."""
-        h, w = self.image_shape
-        n = h * w
-        kh, kw = self.kernel.shape
-        rows_grid, cols_grid = np.divmod(np.arange(n), w)
-        data, rows, cols = [], [], []
-        for a in range(kh):
-            dy = a - kh // 2
-            for b in range(kw):
-                dx = b - kw // 2
-                val = self.kernel[a, b]
-                if val == 0.0:
-                    continue
-                src = ((rows_grid - dy) % h) * w + (cols_grid - dx) % w
-                rows.append(np.arange(n))
-                cols.append(src)
-                data.append(np.full(n, val))
-        if not data:
-            return sp.csr_matrix((n, n))
-        return sp.csr_matrix(sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n)))
-
-
-def embed_kernel(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Place kernel taps at their centered offsets modulo the image shape."""
-    kernel = np.atleast_2d(kernel)
-    kh, kw = kernel.shape
-    h, w = shape
-    if kh > h or kw > w:
-        raise ShapeError(f"kernel {kernel.shape} larger than image {shape}")
-    out = np.zeros(shape)
-    rows = (np.arange(kh) - kh // 2) % h
-    cols = (np.arange(kw) - kw // 2) % w
-    out[np.ix_(rows, cols)] = kernel
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +118,7 @@ def embed_kernel(kernel: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 class QuadraticDataFit:
     """Weighted least-squares data fit  f(x) = 1/2 ||y - Ax||^2_W."""
 
-    op: LinearOperator
+    op: SparseMatrixOperator
     weights: np.ndarray
     measurements: np.ndarray
 
@@ -375,18 +232,13 @@ class MbirObjective:
 # operations
 # ---------------------------------------------------------------------------
 
-def apply_forward(op: LinearOperator, x) -> np.ndarray:
-    """Forward map Ax (dimension-checked)."""
-    return op.forward(_flat(x))
-
-
 def datafit_gradient(f: QuadraticDataFit, x):
     """Gradient A^T W (Ax - y) of the weighted least-squares data fit."""
     xf = _flat(x)
     if xf.size != f.n:
         raise ShapeError(f"gradient point has length {xf.size}, expected {f.n}")
     r = f.op.forward(xf) - f.measurements
-    return _match_return(x, f.op.adjoint(f.weights * r))
+    return f.op.adjoint(f.weights * r)
 
 
 def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
@@ -405,8 +257,7 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
 def mbir_gradient(obj: MbirObjective, x):
     """Gradient of F(x; y, z): data-fit gradient plus gamma * (x - z)."""
     xf = _flat(x)
-    g = datafit_gradient(obj.datafit, xf) + obj.gamma * (xf - obj.anchor)
-    return _match_return(x, g)
+    return datafit_gradient(obj.datafit, xf) + obj.gamma * (xf - obj.anchor)
 
 
 @dataclass(frozen=True)
@@ -453,7 +304,7 @@ def verify_majorization(
     return MajorizationReport(trials, violations, worst)
 
 
-def power_iteration(op: LinearOperator, n_iter: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
+def power_iteration(op: SparseMatrixOperator, n_iter: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
     """Largest singular value of `op` via power iteration on A^T A."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(op.in_dim)
@@ -473,7 +324,7 @@ def power_iteration(op: LinearOperator, n_iter: int = 100, tol: float = 1e-8, se
     return sigma
 
 
-def spectral_spread(m: Union[DiagonalMajorizer, LinearOperator]) -> float:
+def spectral_spread(m: Union[DiagonalMajorizer, SparseMatrixOperator]) -> float:
     """Spread sigma_max - sigma_min of a positive (semi)definite metric.
 
     Exact max-min difference for diagonal majorizers.  For a general operator
@@ -483,6 +334,23 @@ def spectral_spread(m: Union[DiagonalMajorizer, LinearOperator]) -> float:
     """
     if isinstance(m, DiagonalMajorizer):
         return float(np.max(m.diag) - np.min(m.diag))
-    if isinstance(m, LinearOperator):
+    if isinstance(m, SparseMatrixOperator):
         return power_iteration(m)
     raise TypeError(f"unsupported argument of type {type(m).__name__}")
+
+
+def select_gamma(m_f: DiagonalMajorizer, chi: float) -> float:
+    """Proximity weight spread(M_f) / chi from the data-fit majorizer.
+
+    A scaled-identity majorizer has zero spread; the fallback scales gamma to
+    the majorizer magnitude instead so the weight stays positive.  A spread of
+    at most 1e-12 of the largest entry is rounding noise (a circulant blur
+    majorizer summed in CSR order, say) and counts as zero.
+    """
+    if chi <= 0:
+        raise ValueError("chi must be > 0")
+    spread = spectral_spread(m_f)
+    top = float(np.max(m_f.diag))
+    if spread > 1e-12 * top:
+        return spread / chi
+    return top / chi

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import DiagonalMajorizer, FeasibleSet, _flat, _frozen, _match_return
+from .linops import DiagonalMajorizer, FeasibleSet, _flat, _frozen
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,11 @@ def prox_indicator(v, m: DiagonalMajorizer, fset: FeasibleSet):
     The implemented sets are separable boxes and M is diagonal, so the
     minimizer is the entrywise clamp of v, independent of M's values.
     """
-    out = fset.project(_flat(v))
-    return _match_return(v, out)
+    return fset.project(_flat(v))
 
 
 def prox_l1_metric(z, m: DiagonalMajorizer, beta: float):
     """Prox of beta*||.||_1 in the metric of m: entrywise shrink by beta / M_n."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    zf = _flat(z)
-    out = soft_threshold(zf, beta / m.scaled_diag)
-    return _match_return(z, out)
+    return soft_threshold(_flat(z), beta / m.scaled_diag)

@@ -462,13 +462,18 @@ def load_refiner(path):
         raise ValueError(f"{path}: payload is {len(blob)} bytes, "
                          f"its header implies {8 * sum(sizes)}")
     values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite {kind} parameters")
     arrays = np.split(values, np.cumsum(sizes)[:-1])
-    if kind == "scnn":
-        enc, dec, thr = arrays
-        return ScnnRefiner(enc.reshape(K, r, r), dec.reshape(K, r, r), thr, bool(flag))
-    if kind == "dcnn":
-        first, mid, last = arrays
-        return DcnnRefiner(first.reshape(K, r, r), mid.reshape(flag - 2, K, K, r, r),
-                           last.reshape(K, r, r))
-    filters, thr = arrays
-    return TiedCaolRefiner(filters.reshape(K, r, r), thr, bool(flag))
+    try:
+        if kind == "scnn":
+            enc, dec, thr = arrays
+            return ScnnRefiner(enc.reshape(K, r, r), dec.reshape(K, r, r), thr, bool(flag))
+        if kind == "dcnn":
+            first, mid, last = arrays
+            return DcnnRefiner(first.reshape(K, r, r), mid.reshape(flag - 2, K, K, r, r),
+                               last.reshape(K, r, r))
+        filters, thr = arrays
+        return TiedCaolRefiner(filters.reshape(K, r, r), thr, bool(flag))
+    except ValueError as exc:  # parameters the refiner type rejects
+        raise ValueError(f"{path}: {exc}") from None

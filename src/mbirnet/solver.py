@@ -19,7 +19,7 @@ import numpy as np
 
 from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MbirObjective,
                      QuadraticDataFit, ShapeError, _flat, as_f64, datafit_gradient,
-                     diag_majorizer, mbir_gradient)
+                     diag_majorizer, mbir_gradient, select_gamma)
 from .prox import prox_indicator, soft_threshold
 from .refiners import filter_fft, tf_defect
 
@@ -98,7 +98,8 @@ class MomentumNetConfig:
     """Solver parameters; exactly one of gamma/chi selects the proximity weight.
 
     chi derives gamma from the spectral spread of the data-fit majorizer at
-    run time (falling back to the majorizer maximum when the spread is zero).
+    run time (falling back to the majorizer maximum when the spread is zero up
+    to rounding; see `select_gamma`).
     lam = 1 pairs with convex mode; nonconvex mode requires lam > 1.  The
     relaxation weight rho defaults to 0.999 (nearly pure refining); problems
     with moderate regularization often do better around 0.5.
@@ -135,7 +136,6 @@ class MomentumNetConfig:
     def resolve_gamma(self, m_f: DiagonalMajorizer) -> float:
         if self.gamma is not None:
             return self.gamma
-        from .training import select_gamma
         return select_gamma(m_f, self.chi)
 
 
@@ -210,10 +210,7 @@ def mbir_step(x_acute, obj: MbirObjective, m_tilde: DiagonalMajorizer):
     """Noniterative majorized MBIR update: gradient step in the M-metric, then projection."""
     xa = _flat(x_acute)
     step = xa - mbir_gradient(obj, xa) / m_tilde.scaled_diag
-    out = prox_indicator(step, m_tilde, obj.feasible)
-    if isinstance(x_acute, ImageVector):
-        return ImageVector(out, x_acute.shape)
-    return out
+    return prox_indicator(step, m_tilde, obj.feasible)
 
 
 def fixed_point_residual(x, refiner: Refiner, config: MomentumNetConfig,
@@ -355,8 +352,6 @@ def apg_solve(obj: MbirObjective, x0, iters: int):
         v = u + ((t - 1.0) / t_next) * (u - x)
         x = u
         t = t_next
-    if isinstance(x0, ImageVector):
-        return ImageVector(x, x0.shape)
     return x
 
 
@@ -377,7 +372,7 @@ def run_bcd_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     def step(refiner, x):
         z = refiner(x.reshape(shape)).ravel()
         obj = MbirObjective(datafit, gamma, z, feasible)
-        return _flat(apg_solve(obj, x, inner_iters)), z
+        return apg_solve(obj, x, inner_iters), z
 
     return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step)
 

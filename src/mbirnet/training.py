@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, QuadraticDataFit,
-                     ShapeError, as_f64, diag_majorizer, spectral_spread)
+                     ShapeError, as_f64, diag_majorizer, select_gamma)
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
                        _scnn_forward, filter_fft, flip_filter)
@@ -96,20 +96,6 @@ class TrainingSample:
         m_f = diag_majorizer(datafit)
         gamma = select_gamma(m_f, chi)
         return cls(truth, datafit, gamma, m_f.shifted(gamma, lam=lam), x0)
-
-
-def select_gamma(m_f: DiagonalMajorizer, chi: float) -> float:
-    """Proximity weight from the spectral spread of the data-fit majorizer.
-
-    A scaled-identity majorizer has zero spread; the fallback scales gamma to
-    the majorizer magnitude instead so the weight stays positive.
-    """
-    if chi <= 0:
-        raise ValueError("chi must be > 0")
-    spread = spectral_spread(m_f)
-    if spread > 0:
-        return spread / chi
-    return float(np.max(m_f.diag)) / chi
 
 
 def refining_loss(refiner, pairs) -> float:
@@ -362,7 +348,8 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
                  net_config: MomentumNetConfig, train_config: TrainConfig,
                  feasible=None):
     """Iteration-wise training: fit refiner i on the current sample states,
-    then advance every sample one solver iteration with it.
+    then advance every sample one solver iteration with it (except after the
+    last stage, whose advance nothing would train on).
 
     Stage 0 starts from fan-in-scaled random filters; later stages warm-start
     from the previous stage's parameters.  Returns (refiners, histories).
@@ -388,9 +375,10 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         current, history = train_refiner(current, pairs, train_config, rng=stage_rng)
         refiners.append(current)
         histories.append(history)
-        _, _, xs_new, state = _advance(samples, xs, xs_prev, state, current, net_config,
-                                       feasible, shape)
-        xs_prev, xs = xs, xs_new
+        if stage + 1 < net_config.n_iter:  # after the last stage nothing trains on it
+            _, _, xs_new, state = _advance(samples, xs, xs_prev, state, current,
+                                           net_config, feasible, shape)
+            xs_prev, xs = xs, xs_new
     return refiners, histories
 
 

@@ -230,7 +230,7 @@ def test_criterion_02_prox_oracles():
         y = rng.uniform(-1, 1, 3)
         gamma = rng.uniform(0.2, 2.0)
         z = rng.uniform(-1, 1, 2)
-        obj = mn.MbirObjective(mn.QuadraticDataFit(mn.DenseMatrixOperator(a), w, y),
+        obj = mn.MbirObjective(mn.QuadraticDataFit(mn.SparseMatrixOperator(a), w, y),
                                gamma, z, mn.FeasibleSet.box(0.0, 1.0))
 
         def value(pts):
@@ -414,6 +414,7 @@ def test_criterion_09_training_sanity():
                f"retrain, regression loss {history[-1]:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_ct(ct_pipeline):
     chi = ct_pipeline["chi_star"]
     refiners = ct_pipeline["refiners"]
@@ -437,6 +438,7 @@ def test_criterion_10_end_to_end_ct(ct_pipeline):
                 + f" ({ct_pipeline['elapsed']:.0f}s); per-stage final losses [{losses}]")
 
 
+@pytest.mark.slow
 def test_criterion_11_diagnostics_pipeline(ct_pipeline):
     out = ct_pipeline["root"] / "diag"
     code = main(["diagnose", "--config", str(ct_pipeline["manifest"]),

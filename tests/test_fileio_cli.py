@@ -160,7 +160,9 @@ class TestReaderFuzz:
         ("A.txt", lambda p: write_operator(p, mn.build_blur(mn.binomial_kernel(0.3), (4, 4))),
          read_operator),
         ("v.csv", lambda p: write_vector_csv(p, np.linspace(-2.0, 3.0, 7)), read_vector_csv),
-    ], ids=["pgm", "operator", "vector"])
+        ("r.rfn", lambda p: mn.save_refiner(
+            p, mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.full(4, 1e-3))), mn.load_refiner),
+    ], ids=["pgm", "operator", "vector", "refiner"])
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -242,6 +244,21 @@ class TestCmdSimulate:
         cfg = tmp_path / "c.yaml"
         cfg.write_text(BLUR_CONFIG + "extra_key: 1\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+
+    def test_blur_gamma_matches_library_operator(self, tmp_path):
+        # chi, kernel mix and n as in BLUR_CONFIG; the blur majorizer is the
+        # identity up to rounding, so both sides take the zero-spread weight 1/chi
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(BLUR_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        y = read_vector_csv(tmp_path / "s" / "y.csv")
+        w = read_vector_csv(tmp_path / "s" / "weights.csv")
+        ops = (read_operator(tmp_path / "s" / "operator.txt"),
+               mn.build_blur(mn.binomial_kernel(0.3), (24, 24)))
+        from_file, in_memory = (mn.select_gamma(mn.diag_majorizer(mn.QuadraticDataFit(op, w, y)),
+                                                50.0) for op in ops)
+        assert from_file == pytest.approx(in_memory, rel=1e-12)
+        assert in_memory == pytest.approx(0.02, rel=1e-12)
 
     def test_ct_simulation_writes_operator(self, tmp_path):
         cfg = tmp_path / "ct.yaml"

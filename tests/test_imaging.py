@@ -111,7 +111,7 @@ class TestSimulateCt:
     def test_weight_formula(self):
         # p = 100, sigma2 = 25 -> w = 10000 / 125 = 80
         x = mn.ImageVector(np.zeros(4), (2, 2))
-        op = mn.DenseMatrixOperator(np.zeros((3, 4)))
+        op = mn.SparseMatrixOperator(np.zeros((3, 4)))
         y, w = mn.simulate_ct(x, op, incident=100.0, sigma2=25.0, noiseless=True)
         assert np.allclose(w, 80.0)
 

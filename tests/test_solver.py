@@ -9,7 +9,7 @@ GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
 def zero_datafit(n):
-    return mn.QuadraticDataFit(mn.DenseMatrixOperator(np.zeros((n, n))),
+    return mn.QuadraticDataFit(mn.SparseMatrixOperator(np.zeros((n, n))),
                                np.ones(n), np.zeros(n))
 
 
@@ -204,14 +204,14 @@ class TestFixedPointResidual:
 class TestApgSolve:
     def test_average_of_two_anchors(self):
         n = 4
-        f = mn.QuadraticDataFit(mn.IdentityOperator(n), np.ones(n), np.full(n, 2.0))
+        f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(n)), np.ones(n), np.full(n, 2.0))
         obj = mn.MbirObjective(f, 1.0, np.full(n, 2.0), mn.FeasibleSet.all())
         out = mn.apg_solve(obj, np.zeros(n), 200)
         assert np.allclose(out, 2.0, atol=1e-8)
 
     def test_fixed_point_stays(self):
         n = 3
-        f = mn.QuadraticDataFit(mn.IdentityOperator(n), np.ones(n), np.ones(n))
+        f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(n)), np.ones(n), np.ones(n))
         obj = mn.MbirObjective(f, 1.0, np.ones(n), mn.FeasibleSet.all())
         out = mn.apg_solve(obj, np.ones(n), 1)
         assert np.allclose(out, 1.0, atol=1e-14)
@@ -225,14 +225,14 @@ class TestApgSolve:
 
     def test_box_constrained_matches_grid(self, rng):
         # small version of the acceptance oracle
-        a = mn.DenseMatrixOperator(rng.uniform(-1, 1, (3, 2)))
+        a = mn.SparseMatrixOperator(rng.uniform(-1, 1, (3, 2)))
         f = mn.QuadraticDataFit(a, rng.uniform(0.1, 2.0, 3), rng.uniform(-1, 1, 3))
         obj = mn.MbirObjective(f, 0.8, rng.uniform(-1, 1, 2), mn.FeasibleSet.box(0, 1))
         xa = np.asarray(mn.apg_solve(obj, np.full(2, 0.5), 500))
         grid = np.linspace(0.0, 1.0, 401)
         gx, gy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        residual = pts @ np.asarray(a.matrix).T - f.measurements
+        residual = pts @ a.matrix.toarray().T - f.measurements
         vals = 0.5 * np.sum(f.weights * residual ** 2, axis=1) \
             + 0.5 * obj.gamma * np.sum((pts - obj.anchor) ** 2, axis=1)
         xg = pts[np.argmin(vals)]
@@ -268,7 +268,7 @@ class TestRunBcdNet:
         gamma = 5.0
         z = rng.standard_normal(n * n)
         obj = mn.MbirObjective(f, gamma, z, mn.FeasibleSet.all())
-        mat = op.to_sparse().toarray()
+        mat = op.matrix.toarray()
         h = mat.T @ mat + gamma * np.eye(n * n)
         x_star = np.linalg.solve(h, mat.T @ y + gamma * z)
         x_apg = mn.apg_solve(obj, np.zeros(n * n), 10)

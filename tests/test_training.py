@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mbirnet as mn
+import mbirnet.training
 from mbirnet.training import (dcnn_value_and_grad, extract_patches, scnn_value_and_grad)
 
 
@@ -17,6 +18,13 @@ class TestSelectGamma:
     def test_tuned_factor(self):
         m = mn.DiagonalMajorizer(np.array([1.0, 1.0 + 167.64]))
         assert mn.select_gamma(m, 167.64) == pytest.approx(1.0)
+
+    def test_rounding_level_spread_counts_as_zero(self):
+        # a spread of at most 1e-12 of the largest entry is rounding noise
+        noisy = mn.DiagonalMajorizer(np.array([6.0, 6.0 * (1 + 4e-16), 6.0 * (1 + 5e-13)]))
+        assert mn.select_gamma(noisy, 3.0) == pytest.approx(2.0, rel=1e-12)
+        spread = mn.DiagonalMajorizer(np.array([6.0, 6.0 * (1 + 1e-11)]))
+        assert mn.select_gamma(spread, 3.0) == pytest.approx(2e-11, rel=1e-3)
 
     def test_chi_validation(self):
         with pytest.raises(ValueError):
@@ -227,6 +235,25 @@ class TestGreedyTrain:
         assert np.array_equal(refiners[0].enc_filters, direct.enc_filters)
         assert histories[0] == history
 
+    @pytest.mark.parametrize("stages, steps", [(1, 0), (2, 3)])
+    def test_no_advance_after_the_last_stage(self, rng, monkeypatch, stages, steps):
+        # an advance steps each of the 3 samples once; the last stage's would feed nothing
+        step = mbirnet.training.momentum_net_step
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+        monkeypatch.setattr(mbirnet.training, "momentum_net_step", counting_step)
+        samples = _toy_samples(rng)
+        arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
+        net_cfg = mn.MomentumNetConfig(n_iter=stages, rho=0.5, chi=10.0,
+                                       record_fixed_point=False)
+        refiners, _ = mn.greedy_train(samples, arch, net_cfg,
+                                      mn.TrainConfig(batch_size=3, epochs=2, seed=9))
+        assert len(refiners) == stages
+        assert len(calls) == steps
+
     def test_truth_start_keeps_loss_small(self, rng):
         samples = _toy_samples(rng)
         samples = [mn.TrainingSample(s.truth, s.datafit, s.gamma, s.majorizer,
@@ -292,13 +319,13 @@ class TestPatchLossBound:
 
 class TestTrainingSample:
     def test_gamma_positive(self, rng):
-        f = mn.QuadraticDataFit(mn.IdentityOperator(4), np.ones(4), np.zeros(4))
+        f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(4)), np.ones(4), np.zeros(4))
         truth = mn.ImageVector(np.zeros(4), (2, 2))
         with pytest.raises(ValueError):
             mn.TrainingSample(truth, f, 0.0, mn.DiagonalMajorizer(np.ones(4)))
 
     def test_build_wires_majorizer(self, rng):
-        f = mn.QuadraticDataFit(mn.IdentityOperator(4), np.full(4, 2.0), np.zeros(4))
+        f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(4)), np.full(4, 2.0), np.zeros(4))
         truth = mn.ImageVector(np.zeros(4), (2, 2))
         s = mn.TrainingSample.build(truth, f, chi=4.0)
         # identity operator: majorizer = weights, zero spread, fallback max/chi
