@@ -16,6 +16,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,7 +61,6 @@ class RunManifest:
     """Reproduction record for one command invocation."""
 
     def __init__(self, command: str, args: argparse.Namespace, out_dir: Path):
-        self.command = command
         self.out_dir = out_dir
         self.info = {
             "schema": 1,
@@ -88,81 +88,64 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    solver = cfg["solver"]
-    if getattr(args, "solver", None):
-        solver["kind"] = args.solver
-    if getattr(args, "rho", None) is not None:
-        solver["rho"] = args.rho
-    if getattr(args, "chi", None) is not None:
-        solver["chi"] = args.chi
-        solver["gamma"] = None
-    if getattr(args, "n_iter", None) is not None:
-        solver["n_iter"] = args.n_iter
-    if getattr(args, "inner_iters", None) is not None:
-        solver["inner_iters"] = args.inner_iters
-    if getattr(args, "noiseless", False):
-        cfg["problem"]["noiseless"] = True
-    if getattr(args, "seed", None) is not None:
+def _load(loader, path, args) -> dict:
+    """Config or training manifest from `loader`, with the command-line
+    settings that override it."""
+    cfg = loader(path)
+    if args.seed is not None:
         cfg["seed"] = args.seed
+    # `reconstruct` names its solver options after the keys they override
+    for key in ("kind", "rho", "chi", "n_iter", "inner_iters"):
+        if getattr(args, key, None) is not None:
+            cfg["solver"][key] = getattr(args, key)
+    if getattr(args, "chi", None) is not None:
+        cfg["solver"]["gamma"] = None
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the artifact paths it wrote, for the run manifest
 # ---------------------------------------------------------------------------
 
-def cmd_phantom(args) -> int:
-    out = _out_dir(args)
-    manifest = RunManifest("phantom", args, out)
-    try:
-        image = shepp_logan(args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    path = out / "phantom.pgm"
+def cmd_phantom(args) -> list[Path]:
+    image = shepp_logan(args.n)
+    path = _out_dir(args) / "phantom.pgm"
     write_pgm(path, image)
-    manifest.add(path)
-    manifest.write()
     print(f"wrote {path}")
-    return 0
+    return [path]
 
 
-def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_simulate(args) -> list[Path]:
+    cfg = _load(cfgmod.load_config, args.config, args)
     problem = cfg["problem"]
+    noiseless = problem["noiseless"] or args.noiseless
     out = _out_dir(args)
-    manifest = RunManifest("simulate", args, out)
 
-    truth = cfgmod.default_truth(problem)
+    op = cfgmod.build_operator(problem)
     # simulate from the truth as saved (PGM quantization included), so the
     # written artifacts are exactly consistent with each other
     truth_path = out / "truth.pgm"
-    write_pgm(truth_path, truth)
+    write_pgm(truth_path, shepp_logan(problem["n"]))
     truth = read_pgm(truth_path)
-    op = cfgmod.build_operator(problem)
     if problem["kind"] == "ct":
         y, w = simulate_ct(truth, op, problem["incident"], problem["sigma2"],
-                           seed=cfg["seed"], noiseless=problem["noiseless"])
+                           seed=cfg["seed"], noiseless=noiseless)
     else:
+        sigma = problem["noise_sigma"]
+        if not math.isfinite(sigma):
+            raise ConfigError(f"problem.noise_sigma must be finite, got {sigma}")
         y = op.forward(truth.data)
-        if problem["noise_sigma"] > 0 and not problem["noiseless"]:
+        if sigma > 0 and not noiseless:
             rng = np.random.default_rng(cfg["seed"])
-            y = y + rng.normal(0.0, problem["noise_sigma"], size=y.shape)
+            y = y + rng.normal(0.0, sigma, size=y.shape)
         w = np.ones_like(y)
 
-    manifest.add(truth_path)
-    paths = {
-        "operator.txt": lambda p: write_operator(p, op),
-        "y.csv": lambda p: write_vector_csv(p, y),
-        "weights.csv": lambda p: write_vector_csv(p, w),
-    }
-    for name, writer in paths.items():
-        path = out / name
-        writer(path)
-        manifest.add(path)
-    manifest.write()
+    paths = [truth_path, out / "operator.txt", out / "y.csv", out / "weights.csv"]
+    write_operator(paths[1], op)
+    write_vector_csv(paths[2], y)
+    write_vector_csv(paths[3], w)
     print(f"simulated {problem['kind']} problem into {out}")
-    return 0
+    return paths
 
 
 def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
@@ -183,162 +166,139 @@ def _load_refiners(refiner_dir: Path):
     return [load_refiner(f) for f in files]
 
 
-def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit):
-    """Run the configured solver from the back-projection start."""
+def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit, label: str = ""):
+    """Run the configured solver from the back-projection start; a non-finite
+    iterate raises NumericFailure, prefixed with `label` when one is given."""
     solver = cfg["solver"]
     n = cfg["problem"]["n"]
+    if datafit.n != n * n:
+        raise ShapeError(f"operator input dim {datafit.n} does not match n={n}")
     feasible = cfgmod.build_feasible(solver)
     net_config = cfgmod.build_solver_config(solver)
     x0 = backprojection_init(datafit, (n, n))
     if solver["kind"] == "bcd":
-        return run_bcd_net(net_config, refiners, datafit, feasible, x0, solver["inner_iters"])
-    return run_momentum_net(net_config, refiners, datafit, feasible, x0)
+        trace = run_bcd_net(net_config, refiners, datafit, feasible, x0, solver["inner_iters"])
+    else:
+        trace = run_momentum_net(net_config, refiners, datafit, feasible, x0)
+    if trace.aborted:
+        raise NumericFailure(f"{label}: non-finite iterate" if label else
+                             f"non-finite iterate at iteration {trace.abort_iteration}")
+    return trace
 
 
-def cmd_reconstruct(args) -> int:
-    cfg = _apply_overrides(cfgmod.load_config(args.config), args)
+def cmd_reconstruct(args) -> list[Path]:
+    cfg = _load(cfgmod.load_config, args.config, args)
     out = _out_dir(args)
-    manifest = RunManifest("reconstruct", args, out)
 
     datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
     refiners = _load_refiners(Path(args.refiners))
-    n = cfg["problem"]["n"]
-    if datafit.n != n * n:
-        raise ShapeError(f"operator input dim {datafit.n} does not match n={n}")
     trace = _run_solver(cfg, refiners, datafit)
-    if trace.aborted:
-        raise NumericFailure(f"non-finite iterate at iteration {trace.abort_iteration}")
 
     recon = out / "recon.pgm"
     write_pgm(recon, trace.final_image())
     trace_path = out / "trace.csv"
     trace.to_csv(trace_path)
-    manifest.add(recon)
-    manifest.add(trace_path)
-    manifest.write()
     print(f"reconstructed with {cfg['solver']['kind']} in {len(trace) - 1} iterations -> {recon}")
-    return 0
+    return [recon, trace_path]
 
 
-def _load_samples(manifest_cfg: dict, base: Path, lam: float):
-    chi = manifest_cfg["chi"]
-    gamma = manifest_cfg["gamma"]
+def _training_setup(args):
+    """Training manifest (command-line seed applied), its samples and its
+    feasible set."""
+    cfg = _load(cfgmod.load_training_manifest, args.config, args)
+    chi, gamma, lam = cfg["chi"], cfg["gamma"], cfg["solver"]["lam"]
     if (chi is None) == (gamma is None):
         raise ConfigError("training manifest must set exactly one of chi or gamma")
+    base = Path(args.config).parent
     operators = {}
     samples = []
-    for entry in manifest_cfg["samples"]:
+    for entry in cfg["samples"]:
         truth = read_pgm(base / entry["truth"])
         datafit = _load_datafit(base, entry["operator"], entry["measurements"],
                                 entry["weights"], operators)
         m_f = diag_majorizer(datafit)
         g = select_gamma(m_f, chi) if gamma is None else gamma
         samples.append(TrainingSample(truth, datafit, g, m_f.shifted(g, lam=lam)))
-    return samples
+    return cfg, samples, cfgmod.build_feasible(cfg["solver"])
 
 
-def cmd_train(args) -> int:
-    manifest_cfg = cfgmod.load_training_manifest(args.config)
-    if getattr(args, "seed", None) is not None:
-        manifest_cfg["seed"] = args.seed
+def cmd_train(args) -> list[Path]:
+    cfg, samples, feasible = _training_setup(args)
     out = _out_dir(args)
-    manifest = RunManifest("train", args, out)
 
-    solver = manifest_cfg["solver"]
-    net_config = cfgmod.build_solver_config(solver, n_iter=manifest_cfg["train"]["n_iter"])
-    samples = _load_samples(manifest_cfg, Path(args.config).parent, solver["lam"])
-    arch = cfgmod.build_arch(manifest_cfg["train"])
-    train_config = cfgmod.build_train_config(manifest_cfg["train"], manifest_cfg["seed"])
-    feasible = cfgmod.build_feasible(solver)
+    net_config = cfgmod.build_solver_config(cfg["solver"], n_iter=cfg["train"]["n_iter"])
+    arch = cfgmod.build_arch(cfg["train"])
+    train_config = cfgmod.build_train_config(cfg["train"], cfg["seed"])
 
     refiners, histories = greedy_train(samples, arch, net_config, train_config, feasible)
+    written = []
     for i, (refiner, history) in enumerate(zip(refiners, histories)):
         rpath = out / f"refiner_{i:03d}.rfn"
         save_refiner(rpath, refiner)
-        manifest.add(rpath)
         lpath = out / f"loss_{i:03d}.csv"
         with open(lpath, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss"])
             for epoch, loss in enumerate(history):
                 writer.writerow([epoch, f"{loss:.17g}"])
-        manifest.add(lpath)
-    manifest.write()
+        written += [rpath, lpath]
     print(f"trained {len(refiners)} refiners -> {out}")
-    return 0
+    return written
 
 
-def cmd_diagnose(args) -> int:
-    manifest_cfg = cfgmod.load_training_manifest(args.config)
-    if getattr(args, "seed", None) is not None:
-        manifest_cfg["seed"] = args.seed
+def cmd_diagnose(args) -> list[Path]:
+    cfg, samples, feasible = _training_setup(args)
     out = _out_dir(args)
-    manifest = RunManifest("diagnose", args, out)
 
-    solver = manifest_cfg["solver"]
     refiners = _load_refiners(Path(args.refiners))
     # diagnostics are estimated over the trained depth: one refiner per iteration
-    net_config = cfgmod.build_solver_config(solver, n_iter=len(refiners))
-    samples = _load_samples(manifest_cfg, Path(args.config).parent, solver["lam"])
-    feasible = cfgmod.build_feasible(solver)
-
+    net_config = cfgmod.build_solver_config(cfg["solver"], n_iter=len(refiners))
     result = run_diagnostics(refiners, samples, net_config, feasible,
-                             n_pairs=args.pairs, seed=manifest_cfg["seed"])
+                             n_pairs=args.pairs, seed=cfg["seed"])
     path = out / "diagnostics.csv"
     result.to_csv(path)
-    manifest.add(path)
-    manifest.write()
     print(f"diagnostics over {result.n_iter} iterations -> {path}")
-    return 0
+    return [path]
 
 
-def cmd_compare(args) -> int:
-    out = _out_dir(args)
-    manifest = RunManifest("compare", args, out)
-
-    configs = [cfgmod.load_config(p) for p in args.config]
+def cmd_compare(args) -> list[Path]:
+    configs = [_load(cfgmod.load_config, p, args) for p in args.config]
     shapes = {(c["problem"]["kind"], c["problem"]["n"]) for c in configs}
     if len(shapes) > 1:
         raise ConfigError(f"configs describe different problems: {sorted(shapes)}")
-    if getattr(args, "seed", None) is not None:
-        for c in configs:
-            c["seed"] = args.seed
+    # each run is labelled by its config file name, which also names its trace file
+    labels = [Path(p).stem for p in args.config]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"config file names must differ, got labels {labels}")
+    out = _out_dir(args)
 
     refiners = _load_refiners(Path(args.refiners))
     datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
-    rows = []
-    traces = {}
-    for path, cfg in zip(args.config, configs):
-        label = Path(path).stem
-        trace = _run_solver(cfg, refiners, datafit)
-        if trace.aborted:
-            raise NumericFailure(f"{label}: non-finite iterate")
-        traces[label] = trace
+    runs = []
+    written = []
+    for label, cfg in zip(labels, configs):
+        trace = _run_solver(cfg, refiners, datafit, label)
         tpath = out / f"trace_{label}.csv"
         trace.to_csv(tpath)
-        manifest.add(tpath)
-        rows.append([label, cfg["solver"]["kind"], len(trace) - 1, trace.final.objective,
-                     sum(r.wall_ms for r in trace.records)])
+        written.append(tpath)
+        runs.append((label, cfg["solver"]["kind"], trace))
 
     # iterations until the objective is within 0.1% of the best final value
-    ref = min(trace.final.objective for trace in traces.values())
+    ref = min(trace.final.objective for _, _, trace in runs)
     threshold = ref + 1e-3 * abs(ref)
     summary = out / "summary.csv"
     with open(summary, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "solver", "n_iter", "final_objective",
                          "iters_to_threshold", "wall_ms"])
-        for row in rows:
-            label = row[0]
-            objectives = traces[label].objectives()
-            hit = np.nonzero(objectives <= threshold)[0]
+        for label, kind, trace in runs:
+            hit = np.nonzero(trace.objectives() <= threshold)[0]
             iters_to = int(hit[0]) if hit.size else -1
-            writer.writerow([label, row[1], row[2], f"{row[3]:.17g}", iters_to,
-                             f"{row[4]:.17g}"])
-    manifest.add(summary)
-    manifest.write()
-    print(f"compared {len(rows)} configurations -> {summary}")
-    return 0
+            wall_ms = sum(r.wall_ms for r in trace.records)
+            writer.writerow([label, kind, len(trace) - 1, f"{trace.final.objective:.17g}",
+                             iters_to, f"{wall_ms:.17g}"])
+    print(f"compared {len(runs)} configurations -> {summary}")
+    return written + [summary]
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Momentum-extrapolated model-based image reconstruction")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, nargs=None):
         if config:
-            p.add_argument("--config", required=True)
+            p.add_argument("--config", required=True, nargs=nargs)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
 
@@ -375,12 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--refiners", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--solver", choices=cfgmod.SOLVER_KINDS, default=None)
+    p.add_argument("--solver", dest="kind", choices=cfgmod.SOLVER_KINDS, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--chi", type=float, default=None)
     p.add_argument("--n-iter", dest="n_iter", type=int, default=None)
     p.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-    p.add_argument("--noiseless", action="store_true")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("diagnose", help="emit kappa/epsilon/delta sequences")
@@ -390,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("compare", help="run several solver configs side by side")
-    p.add_argument("--config", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    common(p, nargs="+")
     p.add_argument("--refiners", required=True)
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_compare)
@@ -406,9 +363,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
+    manifest = RunManifest(args.command, args, Path(args.out))
     try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+        for path in args.func(args):
+            manifest.add(path)
+        manifest.write()  # only a run that succeeded gets a manifest
+    except ValueError as exc:  # ConfigError, ShapeError and malformed artifacts
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
@@ -417,6 +377,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    return 0
 
 
 if __name__ == "__main__":

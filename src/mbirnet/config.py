@@ -11,7 +11,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .imaging import CtGeometry, binomial_kernel, build_blur, build_radon, shepp_logan
+from .imaging import CtGeometry, binomial_kernel, build_blur, build_radon
 from .linops import FeasibleSet
 from .solver import MomentumNetConfig
 from .training import RefinerArch, TrainConfig
@@ -83,7 +83,6 @@ _CONFIG_KEYS = {
     "seed": (int, 0),
     "problem": (_PROBLEM_KEYS, _REQUIRED),
     "solver": (_SOLVER_KEYS, {}),
-    "train": (_TRAIN_KEYS, {}),
 }
 
 _MANIFEST_KEYS = {
@@ -128,7 +127,7 @@ def _validate(data: Any, keys: dict, where: str) -> dict:
         raise ConfigError(f"{where}: expected a mapping")
     unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
     out = {}
     for key, (expected, default) in keys.items():
         if key in data and data[key] is not None:
@@ -147,23 +146,22 @@ def _validate(data: Any, keys: dict, where: str) -> dict:
     return out
 
 
-def _load_yaml(path) -> Any:
+def _read(path, keys: dict) -> dict:
+    """YAML file validated against `keys`, at the supported schema version."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-
-
-def _check_schema(cfg: dict, path):
+            data = yaml.safe_load(fh)
+    except yaml.YAMLError as exc:  # its message spans lines; the CLI prints one
+        raise ConfigError(f"{path}: invalid YAML ({' '.join(str(exc).split())})") from exc
+    cfg = _validate(data, keys, str(path))
     if cfg["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema version {cfg['schema']}")
+    return cfg
 
 
 def load_config(path) -> dict:
     """Load and validate a problem/solver config file."""
-    cfg = _validate(_load_yaml(path), _CONFIG_KEYS, str(path))
-    _check_schema(cfg, path)
+    cfg = _read(path, _CONFIG_KEYS)
     if cfg["problem"]["kind"] not in ("ct", "blur"):
         raise ConfigError(f"{path}: problem.kind must be 'ct' or 'blur'")
     return cfg
@@ -171,8 +169,7 @@ def load_config(path) -> dict:
 
 def load_training_manifest(path) -> dict:
     """Load and validate a training-set manifest; sample paths stay relative."""
-    cfg = _validate(_load_yaml(path), _MANIFEST_KEYS, str(path))
-    _check_schema(cfg, path)
+    cfg = _read(path, _MANIFEST_KEYS)
     cfg["samples"] = [_validate(s, _SAMPLE_KEYS, f"{path}.samples[{i}]")
                       for i, s in enumerate(cfg["samples"])]
     if not cfg["samples"]:
@@ -183,14 +180,6 @@ def load_training_manifest(path) -> dict:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-def build_geometry(problem: dict) -> CtGeometry:
-    try:
-        return CtGeometry(problem["n"], problem["n_views"],
-                          problem["n_detectors"], problem["pitch"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
 
 def build_feasible(solver: dict) -> FeasibleSet:
     kind = solver["feasible"]
@@ -213,48 +202,36 @@ def build_solver_config(solver: dict, n_iter: Optional[int] = None) -> MomentumN
     chi, gamma = solver["chi"], solver["gamma"]
     if chi is None and gamma is None:
         chi = 30.0
-    try:
-        return MomentumNetConfig(
-            n_iter=solver["n_iter"] if n_iter is None else n_iter,
-            rho=solver["rho"],
-            gamma=gamma,
-            chi=chi,
-            delta=solver["delta"],
-            lam=solver["lam"],
-            convex=solver["convex"],
-            extrapolate=(kind != "momentum-noextrap"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MomentumNetConfig(
+        n_iter=solver["n_iter"] if n_iter is None else n_iter,
+        rho=solver["rho"],
+        gamma=gamma,
+        chi=chi,
+        delta=solver["delta"],
+        lam=solver["lam"],
+        convex=solver["convex"],
+        extrapolate=(kind != "momentum-noextrap"),
+    )
 
 
 def build_arch(train: dict) -> RefinerArch:
     arch = train["arch"]
-    try:
-        return RefinerArch(arch["type"], arch["n_filters"], arch["filter_size"],
-                           arch["n_layers"], arch["residual"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RefinerArch(arch["type"], arch["n_filters"], arch["filter_size"],
+                       arch["n_layers"], arch["residual"])
 
 
 def build_train_config(train: dict, seed: int) -> TrainConfig:
-    try:
-        return TrainConfig(batch_size=train["batch_size"], epochs=train["epochs"],
-                           lr_filters=train["lr_filters"],
-                           lr_thresholds=train["lr_thresholds"],
-                           lr_decay=train["lr_decay"], seed=seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(batch_size=train["batch_size"], epochs=train["epochs"],
+                       lr_filters=train["lr_filters"],
+                       lr_thresholds=train["lr_thresholds"],
+                       lr_decay=train["lr_decay"], seed=seed)
 
 
 def build_operator(problem: dict):
     """Forward operator described by the problem block."""
     n = problem["n"]
     if problem["kind"] == "ct":
-        return build_radon(build_geometry(problem))
+        return build_radon(CtGeometry(n, problem["n_views"], problem["n_detectors"],
+                                      problem["pitch"]))
     kernel = binomial_kernel(problem["kernel_mix"])
     return build_blur(kernel, (n, n))
-
-
-def default_truth(problem: dict):
-    return shepp_logan(problem["n"])

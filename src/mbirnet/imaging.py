@@ -98,8 +98,8 @@ class CtGeometry:
             raise ValueError(f"n_views must lie in [1, {FULL_VIEW_COUNT}]")
         if self.pitch is None:
             object.__setattr__(self, "pitch", 2.0 / self.n)
-        if self.pitch <= 0:
-            raise ValueError("pixel pitch must be positive")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise ValueError(f"pixel pitch must be positive and finite, got {self.pitch}")
         min_det = math.ceil(self.n * math.sqrt(2.0))
         if self.n_detectors is None:
             object.__setattr__(self, "n_detectors", min_det + 1)
@@ -192,10 +192,10 @@ def simulate_ct(x: ImageVector, op: SparseMatrixOperator, incident: float, sigma
     p^2 / (p + sigma2).  The noiseless path is seed-free and returns y = Ax
     exactly.
     """
-    if incident <= 0:
-        raise ValueError("incident intensity must be positive")
-    if sigma2 < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not (math.isfinite(incident) and incident > 0):
+        raise ValueError(f"incident intensity must be positive and finite, got {incident}")
+    if not (math.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"noise variance sigma2 must be nonnegative and finite, got {sigma2}")
     line_integrals = op.forward(x.data)
     expected = incident * np.exp(-line_integrals)
     if noiseless:

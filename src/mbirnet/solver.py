@@ -39,28 +39,26 @@ class MomentumState:
     """Accelerated-gradient momentum coefficients.
 
     theta follows theta' = (1 + sqrt(1 + 4 theta^2)) / 2 from theta = 1 and the
-    weight m' = (theta - 1) / theta' lives in [0, 1).  `sharp` forces m = 0 for
-    problems whose majorizer is tight, where extrapolation has no benefit.
+    weight m' = (theta - 1) / theta' lives in [0, 1).
     """
 
     theta: float = 1.0
     m: float = 0.0
     delta: float = 1.0 - 1e-9
-    sharp: bool = False
 
     def __post_init__(self):
         if self.theta < 1.0:
             raise ValueError("theta must be >= 1")
         if not 0.0 <= self.m <= 1.0:
             raise ValueError("momentum weight must lie in [0, 1]")
-        if not self.delta < 1.0:
-            raise ValueError("delta must be < 1")
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError("delta must lie in [0, 1)")
 
 
 def momentum_update(state: MomentumState) -> MomentumState:
     """One step of the momentum recurrence."""
     theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.theta * state.theta))
-    m_next = 0.0 if state.sharp else (state.theta - 1.0) / theta_next
+    m_next = (state.theta - 1.0) / theta_next
     return replace(state, theta=theta_next, m=m_next)
 
 
@@ -120,8 +118,8 @@ class MomentumNetConfig:
             raise ValueError("n_iter must be >= 0")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if not self.delta < 1.0:
-            raise ValueError("delta must be < 1")
+        if not 0.0 <= self.delta < 1.0:
+            raise ValueError("delta must lie in [0, 1)")
         if (self.gamma is None) == (self.chi is None):
             raise ValueError("provide exactly one of gamma or chi")
         if self.gamma is not None and self.gamma <= 0:

@@ -1,6 +1,7 @@
 import json
 import shutil
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,9 +141,8 @@ class TestOperatorFile:
             read_operator(p)
 
 
-def _corrupted(valid: bytes):
-    """Strategy: `valid` cut short, or with one to four bytes overwritten."""
-    cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+def _overwritten(valid: bytes):
+    """Strategy: `valid` with one to four bytes overwritten."""
     changes = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)),
                        min_size=1, max_size=4)
 
@@ -151,7 +151,13 @@ def _corrupted(valid: bytes):
         for i, b in pairs:
             data[i] = b
         return bytes(data)
-    return st.one_of(cut, changes.map(overwrite))
+    return changes.map(overwrite)
+
+
+def _corrupted(valid: bytes):
+    """Strategy: `valid` cut short, or with one to four bytes overwritten."""
+    cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+    return st.one_of(cut, _overwritten(valid))
 
 
 class TestReaderFuzz:
@@ -259,6 +265,22 @@ class TestCmdSimulate:
                                                 50.0) for op in ops)
         assert from_file == pytest.approx(in_memory, rel=1e-12)
         assert in_memory == pytest.approx(0.02, rel=1e-12)
+
+    @pytest.mark.parametrize("problem, setting", [
+        ("{kind: ct, n: 16, n_views: 8, sigma2: .inf}", "sigma2"),
+        ("{kind: ct, n: 16, n_views: 8, pitch: .inf}", "pitch"),
+        ("{kind: ct, n: 16, n_views: 8, incident: .nan}", "incident"),
+        ("{kind: blur, n: 16, noise_sigma: .inf}", "noise_sigma"),
+    ], ids=["sigma2", "pitch", "incident", "noise_sigma"])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, problem, setting):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"schema: 1\nproblem: {problem}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert setting in err
+        assert not (tmp_path / "s" / "y.csv").exists()
 
     def test_ct_simulation_writes_operator(self, tmp_path):
         cfg = tmp_path / "ct.yaml"
@@ -370,6 +392,20 @@ class TestCmdCompare:
                      "--refiners", str(t / "refs"), "--input", str(t / "sim"),
                      "--out", str(t / "cmp1")]) == 0
         assert len((t / "cmp1" / "summary.csv").read_text().splitlines()) == 2
+
+    def test_shared_file_name_rejected(self, blur_workspace, capsys):
+        # the runs would share the label `blur` and the trace file trace_blur.csv
+        t = blur_workspace
+        (t / "other").mkdir()
+        shutil.copy(t / "blur.yaml", t / "other" / "blur.yaml")
+        capsys.readouterr()
+        assert main(["compare", "--config", str(t / "blur.yaml"), str(t / "other" / "blur.yaml"),
+                     "--refiners", str(t / "refs"), "--input", str(t / "sim"),
+                     "--out", str(t / "cmpx")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "blur" in err
+        assert not (t / "cmpx" / "summary.csv").exists()
 
     def test_mismatched_problems_rejected(self, blur_workspace):
         t = blur_workspace
@@ -638,3 +674,36 @@ class TestManifestChecksums:
         raw1 = (t / "r1" / "trace.csv").read_text()
         raw2 = (t / "r2" / "trace.csv").read_text()
         assert raw1 != raw2  # the wall_ms column itself does differ
+
+
+@pytest.fixture
+def fuzz_inputs(blur_workspace):
+    """Per command: a valid config and the rest of its command line."""
+    t = blur_workspace
+    manifest = _write_ct_training_set(t, stages=1, epochs=1)
+    return {
+        "reconstruct": (t / "blur.yaml",
+                        ["--refiners", str(t / "refs"), "--input", str(t / "sim")]),
+        "diagnose": (manifest, ["--refiners", str(t / "refs"), "--pairs", "2"]),
+    }
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("command", ["reconstruct", "diagnose"])
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_config_gives_one_line_never_a_traceback(self, tmp_path, fuzz_inputs,
+                                                               capsys, command, data):
+        config, rest = fuzz_inputs[command]
+        corrupt = config.with_name("corrupt.yaml")  # sample paths resolve beside it
+        corrupt.write_bytes(data.draw(_overwritten(config.read_bytes())))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(corrupt), "--out", str(tmp_path / "out"),
+                         *rest])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        assert not caught, [str(w.message) for w in caught]

@@ -25,12 +25,6 @@ class TestMomentumUpdate:
         assert s2.theta == pytest.approx(2.1935270853310539, abs=1e-12)
         assert s2.m == pytest.approx(0.2817535251253208, abs=1e-12)
 
-    def test_sharp_mode_zeroes_momentum(self):
-        s = mn.MomentumState(sharp=True)
-        for _ in range(5):
-            s = mn.momentum_update(s)
-            assert s.m == 0.0
-
     def test_sequence_properties(self):
         s = mn.MomentumState()
         prev_theta, prev_m = s.theta, s.m
@@ -167,6 +161,14 @@ class TestRunMomentumNet:
             mn.MomentumNetConfig(n_iter=5, gamma=1.0, lam=2.0)  # convex wants lam=1
         with pytest.raises(ValueError):
             mn.MomentumNetConfig(n_iter=5, gamma=1.0, convex=False, lam=1.0)
+
+    # delta enters as delta ** 2, which overflows (OverflowError) at -1e300
+    @pytest.mark.parametrize("delta", [-1e300, -0.5, float("nan"), 1.0])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+            mn.MomentumNetConfig(n_iter=5, gamma=1.0, delta=delta)
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
+            mn.MomentumState(delta=delta)
 
 
 class TestFixedPointResidual:
