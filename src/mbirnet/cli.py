@@ -132,8 +132,8 @@ def cmd_simulate(args) -> list[Path]:
                            seed=cfg["seed"], noiseless=noiseless)
     else:
         sigma = problem["noise_sigma"]
-        if not math.isfinite(sigma):
-            raise ConfigError(f"problem.noise_sigma must be finite, got {sigma}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ConfigError(f"problem.noise_sigma must be finite and >= 0, got {sigma}")
         y = op.forward(truth.data)
         if sigma > 0 and not noiseless:
             rng = np.random.default_rng(cfg["seed"])
@@ -209,6 +209,9 @@ def _training_setup(args):
     chi, gamma, lam = cfg["chi"], cfg["gamma"], cfg["solver"]["lam"]
     if (chi is None) == (gamma is None):
         raise ConfigError("training manifest must set exactly one of chi or gamma")
+    for key, value in (("chi", chi), ("gamma", gamma)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value}")
     base = Path(args.config).parent
     operators = {}
     samples = []

@@ -58,10 +58,7 @@ def random_ellipse_phantom(n: int, rng: np.random.Generator) -> ImageVector:
     """Head-like phantom with randomized interior ellipses, values in [0, 1]."""
     if n < 16:
         raise ValueError("phantom size must be at least 16")
-    ellipses = [
-        (1.0, 0.69, 0.92, 0.0, 0.0, 0.0),
-        (-0.8, 0.6624, 0.874, 0.0, -0.0184, 0.0),
-    ]
+    ellipses = list(_HEAD_ELLIPSES[:2])
     for _ in range(int(rng.integers(3, 7))):
         a = rng.uniform(0.04, 0.35)
         b = rng.uniform(0.04, 0.35)
@@ -117,69 +114,63 @@ class CtGeometry:
         return self.n_views * self.n_detectors
 
 
-def _siddon_ray(n: int, pitch: float, theta: float, t: float):
-    """Pixel indices and intersection lengths for the line x cos + y sin = t."""
+def _trace_view(n: int, pitch: float, theta: float, offsets: np.ndarray):
+    """Siddon intersections of the lines x cos + y sin = t, one per offset t.
+
+    Returns, ray-major and in crossing order within each ray, the ray's
+    position in `offsets`, the pixel index and the intersection length.
+    """
     half = 0.5 * n * pitch
     ct, st = math.cos(theta), math.sin(theta)
     # ray parametrization p(s) = t*(ct, st) + s*(-st, ct)
-    px, py = t * ct, t * st
+    px, py = offsets * ct, offsets * st
     dx, dy = -st, ct
+    planes = -half + pitch * np.arange(n + 1)
 
-    s_vals = []
+    # clip to the bounding box; a ray parallel to an axis must lie within its span
+    crossings = []
+    s_min, s_max = np.full(offsets.shape, -np.inf), np.full(offsets.shape, np.inf)
+    inside = np.ones(offsets.shape, dtype=bool)
     for axis_d, axis_p in ((dx, px), (dy, py)):
         if abs(axis_d) > 1e-12:
-            planes = -half + pitch * np.arange(n + 1)
-            s_vals.append((planes - axis_p) / axis_d)
-    if not s_vals:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    s_all = np.unique(np.concatenate(s_vals))
-
-    # clip to the bounding box
-    s_min, s_max = -np.inf, np.inf
-    for axis_d, axis_p in ((dx, px), (dy, py)):
-        if abs(axis_d) > 1e-12:
+            crossings.append((planes - axis_p[:, None]) / axis_d)
             lo = (-half - axis_p) / axis_d
             hi = (half - axis_p) / axis_d
-            s_min = max(s_min, min(lo, hi))
-            s_max = min(s_max, max(lo, hi))
-        elif not -half <= axis_p <= half:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-    if s_min >= s_max:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+            s_min = np.maximum(s_min, np.minimum(lo, hi))
+            s_max = np.minimum(s_max, np.maximum(lo, hi))
+        else:
+            inside &= (-half <= axis_p) & (axis_p <= half)
 
-    s_all = s_all[(s_all > s_min + 1e-12) & (s_all < s_max - 1e-12)]
-    s_all = np.concatenate(([s_min], s_all, [s_max]))
-    lengths = np.diff(s_all)
-    mids = 0.5 * (s_all[:-1] + s_all[1:])
-    mx = px + mids * dx
-    my = py + mids * dy
+    # crossings on or outside the clipped span collapse onto s_min and add only
+    # zero-length segments, as do repeated crossings
+    s_all = np.concatenate(crossings, axis=1)
+    interior = (s_all > s_min[:, None] + 1e-12) & (s_all < s_max[:, None] - 1e-12)
+    s_all = np.sort(np.where(interior, s_all, s_min[:, None]), axis=1)
+    s_all = np.concatenate((s_min[:, None], s_all, s_max[:, None]), axis=1)
+    lengths = np.diff(s_all, axis=1)
+    mids = 0.5 * (s_all[:, :-1] + s_all[:, 1:])
+    mx = px[:, None] + mids * dx
+    my = py[:, None] + mids * dy
     cols = np.floor((mx + half) / pitch).astype(np.int64)
     rows = np.floor((half - my) / pitch).astype(np.int64)
-    keep = (lengths > 1e-12) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
-    return rows[keep] * n + cols[keep], lengths[keep]
+    keep = ((lengths > 1e-12) & inside[:, None]
+            & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n))
+    return np.nonzero(keep)[0], rows[keep] * n + cols[keep], lengths[keep]
 
 
 def build_radon(geom: CtGeometry) -> SparseMatrixOperator:
     """Sparse line-integral matrix for the geometry; all entries nonnegative."""
-    n = geom.n
+    n, n_det = geom.n, geom.n_detectors
+    offsets = (np.arange(n_det) - 0.5 * (n_det - 1)) * geom.pitch
     rows, cols, vals = [], [], []
-    half_span = 0.5 * (geom.n_detectors - 1)
     for vi, angle in enumerate(geom.view_angles_deg):
-        theta = math.radians(angle)
-        for di in range(geom.n_detectors):
-            t = (di - half_span) * geom.pitch
-            idx, lengths = _siddon_ray(n, geom.pitch, theta, t)
-            if idx.size:
-                ray = vi * geom.n_detectors + di
-                rows.append(np.full(idx.size, ray, dtype=np.int64))
-                cols.append(idx)
-                vals.append(lengths)
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(geom.n_rays, n * n))
-    else:
-        mat = sp.coo_matrix((geom.n_rays, n * n))
+        ray, idx, lengths = _trace_view(n, geom.pitch, math.radians(angle), offsets)
+        rows.append(vi * n_det + ray)
+        cols.append(idx)
+        vals.append(lengths)
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.n_rays, n * n))
     return SparseMatrixOperator(mat.tocsr())
 
 

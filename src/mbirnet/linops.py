@@ -7,6 +7,7 @@ that do not mutate after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -103,11 +104,6 @@ class SparseMatrixOperator:
         if y.size != self.out_dim:
             raise ShapeError(f"operator expects adjoint input of length {self.out_dim}, got {y.size}")
         return self._adj @ y
-
-    def majorizer_diag(self, weights):
-        """diag(|A^T| W |A| 1), a diagonal curvature bound for A^T W A."""
-        a = sp.csr_matrix(abs(self.matrix))
-        return np.asarray(a.T @ (as_f64(weights) * (a @ np.ones(self.in_dim))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +244,8 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
     1e-8 * max-entry so the majorizer stays strictly positive definite; an
     identically-zero operator falls back to an absolute 1e-8 floor.
     """
-    d = f.op.majorizer_diag(f.weights)
+    a = sp.csr_matrix(abs(f.op.matrix))
+    d = np.asarray(a.T @ (f.weights * (a @ np.ones(f.op.in_dim))))
     dmax = float(np.max(d)) if d.size else 0.0
     floor = 1e-8 * dmax if dmax > 0 else 1e-8
     return DiagonalMajorizer(np.maximum(d, floor), lam)
@@ -351,6 +348,7 @@ def select_gamma(m_f: DiagonalMajorizer, chi: float) -> float:
         raise ValueError("chi must be > 0")
     spread = spectral_spread(m_f)
     top = float(np.max(m_f.diag))
-    if spread > 1e-12 * top:
-        return spread / chi
-    return top / chi
+    gamma = spread / chi if spread > 1e-12 * top else top / chi
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"chi = {chi} gives gamma = {gamma}, which is not finite and > 0")
+    return gamma

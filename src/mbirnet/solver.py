@@ -122,10 +122,9 @@ class MomentumNetConfig:
             raise ValueError("delta must lie in [0, 1)")
         if (self.gamma is None) == (self.chi is None):
             raise ValueError("provide exactly one of gamma or chi")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
-        if self.chi is not None and self.chi <= 0:
-            raise ValueError("chi must be > 0")
+        for key, value in (("gamma", self.gamma), ("chi", self.chi)):
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {value}")
         if self.convex and self.lam != 1.0:
             raise ValueError("convex mode uses lam = 1")
         if not self.convex and self.lam <= 1.0:
@@ -343,13 +342,12 @@ def apg_solve(obj: MbirObjective, x0, iters: int):
     x = _flat(x0).copy()
     md = diag_majorizer(obj.datafit).diag + obj.gamma
     v = x.copy()
-    t = 1.0
+    state = MomentumState()
     for _ in range(iters):
         u = obj.feasible.project(v - mbir_gradient(obj, v) / md)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        v = u + ((t - 1.0) / t_next) * (u - x)
+        state = momentum_update(state)
+        v = u + state.m * (u - x)
         x = u
-        t = t_next
     return x
 
 

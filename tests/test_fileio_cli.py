@@ -271,7 +271,8 @@ class TestCmdSimulate:
         ("{kind: ct, n: 16, n_views: 8, pitch: .inf}", "pitch"),
         ("{kind: ct, n: 16, n_views: 8, incident: .nan}", "incident"),
         ("{kind: blur, n: 16, noise_sigma: .inf}", "noise_sigma"),
-    ], ids=["sigma2", "pitch", "incident", "noise_sigma"])
+        ("{kind: blur, n: 16, noise_sigma: -0.5}", "noise_sigma"),
+    ], ids=["sigma2", "pitch", "incident", "noise_sigma", "negative_noise_sigma"])
     def test_non_finite_setting_is_config_error(self, tmp_path, capsys, problem, setting):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(f"schema: 1\nproblem: {problem}\n")
@@ -483,6 +484,35 @@ class TestCmdTrain:
         m1 = json.loads((tmp_path / "t1" / "manifest.json").read_text())["outputs"]
         m2 = json.loads((tmp_path / "t2" / "manifest.json").read_text())["outputs"]
         assert m1 == m2
+
+
+class TestProximityWeightSettings:
+    @pytest.mark.parametrize("command, old, new, setting", [
+        ("reconstruct", "chi: 50.0", "chi: 1.0e-320", "chi"),
+        ("reconstruct", "chi: 50.0", "chi: .nan", "chi"),
+        ("reconstruct", "chi: 50.0", "chi: .inf", "chi"),
+        ("reconstruct", "chi: 50.0", "gamma: .nan", "gamma"),
+        ("reconstruct", "chi: 50.0", "gamma: .inf", "gamma"),
+        ("train", "chi: 10.0", "chi: 1.0e-320", "chi"),
+        ("train", "chi: 10.0", "gamma: .inf", "gamma"),
+    ], ids=["reconstruct-chi-tiny", "reconstruct-chi-nan", "reconstruct-chi-inf",
+            "reconstruct-gamma-nan", "reconstruct-gamma-inf", "train-chi-tiny",
+            "train-gamma-inf"])
+    def test_bad_value_names_the_setting(self, blur_workspace, capsys, command, old, new,
+                                         setting):
+        t = blur_workspace
+        if command == "reconstruct":
+            cfg = t / "blur.yaml"
+            extra = ["--refiners", str(t / "refs"), "--input", str(t / "sim")]
+        else:
+            cfg = _write_ct_training_set(t, stages=1)
+            extra = []
+        cfg.write_text(cfg.read_text().replace(old, new))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(t / "out")] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert setting in err
 
 
 class TestCmdDiagnose:

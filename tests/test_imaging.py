@@ -2,8 +2,68 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mbirnet as mn
+from mbirnet.imaging import _trace_view
+
+
+def _siddon_ray(n: int, pitch: float, theta: float, t: float):
+    """Per-ray reference for `_trace_view`: pixel indices and intersection
+    lengths for the line x cos + y sin = t."""
+    half = 0.5 * n * pitch
+    ct, st = math.cos(theta), math.sin(theta)
+    px, py = t * ct, t * st
+    dx, dy = -st, ct
+
+    s_vals = []
+    for axis_d, axis_p in ((dx, px), (dy, py)):
+        if abs(axis_d) > 1e-12:
+            planes = -half + pitch * np.arange(n + 1)
+            s_vals.append((planes - axis_p) / axis_d)
+    if not s_vals:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    s_all = np.unique(np.concatenate(s_vals))
+
+    s_min, s_max = -np.inf, np.inf
+    for axis_d, axis_p in ((dx, px), (dy, py)):
+        if abs(axis_d) > 1e-12:
+            lo = (-half - axis_p) / axis_d
+            hi = (half - axis_p) / axis_d
+            s_min = max(s_min, min(lo, hi))
+            s_max = min(s_max, max(lo, hi))
+        elif not -half <= axis_p <= half:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+    if s_min >= s_max:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+
+    s_all = s_all[(s_all > s_min + 1e-12) & (s_all < s_max - 1e-12)]
+    s_all = np.concatenate(([s_min], s_all, [s_max]))
+    lengths = np.diff(s_all)
+    mids = 0.5 * (s_all[:-1] + s_all[1:])
+    mx = px + mids * dx
+    my = py + mids * dy
+    cols = np.floor((mx + half) / pitch).astype(np.int64)
+    rows = np.floor((half - my) / pitch).astype(np.int64)
+    keep = (lengths > 1e-12) & (cols >= 0) & (cols < n) & (rows >= 0) & (rows < n)
+    return rows[keep] * n + cols[keep], lengths[keep]
+
+
+def _reference_radon(geom):
+    """CSR from one `_siddon_ray` call per ray, in ray-major order."""
+    n = geom.n
+    rows, cols, vals = [], [], []
+    half_span = 0.5 * (geom.n_detectors - 1)
+    for vi, angle in enumerate(geom.view_angles_deg):
+        theta = math.radians(angle)
+        for di in range(geom.n_detectors):
+            idx, lengths = _siddon_ray(n, geom.pitch, theta, (di - half_span) * geom.pitch)
+            rows.append(np.full(idx.size, vi * geom.n_detectors + di, dtype=np.int64))
+            cols.append(idx)
+            vals.append(lengths)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.n_rays, n * n)).tocsr()
 
 
 class TestSheppLogan:
@@ -91,16 +151,47 @@ class TestBuildRadon:
         # detector t-coordinates are (-1, 0, 1); t = -0.5 is not sampled, but
         # the center ray t = 0 runs along the boundary; check the offset rays
         # explicitly with a custom single-detector layout instead
-        from mbirnet.imaging import _siddon_ray
-        idx, lengths = _siddon_ray(2, 1.0, 0.0, -0.5)
+        _, idx, lengths = _trace_view(2, 1.0, 0.0, np.array([-0.5]))
         assert sorted(idx.tolist()) == [0, 2]  # pixels (0,0) and (1,0)
         assert np.allclose(lengths, [1.0, 1.0])
-        idx, lengths = _siddon_ray(2, 1.0, math.radians(90.0), 0.5)
+        _, idx, lengths = _trace_view(2, 1.0, math.radians(90.0), np.array([0.5]))
         assert sorted(idx.tolist()) == [0, 1]  # top row
         assert np.allclose(lengths, [1.0, 1.0])
         # diagonal ray through the center crosses two full pixel diagonals
-        idx, lengths = _siddon_ray(2, 1.0, math.radians(45.0), 0.0)
+        _, idx, lengths = _trace_view(2, 1.0, math.radians(45.0), np.array([0.0]))
         assert np.allclose(sorted(lengths), [math.sqrt(2.0)] * 2)
+
+    def test_axis_parallel_ray_just_outside_the_grid_is_empty(self):
+        # at this pitch a ray one ulp outside the grid floors into the last
+        # column or row, so only the per-ray inside test drops it
+        n, pitch = 14, 0.46204361113142567
+        half = 0.5 * n * pitch
+        for theta, t in ((0.0, np.nextafter(half, np.inf)),
+                         (math.radians(90.0), np.nextafter(-half, -np.inf))):
+            assert _siddon_ray(n, pitch, theta, t)[0].size == 0
+            ray, idx, lengths = _trace_view(n, pitch, theta, np.array([t]))
+            assert ray.size == idx.size == lengths.size == 0
+
+    @pytest.mark.parametrize("geom", [
+        mn.CtGeometry(2, 1, n_detectors=3, pitch=1.0),
+        mn.CtGeometry(2, 180),
+        mn.CtGeometry(3, 1),
+        mn.CtGeometry(16, 8),
+        mn.CtGeometry(33, 17),
+        mn.CtGeometry(64, 23),
+        mn.CtGeometry(24, 180, n_detectors=60, pitch=0.07),
+        mn.CtGeometry(20, 7, pitch=0.3),
+        mn.CtGeometry(31, 90, n_detectors=45),
+    ], ids=lambda g: f"n{g.n}-v{g.n_views}-d{g.n_detectors}-p{g.pitch:g}")
+    def test_matches_per_ray_reference(self, geom):
+        # entry for entry, so every CT artifact stays byte-identical
+        got, want = mn.build_radon(geom).matrix, _reference_radon(geom)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.indptr.dtype == want.indptr.dtype
+        assert got.indices.dtype == want.indices.dtype
+        assert got.data.dtype == want.data.dtype
 
 
 class TestSimulateCt:

@@ -29,6 +29,8 @@ class TestSelectGamma:
     def test_chi_validation(self):
         with pytest.raises(ValueError):
             mn.select_gamma(mn.DiagonalMajorizer(np.ones(2)), 0.0)
+        with pytest.raises(ValueError):
+            mn.select_gamma(mn.DiagonalMajorizer(np.ones(2)), 1e-320)
 
     def test_scale_covariance(self, rng):
         diag = rng.uniform(0.5, 5.0, 8)
