@@ -2,9 +2,10 @@
 
 Subcommands tie together simulation, training, reconstruction, comparison and
 diagnostics; outputs are CSV traces and PGM images for external plotting.
-Every run writes a manifest (command, config, seed, artifact checksums) that
-makes reruns checkable: with a fixed seed all artifacts are byte-identical,
-except that the wall-clock column of trace CSVs is masked before hashing.
+Every run writes a manifest (command, config, seed, artifact checksums, peak
+resident set size) that makes reruns checkable: with a fixed seed all
+artifacts are byte-identical, except that the wall-clock column of trace CSVs
+is masked before hashing.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -17,6 +18,7 @@ import datetime
 import hashlib
 import json
 import math
+import resource
 import sys
 from pathlib import Path
 
@@ -77,6 +79,7 @@ class RunManifest:
 
     def write(self) -> None:
         self.info["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        self.info["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(self.info, fh, indent=2, sort_keys=True)
             fh.write("\n")

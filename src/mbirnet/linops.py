@@ -78,10 +78,18 @@ class SparseMatrixOperator:
 
     Every forward model is one: the sparse-view Radon matrix, the circulant
     blur (`imaging.build_blur`) and any operator read from disk.
+
+    A float64 CSR matrix is wrapped, not copied: its arrays become read-only
+    and the caller must not write to them afterwards.  Any other input (dense,
+    integer, COO) is converted into a new float64 CSR.  The operator keeps the
+    matrix and its CSR transpose.
     """
 
     def __init__(self, matrix):
-        self.matrix = sp.csr_matrix(matrix).astype(np.float64)
+        self.matrix = sp.csr_matrix(matrix).astype(np.float64, copy=False)
+        self.matrix.sum_duplicates()  # scipy canonicalizes in place, so do it before freezing
+        for a in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
+            a.flags.writeable = False
         self.shape = self.matrix.shape  # (m, n) = (output dim, input dim)
         self._adj = self.matrix.T.tocsr()
 
@@ -243,9 +251,16 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
     Zero diagonal entries (all-zero rows/columns of A) are floored at
     1e-8 * max-entry so the majorizer stays strictly positive definite; an
     identically-zero operator falls back to an absolute 1e-8 floor.
+
+    A matrix with no negative entry is its own |A|, so the product runs on the
+    operator's matrix and stored transpose without a copy; it sums in the same
+    order as the transpose view of a copy would.
     """
-    a = sp.csr_matrix(abs(f.op.matrix))
-    d = np.asarray(a.T @ (f.weights * (a @ np.ones(f.op.in_dim))))
+    a, a_t = f.op.matrix, f.op._adj
+    if a.nnz and a.data.min() < 0:
+        a = abs(a)
+        a_t = a.T
+    d = a_t @ (f.weights * (a @ np.ones(f.op.in_dim)))
     dmax = float(np.max(d)) if d.size else 0.0
     floor = 1e-8 * dmax if dmax > 0 else 1e-8
     return DiagonalMajorizer(np.maximum(d, floor), lam)

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import textwrap
 import warnings
@@ -245,6 +246,13 @@ class TestCmdSimulate:
         m1 = json.loads((tmp_path / "s1" / "manifest.json").read_text())["outputs"]
         m2 = json.loads((tmp_path / "s2" / "manifest.json").read_text())["outputs"]
         assert m1 == m2
+
+    def test_manifest_records_peak_rss(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(BLUR_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        peak = json.loads((tmp_path / "s" / "manifest.json").read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and math.isfinite(peak) and peak > 0
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.yaml"

@@ -137,6 +137,66 @@ class TestDiagMajorizer:
             gap = np.diag(m.diag) - mat.T @ (w[:, None] * mat)
             assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.max(m.diag)
 
+    def test_mixed_signs_use_absolute_values(self):
+        import scipy.sparse as sp
+        # the second copy stores each row's columns in reverse (not canonical)
+        unsorted = sp.csr_matrix((np.array([-2.0, 1.0, 4.0, -3.0]), np.array([1, 0, 1, 0]),
+                                  np.array([0, 2, 4])), shape=(2, 2))
+        for op in (dense([[1, -2], [-3, 4]]), mn.SparseMatrixOperator(unsorted)):
+            f = mn.QuadraticDataFit(op, np.ones(2), np.zeros(2))
+            m = mn.diag_majorizer(f)
+            assert np.array_equal(m.diag, [24.0, 34.0])
+            gap = np.diag(m.diag) - op.matrix.T @ op.matrix
+            assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.max(m.diag)
+
+    @pytest.mark.parametrize("build", [
+        lambda: mn.build_radon(mn.CtGeometry(64, 23)),
+        lambda: mn.build_blur(mn.binomial_kernel(), (16, 16)),
+    ], ids=["radon", "blur"])
+    def test_nonnegative_matches_absolute_copy_bitwise(self, build, rng):
+        op = build()
+        w = rng.uniform(0.0, 2.0, op.out_dim)
+        f = mn.QuadraticDataFit(op, w, np.zeros(op.out_dim))
+        a = abs(op.matrix)
+        want = np.asarray(a.T @ (w * (a @ np.ones(op.in_dim))))
+        assert np.array_equal(mn.diag_majorizer(f).diag, np.maximum(want, 1e-8 * want.max()))
+
+    def test_nonnegative_matrix_is_not_copied(self):
+        import tracemalloc
+        op = mn.build_radon(mn.CtGeometry(64, 23))
+        f = mn.QuadraticDataFit(op, np.ones(op.out_dim), np.zeros(op.out_dim))
+        tracemalloc.start()
+        try:
+            mn.diag_majorizer(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < op.matrix.nnz * 8
+
+
+class TestOperatorConstruction:
+    def test_float64_csr_is_wrapped_read_only(self):
+        import scipy.sparse as sp
+        mat = sp.random(20, 12, density=0.3, random_state=3, format="csr")
+        op = mn.SparseMatrixOperator(mat)
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(op.matrix, name), getattr(mat, name))
+        with pytest.raises(ValueError):
+            op.matrix.data[0] = 1.0
+
+    def test_other_inputs_become_float64_csr(self, rng):
+        import scipy.sparse as sp
+        ints = np.array([[1, 0, 2], [0, 3, 0]])
+        x, y = rng.standard_normal(3), rng.standard_normal(2)
+        for mat in (ints, ints.astype(float), sp.csr_matrix(ints), sp.coo_matrix(ints)):
+            op = mn.SparseMatrixOperator(mat)
+            assert sp.isspmatrix_csr(op.matrix) and op.matrix.dtype == np.float64
+            assert np.array_equal(op.forward(x), ints @ x)
+            assert np.array_equal(op.adjoint(y), ints.T @ y)
+        ints_csr = sp.csr_matrix(ints)
+        mn.SparseMatrixOperator(ints_csr)
+        assert ints_csr.indices.flags.writeable  # converted, so the input stays the caller's
+
 
 class TestMbirGradient:
     def _objective(self, op, w, y, gamma, z, feasible=None):
