@@ -18,11 +18,13 @@ import datetime
 import hashlib
 import json
 import math
+import platform
 import resource
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import config as cfgmod
 from .config import ConfigError
@@ -30,7 +32,7 @@ from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                      write_pgm, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
-from .linops import QuadraticDataFit, ShapeError, diag_majorizer, select_gamma
+from .linops import QuadraticDataFit, ShapeError, diag_majorizer, select_gamma, usable_cpus
 from .refiners import load_refiner, save_refiner
 from .solver import NumericFailure, run_bcd_net, run_momentum_net
 from .training import TrainingSample, backprojection_init, greedy_train
@@ -59,6 +61,17 @@ def artifact_checksum(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _environment() -> dict:
+    """Interpreter and library versions, and the CPUs a large sparse product splits over."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_fft": "pocketfft" if hasattr(np.fft, "_pocketfft") else "unknown",
+        "cpus": usable_cpus(),
+    }
+
+
 class RunManifest:
     """Reproduction record for one command invocation."""
 
@@ -80,6 +93,7 @@ class RunManifest:
     def write(self) -> None:
         self.info["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
         self.info["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.info["environment"] = _environment()
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(self.info, fh, indent=2, sort_keys=True)
             fh.write("\n")

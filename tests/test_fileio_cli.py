@@ -254,6 +254,21 @@ class TestCmdSimulate:
         peak = json.loads((tmp_path / "s" / "manifest.json").read_text())["peak_rss_mb"]
         assert isinstance(peak, float) and math.isfinite(peak) and peak > 0
 
+    def test_manifest_records_environment(self, tmp_path):
+        import platform
+
+        import scipy
+
+        from mbirnet.linops import usable_cpus
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(BLUR_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        env = json.loads((tmp_path / "s" / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert isinstance(env["numpy_fft"], str) and env["numpy_fft"]
+        assert env["cpus"] == usable_cpus() >= 1
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.yaml"
         cfg.write_text(BLUR_CONFIG + "extra_key: 1\n")

@@ -198,6 +198,127 @@ class TestOperatorConstruction:
         assert ints_csr.indices.flags.writeable  # converted, so the input stays the caller's
 
 
+SPLIT_BUILDS = [
+    lambda: mn.build_radon(mn.CtGeometry(64, 23)),
+    lambda: mn.build_blur(mn.binomial_kernel(), (16, 16)),
+]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the usable CPU count; with any nonzero a block, so every operator splits."""
+    from mbirnet import linops
+
+    def set_cpus(k):
+        monkeypatch.setattr(linops, "_MIN_BLOCK_NNZ", 1)
+        monkeypatch.setattr(linops, "usable_cpus", lambda: k)
+    return set_cpus
+
+
+class TestSplitProducts:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("build", SPLIT_BUILDS, ids=["radon", "blur"])
+    def test_products_equal_whole_matrix_bitwise(self, build, k, cpus, rng):
+        cpus(k)
+        op = build()
+        assert len(op._blocks) == len(op._adj_blocks) == k
+        x, y = rng.standard_normal(op.in_dim), rng.standard_normal(op.out_dim)
+        assert np.array_equal(op.forward(x), op.matrix @ x)
+        assert np.array_equal(op.adjoint(y), op.matrix.T @ y)
+        w = rng.uniform(0.0, 2.0, op.out_dim)
+        f = mn.QuadraticDataFit(op, w, np.zeros(op.out_dim))
+        a = abs(op.matrix)
+        want = np.asarray(a.T @ (w * (a @ np.ones(op.in_dim))))
+        assert np.array_equal(mn.diag_majorizer(f).diag, np.maximum(want, 1e-8 * want.max()))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("build", SPLIT_BUILDS, ids=["radon", "blur"])
+    def test_blocks_are_views_balanced_by_nonzeros(self, build, k, cpus):
+        cpus(k)
+        op = build()
+        for blocks, whole in ((op._blocks, op.matrix), (op._adj_blocks, op._adj)):
+            assert sum(b.shape[0] for b in blocks) == whole.shape[0]
+            widest_row = np.diff(whole.indptr).max()
+            for b in blocks:
+                assert np.shares_memory(b.data, whole.data)
+                assert np.shares_memory(b.indices, whole.indices)
+                assert abs(b.nnz - whole.nnz / k) <= widest_row
+
+    def test_mixed_signs_split_still_use_absolute_values(self, cpus):
+        cpus(2)
+        op = dense([[1, -2], [-3, 4]])
+        assert len(op._blocks) == 2
+        m = mn.diag_majorizer(mn.QuadraticDataFit(op, np.ones(2), np.zeros(2)))
+        assert np.array_equal(m.diag, [24.0, 34.0])
+
+    def test_small_operator_starts_no_thread(self, monkeypatch, rng):
+        import threading
+
+        from mbirnet import linops
+        monkeypatch.setattr(linops, "usable_cpus", lambda: 64)  # more CPUs do not split it
+        op = mn.build_radon(mn.CtGeometry(64, 23))
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a small operator started a thread")
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        op.forward(rng.standard_normal(op.in_dim))
+        op.adjoint(rng.standard_normal(op.out_dim))
+        mn.diag_majorizer(mn.QuadraticDataFit(op, np.ones(op.out_dim), np.zeros(op.out_dim)))
+
+    def test_worker_exception_reaches_caller(self, cpus, rng):
+        import threading
+        from mbirnet.linops import _product
+
+        class Broken:
+            def __matmul__(self, v):
+                raise RuntimeError("block failed")
+
+        cpus(2)
+        op = mn.build_radon(mn.CtGeometry(64, 23))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            _product([op._blocks[0], Broken()], rng.standard_normal(op.in_dim))
+        assert threading.active_count() == before
+
+    def test_split_product_after_fork(self):
+        # a thread pool made before a fork has no workers in the child, so
+        # the child's product would wait forever
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+        script = "\n".join([
+            "import os, numpy as np, mbirnet as mn",
+            "from mbirnet import linops",
+            "linops._MIN_BLOCK_NNZ = 1",
+            "linops.usable_cpus = lambda: 2",
+            "op = mn.build_radon(mn.CtGeometry(64, 23))",
+            "assert len(op._blocks) == 2",
+            "x = np.random.default_rng(0).standard_normal(op.in_dim)",
+            "want = op.forward(x)",
+            "pid = os.fork()",
+            "if pid == 0:",
+            "    os._exit(0 if np.array_equal(op.forward(x), want) else 3)",
+            "_, status = os.waitpid(pid, 0)",
+            "raise SystemExit(os.waitstatus_to_exitcode(status))",
+        ])
+        src = str(Path(mn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # a session of its own, so a hung forked child is killed with its parent
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the split product did not finish in the forked child")
+        assert proc.returncode == 0, err
+
+
 class TestMbirGradient:
     def _objective(self, op, w, y, gamma, z, feasible=None):
         f = mn.QuadraticDataFit(op, w, y)
