@@ -182,6 +182,8 @@ class SparseMatrixOperator:
         self.matrix.sum_duplicates()  # scipy canonicalizes in place, so do it before freezing
         _freeze_csr(self.matrix)
         self.shape = self.matrix.shape  # (m, n) = (output dim, input dim)
+        # the arrays are read-only from here on, so one scan settles the sign
+        self._has_negative = bool(self.matrix.nnz and self.matrix.data.min() < 0)
         self._adj = _freeze_csr(self.matrix.T.tocsr())
         self._blocks = _row_blocks(self.matrix)
         self._adj_blocks = _row_blocks(self._adj)
@@ -354,7 +356,7 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
     """
     op = f.op
     ones = np.ones(op.in_dim)
-    if op.matrix.nnz and op.matrix.data.min() < 0:
+    if op._has_negative:
         a = abs(op.matrix)
         d = a.T @ (f.weights * (a @ ones))
     else:

@@ -24,14 +24,23 @@ class ThresholdVector:
 def soft_threshold(u, alpha):
     """Entrywise shrinkage: u - alpha*sgn(u) where |u| > alpha, else 0.
 
-    Ties |u| == alpha map to 0.  `alpha` may be a scalar or broadcastable
-    array of nonnegative thresholds.
+    Ties |u| == alpha and NaN entries map to +0.0.  `alpha` may be a scalar or
+    broadcastable array of nonnegative thresholds.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha < 0):
         raise ValueError("threshold must be nonnegative")
     u = np.asarray(u, dtype=np.float64)
-    return np.where(np.abs(u) > alpha, u - alpha * np.sign(u), 0.0)
+    # sgn(u) * max(|u| - alpha, 0) in one buffer: fmax drops NaN lanes to 0,
+    # and adding +0.0 turns the -0.0 that copysign gives them (and negative
+    # ties) into +0.0, so the bits equal where(|u| > alpha, u - alpha*sgn(u), 0)
+    out = np.empty(np.broadcast_shapes(u.shape, alpha.shape))
+    np.abs(u, out=out)
+    out -= alpha
+    np.fmax(out, 0.0, out=out)
+    np.copysign(out, u, out=out)
+    out += 0.0
+    return out
 
 
 def prox_indicator(v, m: DiagonalMajorizer, fset: FeasibleSet):

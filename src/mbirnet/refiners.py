@@ -100,11 +100,11 @@ def _square_side(filters: np.ndarray) -> int:
     return filters.shape[1]
 
 
-def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray):
-    """(rfft2 of u, thresholded analysis codes (K, B, h, w)) of a (B, h, w) stack."""
+def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Thresholded analysis codes (K, B, h, w) of a (B, h, w) stack."""
     uhat = np.fft.rfft2(u, axes=(-2, -1))
     code = np.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
-    return uhat, soft_threshold(code, thresholds[:, None, None, None])
+    return soft_threshold(code, thresholds[:, None, None, None])
 
 
 def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
@@ -112,15 +112,15 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
     """sum_k d_k conv T_thr(e_k conv u) on a (B, h, w) stack, without residual.
 
     The filters come as spectra, so a tied decoder can pass conj(ehat).
-    Returns (output, rfft2 of u, codes, rfft2 of codes); the gradient reuses
-    the last three, and a code is nonzero exactly where it passed its threshold.
+    Returns (output, codes); the gradient reuses the codes, and a code is
+    nonzero exactly where it passed its threshold.
     """
-    uhat, hidden = _scnn_codes(ehat, thresholds, u)
+    hidden = _scnn_codes(ehat, thresholds, u)
     hhat = np.fft.rfft2(hidden, axes=(-2, -1))
     # complex products are not bitwise commutative; codes-first is the order
     # single-image reconstruction has always used
     out = np.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=u.shape[-2:], axes=(-2, -1))
-    return out, uhat, hidden, hhat
+    return out, hidden
 
 
 def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,
@@ -313,7 +313,7 @@ class TiedCaolRefiner:
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Thresholded analysis coefficients T_beta(h_k conv u)."""
         u = as_f64(u)
-        return _scnn_codes(filter_fft(self.filters, u.shape), self.thresholds, u[None])[1][:, 0]
+        return _scnn_codes(filter_fft(self.filters, u.shape), self.thresholds, u[None])[:, 0]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)

@@ -5,12 +5,15 @@ sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
 refiner (`_advance`, the one sample trajectory, which diagnostics follow too:
 each refiner runs once per sample per iteration).  Gradients through the
-networks are computed analytically (FFT-domain circular convolutions;
-subgradient 0 at soft-threshold kinks and at ReLU(0)) and fed to a built-in
-adaptive-moment optimizer.  The forward half of each gradient is the refiner's
-own batched forward pass (`refiners._scnn_forward`, `refiners._dcnn_forward`),
-so training fits exactly the map that reconstruction runs; only the backward
-half is written here.
+networks are computed analytically (subgradient 0 at soft-threshold kinks and
+at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The forward half
+of each gradient is the refiner's own batched forward pass
+(`refiners._scnn_forward`, `refiners._dcnn_forward`), so training fits exactly
+the map that reconstruction runs; only the backward half is written here.  The
+sCNN backward pass works in the spatial domain, as GEMMs on stacks of the
+circular shifts of the images over the filter taps (`_shift_stack`, the
+layout of `extract_patches`); the dCNN one uses FFT-domain circular
+correlations.
 """
 
 from __future__ import annotations
@@ -121,38 +124,60 @@ def _extract_taps(full: np.ndarray, rh: int, rw: int) -> np.ndarray:
     return full[..., rows[:, None], cols[None, :]]
 
 
+def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1) -> np.ndarray:
+    """(rh*rw, B*h*w) stack of the circular shifts of a (B, h, w) image stack.
+
+    Row (i, j) holds x[b, n - sign*o] at the centered offset
+    o = (i - rh//2, j - rw//2), the layout of the filter taps, so that
+    filters.reshape(K, rh*rw) @ stack convolves (sign +1) or correlates
+    (sign -1) every image with every filter.
+    """
+    b, h, w = images.shape
+    oy = sign * (np.arange(rh) - rh // 2)
+    ox = sign * (np.arange(rw) - rw // 2)
+    top, left = int(oy.max()), int(ox.max())
+    padded = np.pad(images, ((0, 0), (top, -int(oy.min())), (left, -int(ox.min()))),
+                    mode="wrap")
+    out = np.empty((rh, rw, b, h, w))
+    for i, dy in enumerate(oy):
+        for j, dx in enumerate(ox):
+            out[i, j] = padded[:, top - dy:top - dy + h, left - dx:left - dx + w]
+    return out.reshape(rh * rw, b * h * w)
+
+
 def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
                         residual: bool, inputs: np.ndarray, targets: np.ndarray):
     """Batched loss and analytic parameter gradients for the sCNN refiner.
 
     inputs/targets have shape (B, h, w); the loss is (1/2B) of the summed
-    squared residual, matching the per-sample training objective.
+    squared residual, matching the per-sample training objective.  The
+    backward pass runs in the spatial domain: with the shift stacks
+    P[o, n] = u[n - o] of the inputs and Q[o, n] = g[n + o] of the loss
+    gradient g over the R filter taps o, each parameter gradient is one GEMM.
     """
     b, h, w = inputs.shape
     shape = (h, w)
-    rh, rw = enc.shape[1], enc.shape[2]
+    k, rh, rw = enc.shape
     thr = np.maximum(np.exp(log_thr), THRESHOLD_FLOOR)
     # thresholds pinned at the floor no longer respond to their log-parameter
     dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
 
-    dhat = filter_fft(dec, shape)
-    out, uhat, hidden, hhat = _scnn_forward(filter_fft(enc, shape), dhat, thr, inputs)
+    out, hidden = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inputs)
     if residual:
         out = out + inputs
     resid = out - targets
     loss = 0.5 * float(np.sum(resid * resid)) / b
 
-    g = resid / b
-    ghat = np.fft.rfft2(g, axes=(-2, -1))
-    g_dec = _extract_taps(
-        np.fft.irfft2(np.conj(hhat) * ghat[None], s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
-    g_hidden = np.fft.irfft2(np.conj(dhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
+    q = _shift_stack(resid / b, rh, rw, sign=-1)
+    hidden = hidden.reshape(k, -1)
+    g_dec = hidden @ q.T
+    g_hidden = dec.reshape(k, -1) @ q
     # a code passed its threshold exactly where it is nonzero, with the sign it had
-    g_thr = -dthr * np.sum(g_hidden * np.sign(hidden), axis=(1, 2, 3))
-    g_code_hat = np.fft.rfft2(np.where(hidden != 0.0, g_hidden, 0.0), axes=(-2, -1))
-    g_enc = _extract_taps(
-        np.fft.irfft2(np.conj(uhat)[None] * g_code_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
-    return loss, {"enc": g_enc, "dec": g_dec, "thr": g_thr}
+    g_thr = -dthr * np.sum(g_hidden * np.sign(hidden), axis=1)
+    np.copyto(g_hidden, 0.0, where=hidden == 0.0)
+    g_enc = g_hidden @ _shift_stack(inputs, rh, rw).T
+    return loss, {"enc": g_enc.reshape(enc.shape), "dec": g_dec.reshape(dec.shape),
+                  "thr": g_thr}
 
 
 def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
@@ -391,15 +416,9 @@ def extract_patches(image: np.ndarray, side: int) -> np.ndarray:
 
     Column n holds the taps x[n - o] over the centered offset grid, matching
     the circular-convolution convention, so E @ patches reproduces the stacked
-    analysis coefficients.
+    analysis coefficients.  It is the single-image `_shift_stack`.
     """
-    image = as_f64(image)
-    offsets = np.arange(side) - side // 2
-    rows = []
-    for dy in offsets:
-        for dx in offsets:
-            rows.append(np.roll(image, (dy, dx), axis=(0, 1)).ravel())
-    return np.stack(rows)
+    return _shift_stack(as_f64(image)[None], side, side)
 
 
 @dataclass(frozen=True)

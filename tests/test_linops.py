@@ -149,6 +149,17 @@ class TestDiagMajorizer:
             gap = np.diag(m.diag) - op.matrix.T @ op.matrix
             assert np.linalg.eigvalsh(gap).min() >= -1e-10 * np.max(m.diag)
 
+    @pytest.mark.parametrize("build, negative", [
+        (lambda: mn.build_radon(mn.CtGeometry(64, 23)), False),
+        (lambda: mn.build_blur([[0.0, -0.25, 0.0], [-0.25, 2.0, -0.25], [0.0, -0.25, 0.0]],
+                               (8, 8)), True),
+        (lambda: mn.SparseMatrixOperator(np.zeros((3, 4))), False),
+    ], ids=["radon", "blur-negative-taps", "all-zero"])
+    def test_sign_flag_agrees_with_a_scan(self, build, negative):
+        # diag_majorizer reads the flag the operator records once
+        op = build()
+        assert op._has_negative == bool(np.any(op.matrix.data < 0)) == negative
+
     @pytest.mark.parametrize("build", [
         lambda: mn.build_radon(mn.CtGeometry(64, 23)),
         lambda: mn.build_blur(mn.binomial_kernel(), (16, 16)),

@@ -20,6 +20,24 @@ class TestSoftThreshold:
     def test_tie_maps_to_zero(self):
         assert mn.soft_threshold(np.array([1.0, -1.0]), 1.0) == pytest.approx([0.0, 0.0])
 
+    @pytest.mark.parametrize("case", ["scalar", "per-entry", "wider-than-u"])
+    def test_bits_equal_the_where_formula(self, rng, case):
+        special = [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, -np.nan]
+        u = np.concatenate([3.0 * rng.standard_normal(250), special])
+        if case == "scalar":
+            alpha = 1.5  # ties at +-1.5
+        elif case == "per-entry":
+            alpha = rng.uniform(0.0, 2.0, u.size)
+            alpha[:250:2] = np.abs(u[:250:2])  # ties
+            alpha[-4:] = [np.inf, 0.0, 0.0, np.inf]
+        else:
+            alpha = np.array([[0.0], [1.5], [np.inf]])  # broadcasts u to (3, 258)
+        with np.errstate(invalid="ignore"):  # inf - inf in lanes that end up 0
+            want = np.where(np.abs(u) > alpha, u - alpha * np.sign(u), 0.0)
+            got = mn.soft_threshold(u, alpha)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             mn.soft_threshold(np.array([1.0]), -0.1)

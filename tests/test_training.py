@@ -3,7 +3,10 @@ import pytest
 
 import mbirnet as mn
 import mbirnet.training
-from mbirnet.training import (dcnn_value_and_grad, extract_patches, scnn_value_and_grad)
+from mbirnet.prox import soft_threshold
+from mbirnet.refiners import THRESHOLD_FLOOR, filter_fft
+from mbirnet.training import (_extract_taps, dcnn_value_and_grad, extract_patches,
+                              scnn_value_and_grad)
 
 
 class TestSelectGamma:
@@ -81,6 +84,72 @@ def _fd_gradcheck(value_fn, params, grads, step=1e-5, max_coords=25):
             worst = max(worst, abs(fd - an) / max(1e-8, abs(fd), abs(an)))
             it.iternext()
     return worst
+
+
+def _reference_scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets):
+    """The sCNN loss and gradients with every convolution and correlation taken
+    as a product of spectra: the independent reference for the spatial-domain
+    backward pass."""
+    b, h, w = inputs.shape
+    shape = (h, w)
+    rh, rw = enc.shape[1], enc.shape[2]
+    thr = np.maximum(np.exp(log_thr), THRESHOLD_FLOOR)
+    dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
+
+    ehat, dhat = filter_fft(enc, shape), filter_fft(dec, shape)
+    uhat = np.fft.rfft2(inputs, axes=(-2, -1))
+    hidden = soft_threshold(np.fft.irfft2(ehat[:, None] * uhat[None], s=shape, axes=(-2, -1)),
+                            thr[:, None, None, None])
+    hhat = np.fft.rfft2(hidden, axes=(-2, -1))
+    out = np.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=shape, axes=(-2, -1))
+    if residual:
+        out = out + inputs
+    resid = out - targets
+    loss = 0.5 * float(np.sum(resid * resid)) / b
+
+    ghat = np.fft.rfft2(resid / b, axes=(-2, -1))
+    g_dec = _extract_taps(
+        np.fft.irfft2(np.conj(hhat) * ghat[None], s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
+    g_hidden = np.fft.irfft2(np.conj(dhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
+    g_thr = -dthr * np.sum(g_hidden * np.sign(hidden), axis=(1, 2, 3))
+    g_code_hat = np.fft.rfft2(np.where(hidden != 0.0, g_hidden, 0.0), axes=(-2, -1))
+    g_enc = _extract_taps(
+        np.fft.irfft2(np.conj(uhat)[None] * g_code_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
+    return loss, {"enc": g_enc, "dec": g_dec, "thr": g_thr}
+
+
+class TestScnnSpatialBackward:
+    @pytest.mark.parametrize("k, rh, rw, b, h, w, residual, pinned", [
+        (3, 3, 3, 2, 9, 12, True, False),    # non-square images
+        (2, 1, 1, 3, 6, 6, True, False),     # r = 1
+        (25, 5, 5, 10, 16, 16, True, False),  # K = R = 25, the trained size
+        (4, 5, 5, 2, 5, 5, True, False),     # filter as large as the image
+        (4, 3, 3, 2, 7, 5, True, False),     # K != R
+        (3, 3, 5, 2, 8, 9, True, False),     # non-square filters
+        (3, 2, 2, 2, 6, 7, True, False),     # even side: no tap at -o
+        (3, 3, 3, 1, 8, 8, True, False),     # B = 1
+        (3, 3, 3, 2, 8, 8, False, False),    # residual=False
+        (3, 3, 3, 2, 8, 8, True, True),      # thresholds pinned at the floor
+    ])
+    def test_matches_fft_reference(self, rng, k, rh, rw, b, h, w, residual, pinned):
+        enc = rng.uniform(-0.5, 0.5, (k, rh, rw))
+        dec = rng.uniform(-0.5, 0.5, (k, rh, rw))
+        log_thr = rng.normal(-1.5, 0.5, k)
+        if pinned:
+            log_thr[::2] = -800.0  # exp underflows, so the floor is the threshold
+        inputs = rng.standard_normal((b, h, w))
+        targets = rng.standard_normal((b, h, w))
+        loss, grads = scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets)
+        ref_loss, ref = _reference_scnn_value_and_grad(enc, dec, log_thr, residual,
+                                                       inputs, targets)
+        assert loss == ref_loss  # one forward for both
+        for name in ("enc", "dec", "thr"):
+            assert grads[name].shape == ref[name].shape
+            scale = np.max(np.abs(ref[name]))
+            assert scale > 0
+            assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
+        if pinned:
+            assert np.all(grads["thr"][::2] == 0.0)
 
 
 class TestAnalyticGradients:
