@@ -5,15 +5,18 @@ Three refiner families operate on 2-D images via circular convolution:
 * ``ScnnRefiner``   - residual single-hidden-layer convolutional autoencoder
                       with exp-parameterized soft thresholds,
 * ``DcnnRefiner``   - residual multi-layer CNN with ReLU feature maps,
-* ``TiedCaolRefiner`` - tied encoder/decoder autoencoder whose decoder is the
-                      flipped encoder bank; with a tight-frame bank this is the
-                      exact proximal update of the convolutional sparse prior.
+* ``TiedCaolRefiner`` - tied encoder/decoder autoencoder whose decoder
+                      correlates with the encoder bank (rolls by -o; for an even
+                      side that is not the flipped bank); with a tight-frame bank
+                      this is the exact proximal update of the sparse prior.
 
 All refiners are immutable value objects; calling one applies the forward map
 to one (h, w) image.  Each forward pass is written once, on (B, h, w) stacks
 (`_scnn_forward`, `_dcnn_forward`), and the training gradients reuse it, so
-the trained network is the one that reconstructs.  `solver.run_caol_bpegm`
-keeps its own tied forward on purpose: it is the independent oracle.
+the trained network is the one that reconstructs.  The dCNN forward and every
+training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN forward
+multiplies spectra.  `solver.run_caol_bpegm` keeps its own tied forward on
+purpose: it is the independent oracle.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.fft.rfft2(embed_filters(filters, shape), axes=(-2, -1))
 
 
-def conv_stack(fhat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Circularly convolve one image with a stack of filters given in Fourier."""
-    uhat = np.fft.rfft2(u)
-    return np.fft.irfft2(fhat * uhat, s=u.shape, axes=(-2, -1))
-
-
 def flip_filter(filt: np.ndarray) -> np.ndarray:
     """Reverse a filter along each spatial dimension."""
     return np.atleast_2d(filt)[::-1, ::-1].copy()
@@ -97,7 +94,40 @@ def make_tf_filterbank(R: int) -> np.ndarray:
 
 
 def _square_side(filters: np.ndarray) -> int:
+    if filters.shape[1] != filters.shape[2]:  # the refiner container stores one side
+        raise ShapeError(f"filters must be square, got {filters.shape[1]}x{filters.shape[2]}")
     return filters.shape[1]
+
+
+def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1) -> np.ndarray:
+    """(rh*rw, B*h*w) stack of the circular shifts of a (B, h, w) image stack.
+
+    Row (i, j) holds x[b, n - sign*o] at the centered offset
+    o = (i - rh//2, j - rw//2), the layout of the filter taps, so that
+    filters.reshape(K, rh*rw) @ stack convolves (sign +1) or correlates
+    (sign -1) every image with every filter.
+    """
+    b, h, w = images.shape
+    oy = sign * (np.arange(rh) - rh // 2)
+    ox = sign * (np.arange(rw) - rw // 2)
+    top, left = int(oy.max()), int(ox.max())
+    padded = np.pad(images, ((0, 0), (top, -int(oy.min())), (left, -int(ox.min()))),
+                    mode="wrap")
+    out = np.empty((rh, rw, b, h, w))
+    for i, dy in enumerate(oy):
+        for j, dx in enumerate(ox):
+            out[i, j] = padded[:, top - dy:top - dy + h, left - dx:left - dx + w]
+    return out.reshape(rh * rw, b * h * w)
+
+
+def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """sum_c bank[:, c] conv feats[c]: a (Kout, Kin, r, r) bank on (Kin, B, h, w)
+    maps, one (R, B*h*w) shift stack per input channel."""
+    kout, kin, rh, rw = bank.shape
+    out = bank[:, 0].reshape(kout, -1) @ _shift_stack(feats[0], rh, rw)
+    for c in range(1, kin):
+        out += bank[:, c].reshape(kout, -1) @ _shift_stack(feats[c], rh, rw)
+    return out.reshape(kout, *feats.shape[1:])
 
 
 def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -125,31 +155,17 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
 
 def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,
                   keep: bool = False):
-    """u - sum_k l_k conv feat_k on a (B, h, w) stack, ReLU between layers.
-
-    Returns (output, rfft2 of u, middle-layer spectra (K, K, h, w//2+1) each,
-    last-layer spectrum, [(feature map, its rfft2) per layer]).  Without
-    `keep` only the last layer's spectra and feature map are retained.
+    """u - last applied to the features, on a (B, h, w) stack, with ReLU between
+    the banks [first[:, None], *mid, last[None]].  Returns (output, the input
+    maps (Kin, B, h, w) of every bank from u[None] on; without `keep`, the last's).
     """
-    shape = u.shape[-2:]
-    uhat = np.fft.rfft2(u, axes=(-2, -1))
-    feat = np.maximum(np.fft.irfft2(filter_fft(first, shape)[:, None] * uhat[None],
-                                    s=shape, axes=(-2, -1)), 0.0)
-    layers = [(feat, np.fft.rfft2(feat, axes=(-2, -1)))]
-    mhats = []
-    for layer in mid:
-        mhat = np.stack([filter_fft(layer[k], shape) for k in range(layer.shape[0])])
-        mixed = np.einsum("kcab,cnab->knab", mhat, layers[-1][1])
-        feat = np.maximum(np.fft.irfft2(mixed, s=shape, axes=(-2, -1)), 0.0)
+    feats = [u[None]]
+    for bank in [first[:, None], *mid]:
+        feat = np.maximum(_apply_bank(bank, feats[-1]), 0.0)
         if not keep:  # the forward alone needs only the current layer
-            layers.clear()
-            mhats.clear()
-        mhats.append(mhat)
-        layers.append((feat, np.fft.rfft2(feat, axes=(-2, -1))))
-    lhat = filter_fft(last, shape)
-    out = u - np.fft.irfft2(np.sum(layers[-1][1] * lhat[:, None], axis=0),
-                            s=shape, axes=(-2, -1))
-    return out, uhat, mhats, lhat, layers
+            feats.clear()
+        feats.append(feat)
+    return u - _apply_bank(last[None], feats[-1])[0], feats
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +197,7 @@ class ScnnRefiner:
             raise ShapeError("encoder and decoder banks must share (K, r, r)")
         if thr.size != enc.shape[0]:
             raise ShapeError("one threshold per filter pair required")
+        _square_side(enc)
 
     @property
     def n_filters(self) -> int:
@@ -188,8 +205,7 @@ class ScnnRefiner:
 
     @property
     def filter_size(self) -> int:
-        r = _square_side(self.enc_filters)
-        return r * r
+        return self.enc_filters[0].size
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -231,17 +247,17 @@ class DcnnRefiner:
     def __post_init__(self):
         first = _frozen(np.atleast_3d(self.first_filters))
         last = _frozen(np.atleast_3d(self.last_filters))
-        k, rh, rw = first.shape
+        k, r = first.shape[0], _square_side(first)
         mid = as_f64(self.mid_filters)
         if mid.size == 0:
-            mid = np.zeros((0, k, k, rh, rw))
+            mid = np.zeros((0, k, k, r, r))
         mid = _frozen(mid)
         object.__setattr__(self, "first_filters", first)
         object.__setattr__(self, "mid_filters", mid)
         object.__setattr__(self, "last_filters", last)
         if last.shape != first.shape:
             raise ShapeError("first and last layers must share (K, r, r)")
-        if mid.shape[1:] != (k, k, rh, rw):
+        if mid.shape[1:] != (k, k, r, r):
             raise ShapeError("middle layers must have shape (L-2, K, K, r, r)")
 
     @property
@@ -254,8 +270,7 @@ class DcnnRefiner:
 
     @property
     def filter_size(self) -> int:
-        r = _square_side(self.first_filters)
-        return r * r
+        return self.first_filters[0].size
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
@@ -279,10 +294,12 @@ class DcnnRefiner:
 
 @dataclass(frozen=True)
 class TiedCaolRefiner:
-    """Tied autoencoder sum_k flip(h_k*) conv T_{beta_k}(h_k conv u).
+    """Tied autoencoder sum_k h_k corr T_{beta_k}(h_k conv u).
 
-    With a tight-frame bank and all-zero thresholds this is the identity map;
-    the solver's sparse-prior oracle requires the tight-frame flag.
+    The decoder correlates with the bank, rolling by -o at each centered tap
+    offset o; for an even side the flipped bank's offsets are not -o.  With a
+    tight-frame bank and all-zero thresholds this is the identity map; the
+    solver's sparse-prior oracle requires the tight-frame flag.
     """
 
     filters: np.ndarray      # (K, r, r)
@@ -296,6 +313,7 @@ class TiedCaolRefiner:
         object.__setattr__(self, "thresholds", thr)
         if thr.size != filters.shape[0]:
             raise ShapeError("one threshold per filter required")
+        _square_side(filters)
         if np.any(thr < 0):
             raise ValueError("thresholds must be nonnegative")
         if self.tight_frame and tf_defect(filters) > 1e-10:
@@ -307,8 +325,7 @@ class TiedCaolRefiner:
 
     @property
     def filter_size(self) -> int:
-        r = _square_side(self.filters)
-        return r * r
+        return self.filters[0].size
 
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Thresholded analysis coefficients T_beta(h_k conv u)."""
@@ -318,7 +335,7 @@ class TiedCaolRefiner:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
         hhat = filter_fft(self.filters, u.shape)
-        # flip(conj(h)) in the spatial domain is conj(H) in Fourier
+        # correlation with h in the spatial domain is conj(H) in Fourier
         return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None])[0][0]
 
 

@@ -9,11 +9,10 @@ networks are computed analytically (subgradient 0 at soft-threshold kinks and
 at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The forward half
 of each gradient is the refiner's own batched forward pass
 (`refiners._scnn_forward`, `refiners._dcnn_forward`), so training fits exactly
-the map that reconstruction runs; only the backward half is written here.  The
-sCNN backward pass works in the spatial domain, as GEMMs on stacks of the
-circular shifts of the images over the filter taps (`_shift_stack`, the
-layout of `extract_patches`); the dCNN one uses FFT-domain circular
-correlations.
+the map that reconstruction runs; only the backward half is written here.
+Both backward passes work in the spatial domain, as GEMMs on stacks of the
+circular shifts of the images over the filter taps (`refiners._shift_stack`,
+the layout of `extract_patches`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, QuadraticDataF
                      ShapeError, as_f64, diag_majorizer, select_gamma)
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
-                       _scnn_forward, filter_fft, flip_filter)
+                       _scnn_forward, _shift_stack, filter_fft, flip_filter)
 from .solver import MomentumNetConfig, MomentumState, Refiner, momentum_net_step
 
 
@@ -116,35 +115,6 @@ def refining_loss(refiner, pairs) -> float:
 # analytic gradients
 # ---------------------------------------------------------------------------
 
-def _extract_taps(full: np.ndarray, rh: int, rw: int) -> np.ndarray:
-    """Read filter-tap gradients back out of full-size correlation images."""
-    h, w = full.shape[-2:]
-    rows = (np.arange(rh) - rh // 2) % h
-    cols = (np.arange(rw) - rw // 2) % w
-    return full[..., rows[:, None], cols[None, :]]
-
-
-def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1) -> np.ndarray:
-    """(rh*rw, B*h*w) stack of the circular shifts of a (B, h, w) image stack.
-
-    Row (i, j) holds x[b, n - sign*o] at the centered offset
-    o = (i - rh//2, j - rw//2), the layout of the filter taps, so that
-    filters.reshape(K, rh*rw) @ stack convolves (sign +1) or correlates
-    (sign -1) every image with every filter.
-    """
-    b, h, w = images.shape
-    oy = sign * (np.arange(rh) - rh // 2)
-    ox = sign * (np.arange(rw) - rw // 2)
-    top, left = int(oy.max()), int(ox.max())
-    padded = np.pad(images, ((0, 0), (top, -int(oy.min())), (left, -int(ox.min()))),
-                    mode="wrap")
-    out = np.empty((rh, rw, b, h, w))
-    for i, dy in enumerate(oy):
-        for j, dx in enumerate(ox):
-            out[i, j] = padded[:, top - dy:top - dy + h, left - dx:left - dx + w]
-    return out.reshape(rh * rw, b * h * w)
-
-
 def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
                         residual: bool, inputs: np.ndarray, targets: np.ndarray):
     """Batched loss and analytic parameter gradients for the sCNN refiner.
@@ -182,36 +152,41 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
 
 def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
                         inputs: np.ndarray, targets: np.ndarray):
-    """Batched loss and analytic parameter gradients for the dCNN refiner."""
-    b, h, w = inputs.shape
-    shape = (h, w)
-    rh, rw = first.shape[1], first.shape[2]
-    n_mid = mid.shape[0]
+    """Batched loss and analytic parameter gradients for the dCNN refiner.
 
-    out, uhat, mhats, lhat, layers = _dcnn_forward(first, mid, last, inputs, keep=True)
-    feats, feat_hats = zip(*layers)
+    Backward over the banks from the last: with the shift stack
+    Q_k[o, n] = g_k[n + o] of output channel k's gradient, row k of the bank
+    gradient is (input maps) @ Q_kᵀ, and the input gradient gains bank[k] @ Q_k.
+    """
+    b = inputs.shape[0]
+    rh, rw = first.shape[1], first.shape[2]
+    banks = [first[:, None], *mid, last[None]]
+
+    out, feats = _dcnn_forward(first, mid, last, inputs, keep=True)
     resid = out - targets
     loss = 0.5 * float(np.sum(resid * resid)) / b
 
-    g = resid / b
-    ghat = np.fft.rfft2(g, axes=(-2, -1))
-    g_last = -_extract_taps(
-        np.fft.irfft2(np.conj(feat_hats[-1]) * ghat[None], s=shape, axes=(-2, -1)).sum(axis=1),
-        rh, rw)
-    g_feat = -np.fft.irfft2(np.conj(lhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
-    g_mid = np.zeros_like(mid)
-    for li in range(n_mid - 1, -1, -1):
-        # a ReLU passes its gradient exactly where its output is positive
-        g_pre_hat = np.fft.rfft2(np.where(feats[li + 1] > 0, g_feat, 0.0), axes=(-2, -1))
-        corr = np.fft.irfft2(np.conj(feat_hats[li])[None] * g_pre_hat[:, None],
-                             s=shape, axes=(-2, -1))  # (K, K, B, h, w)
-        g_mid[li] = _extract_taps(corr.sum(axis=2), rh, rw)
-        g_feat = np.fft.irfft2(np.einsum("kcab,knab->cnab", np.conj(mhats[li]), g_pre_hat),
-                               s=shape, axes=(-2, -1))
-    g_pre_hat = np.fft.rfft2(np.where(feats[0] > 0, g_feat, 0.0), axes=(-2, -1))
-    g_first = _extract_taps(
-        np.fft.irfft2(np.conj(uhat)[None] * g_pre_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
-    return loss, {"first": g_first, "mid": g_mid, "last": g_last}
+    g_out = -(resid / b)[None]
+    grads = []
+    for li in range(len(banks) - 1, -1, -1):
+        bank, feat_in = banks[li], feats[li]
+        kout, kin = bank.shape[:2]
+        if li < len(banks) - 1:
+            # a ReLU passes its gradient exactly where its output is positive
+            g_out = np.where(feats[li + 1] > 0, g_out, 0.0)
+        flat_in = feat_in.reshape(kin, -1)
+        g_bank = np.empty_like(bank)
+        g_in = np.zeros_like(flat_in)
+        for k in range(kout):
+            q = _shift_stack(g_out[k], rh, rw, sign=-1)
+            g_bank[k] = (flat_in @ q.T).reshape(kin, rh, rw)
+            if li:  # the input images need no gradient
+                g_in += bank[k].reshape(kin, -1) @ q
+        grads.append(g_bank)
+        g_out = g_in.reshape(feat_in.shape)
+    grads.reverse()
+    return loss, {"first": grads[0][:, 0], "mid": np.reshape(grads[1:-1], mid.shape),
+                  "last": grads[-1][0]}
 
 
 # ---------------------------------------------------------------------------

@@ -499,8 +499,12 @@ class TestCmdTrain:
         assert "t1.pgm" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_rerun_bit_identical(self, tmp_path):
-        manifest = _write_ct_training_set(tmp_path)
+    @pytest.mark.parametrize("arch", [
+        "{type: scnn, n_filters: 4, filter_size: 9}",
+        "{type: dcnn, n_filters: 4, filter_size: 9, n_layers: 3}",
+    ], ids=["scnn", "dcnn"])
+    def test_rerun_bit_identical(self, tmp_path, arch):
+        manifest = _write_ct_training_set(tmp_path, arch=arch)
         for d in ("t1", "t2"):
             assert main(["train", "--config", str(manifest),
                          "--out", str(tmp_path / d)]) == 0

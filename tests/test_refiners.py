@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mbirnet as mn
-from mbirnet.refiners import flip_filter, tf_defect
+from mbirnet.refiners import filter_fft, flip_filter, tf_defect
 
 
 def delta_filter(r):
@@ -100,10 +100,10 @@ class TestTfFilterbank:
     def test_tf_identity_on_random_images(self, R, tol, rng):
         bank = mn.make_tf_filterbank(R)
         assert bank.shape[0] == R
-        from mbirnet.refiners import conv_stack, filter_fft
         for _ in range(5):
             u = rng.standard_normal((12, 12))
-            energy = np.sum(conv_stack(filter_fft(bank, u.shape), u) ** 2)
+            conv = np.fft.irfft2(filter_fft(bank, u.shape) * np.fft.rfft2(u), s=u.shape)
+            energy = np.sum(conv ** 2)
             assert energy == pytest.approx(np.sum(u ** 2), abs=tol * np.sum(u ** 2))
 
     def test_r1_identity_filter(self):
@@ -205,7 +205,6 @@ class TestFlip:
         # conj-in-Fourier decoding equals literal flip + convolve
         u = rng.standard_normal((6, 6))
         r = mn.TiedCaolRefiner(tf_bank4, np.full(4, 0.05))
-        from mbirnet.refiners import conv_stack, filter_fft
         codes = r.codes(u)
         direct = np.zeros_like(u)
         h, w = u.shape
@@ -252,6 +251,18 @@ class TestSerialization:
         assert np.array_equal(back.filters, ref.filters)
         assert np.array_equal(back.thresholds, ref.thresholds)
         assert back.tight_frame
+
+    @pytest.mark.parametrize("kind", ["scnn", "dcnn", "tied"])
+    def test_non_square_bank_rejected(self, kind):
+        # the container stores one side length, so such a bank could not load
+        bank = np.zeros((2, 3, 5))
+        with pytest.raises(mn.ShapeError, match="square"):
+            if kind == "scnn":
+                mn.ScnnRefiner(bank, bank, np.zeros(2))
+            elif kind == "dcnn":
+                mn.DcnnRefiner(bank, np.zeros((0, 2, 2, 3, 5)), bank)
+            else:
+                mn.TiedCaolRefiner(bank, np.zeros(2), tight_frame=False)
 
     def test_save_twice_byte_identical(self, tmp_path, rng):
         ref = mn.ScnnRefiner.init_random(2, 9, rng)

@@ -5,8 +5,7 @@ import mbirnet as mn
 import mbirnet.training
 from mbirnet.prox import soft_threshold
 from mbirnet.refiners import THRESHOLD_FLOOR, filter_fft
-from mbirnet.training import (_extract_taps, dcnn_value_and_grad, extract_patches,
-                              scnn_value_and_grad)
+from mbirnet.training import dcnn_value_and_grad, extract_patches, scnn_value_and_grad
 
 
 class TestSelectGamma:
@@ -86,6 +85,14 @@ def _fd_gradcheck(value_fn, params, grads, step=1e-5, max_coords=25):
     return worst
 
 
+def _extract_taps(full, rh, rw):
+    """Read filter-tap gradients back out of full-size correlation images."""
+    h, w = full.shape[-2:]
+    rows = (np.arange(rh) - rh // 2) % h
+    cols = (np.arange(rw) - rw // 2) % w
+    return full[..., rows[:, None], cols[None, :]]
+
+
 def _reference_scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets):
     """The sCNN loss and gradients with every convolution and correlation taken
     as a product of spectra: the independent reference for the spatial-domain
@@ -152,6 +159,91 @@ class TestScnnSpatialBackward:
             assert np.all(grads["thr"][::2] == 0.0)
 
 
+def _reference_dcnn_value_and_grad(first, mid, last, inputs, targets):
+    """The dCNN loss and gradients with every convolution and correlation taken
+    as a product of spectra: the independent reference for the shift-stack
+    forward and backward passes."""
+    b, h, w = inputs.shape
+    shape = (h, w)
+    rh, rw = first.shape[1], first.shape[2]
+
+    uhat = np.fft.rfft2(inputs, axes=(-2, -1))
+    feat = np.maximum(np.fft.irfft2(filter_fft(first, shape)[:, None] * uhat[None],
+                                    s=shape, axes=(-2, -1)), 0.0)
+    feats, feat_hats, mhats = [feat], [np.fft.rfft2(feat, axes=(-2, -1))], []
+    for layer in mid:
+        mhat = np.stack([filter_fft(layer[k], shape) for k in range(layer.shape[0])])
+        mixed = np.einsum("kcab,cnab->knab", mhat, feat_hats[-1])
+        feat = np.maximum(np.fft.irfft2(mixed, s=shape, axes=(-2, -1)), 0.0)
+        mhats.append(mhat)
+        feats.append(feat)
+        feat_hats.append(np.fft.rfft2(feat, axes=(-2, -1)))
+    lhat = filter_fft(last, shape)
+    out = inputs - np.fft.irfft2(np.sum(feat_hats[-1] * lhat[:, None], axis=0),
+                                 s=shape, axes=(-2, -1))
+    resid = out - targets
+    loss = 0.5 * float(np.sum(resid * resid)) / b
+
+    ghat = np.fft.rfft2(resid / b, axes=(-2, -1))
+    g_last = -_extract_taps(
+        np.fft.irfft2(np.conj(feat_hats[-1]) * ghat[None], s=shape, axes=(-2, -1)).sum(axis=1),
+        rh, rw)
+    g_feat = -np.fft.irfft2(np.conj(lhat)[:, None] * ghat[None], s=shape, axes=(-2, -1))
+    g_mid = np.zeros_like(mid)
+    for li in range(mid.shape[0] - 1, -1, -1):
+        g_pre_hat = np.fft.rfft2(np.where(feats[li + 1] > 0, g_feat, 0.0), axes=(-2, -1))
+        corr = np.fft.irfft2(np.conj(feat_hats[li])[None] * g_pre_hat[:, None],
+                             s=shape, axes=(-2, -1))  # (K, K, B, h, w)
+        g_mid[li] = _extract_taps(corr.sum(axis=2), rh, rw)
+        g_feat = np.fft.irfft2(np.einsum("kcab,knab->cnab", np.conj(mhats[li]), g_pre_hat),
+                               s=shape, axes=(-2, -1))
+    g_pre_hat = np.fft.rfft2(np.where(feats[0] > 0, g_feat, 0.0), axes=(-2, -1))
+    g_first = _extract_taps(
+        np.fft.irfft2(np.conj(uhat)[None] * g_pre_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
+    return loss, {"first": g_first, "mid": g_mid, "last": g_last}
+
+
+class TestDcnnShiftStack:
+    @pytest.mark.parametrize("k, n_layers, r, b, h, w", [
+        (3, 2, 3, 2, 9, 12),    # L = 2, non-square images
+        (3, 3, 3, 2, 7, 10),    # L = 3, non-square images
+        (3, 4, 3, 2, 8, 8),     # L = 4
+        (2, 3, 1, 2, 6, 6),     # r = 1
+        (3, 3, 2, 2, 6, 7),     # r = 2: even side, no tap at -o
+        (3, 3, 5, 2, 5, 5),     # filter as large as the image
+        (3, 3, 3, 1, 8, 8),     # B = 1
+        (25, 3, 5, 1, 64, 64),  # K = R = 25 at 64x64
+    ])
+    def test_matches_fft_reference(self, rng, k, n_layers, r, b, h, w):
+        ref = mn.DcnnRefiner.init_random(k, r * r, n_layers, rng)
+        first, mid, last = (np.asarray(a) for a in (ref.first_filters, ref.mid_filters,
+                                                     ref.last_filters))
+        inputs = rng.standard_normal((b, h, w))
+        targets = rng.standard_normal((b, h, w))
+        loss, grads = dcnn_value_and_grad(first, mid, last, inputs, targets)
+        ref_loss, expect = _reference_dcnn_value_and_grad(first, mid, last, inputs, targets)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for name in ("first", "mid", "last"):
+            assert grads[name].shape == expect[name].shape
+            if expect[name].size == 0:
+                continue
+            scale = np.max(np.abs(expect[name]))
+            assert scale > 0
+            assert np.max(np.abs(grads[name] - expect[name])) <= 1e-12 * scale, name
+
+    def test_runs_without_fft(self, rng, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the dCNN ran an FFT")
+
+        ref = mn.DcnnRefiner.init_random(3, 9, 3, rng)
+        u = rng.standard_normal((2, 8, 8))
+        monkeypatch.setattr(np.fft, "rfft2", no_fft)
+        monkeypatch.setattr(np.fft, "irfft2", no_fft)
+        assert ref(u[0]).shape == (8, 8)
+        dcnn_value_and_grad(np.asarray(ref.first_filters), np.asarray(ref.mid_filters),
+                            np.asarray(ref.last_filters), u, u)
+
+
 class TestAnalyticGradients:
     def test_scnn_matches_finite_differences(self, rng):
         enc = rng.uniform(-0.5, 0.5, (3, 3, 3))
@@ -200,8 +292,8 @@ class TestAnalyticGradients:
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
     def test_single_image_loss_is_the_refiner_forward_bitwise(self, rng, arch):
-        # at this size numpy evaluates a product with a temporary operand in
-        # place, with the operands swapped, and complex products are not
+        # sCNN: at this size numpy evaluates a product with a temporary operand
+        # in place, with the operands swapped, and complex products are not
         # bitwise commutative: both paths must still compute the same bits
         if arch == "scnn":
             ref = mn.ScnnRefiner.init_random(25, 25, rng)
@@ -380,10 +472,9 @@ class TestPatchLossBound:
 
     def test_patch_extraction_matches_convolution(self, rng):
         # E @ patches must reproduce the stacked analysis coefficients
-        from mbirnet.refiners import conv_stack, filter_fft
         img = rng.standard_normal((7, 7))
         filt = rng.standard_normal((1, 3, 3))
-        conv = conv_stack(filter_fft(filt, img.shape), img)[0]
+        conv = np.fft.irfft2(filter_fft(filt, img.shape) * np.fft.rfft2(img), s=img.shape)[0]
         patches = extract_patches(img, 3)
         assert np.allclose(filt.reshape(1, 9) @ patches, conv.ravel(), atol=1e-12)
 
