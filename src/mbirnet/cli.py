@@ -168,12 +168,14 @@ def cmd_simulate(args) -> list[Path]:
 def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
                   operators: dict) -> QuadraticDataFit:
     """Data fit from files under `base`; `operators` maps resolved operator paths
-    to parsed operators, so each file is parsed once per command and shared."""
+    to parsed operators, so each file is parsed once per command and shared.
+    The measurements are read first: an operator header declaring another row
+    count is rejected before its matrix is allocated."""
+    y = read_vector_csv(base / measurements)
     key = (base / operator).resolve()
     if key not in operators:
-        operators[key] = read_operator(base / operator)
-    return QuadraticDataFit(operators[key], read_vector_csv(base / weights),
-                            read_vector_csv(base / measurements))
+        operators[key] = read_operator(base / operator, expected_rows=y.size)
+    return QuadraticDataFit(operators[key], read_vector_csv(base / weights), y)
 
 
 def _load_refiners(refiner_dir: Path):

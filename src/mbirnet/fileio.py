@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,12 +78,18 @@ def write_operator(path, op: SparseMatrixOperator) -> None:
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def read_operator(path) -> SparseMatrixOperator:
+def read_operator(path, expected_rows: Optional[int] = None) -> SparseMatrixOperator:
+    """The operator stored at `path`.  With `expected_rows` (the measurement
+    count, say), a header declaring another row count is rejected before
+    anything is allocated, so a huge declared shape that could be allocated
+    is not."""
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 3 or not all(t.isdigit() for t in header):
             raise ValueError(f"{path}: malformed operator header")
         rows, cols, nnz = (int(t) for t in header)
+        if expected_rows is not None and rows != expected_rows:
+            raise ShapeError(f"{path}: header declares {rows} rows, expected {expected_rows}")
         try:
             with warnings.catch_warnings():  # an empty triple list is checked below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

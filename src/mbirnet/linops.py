@@ -125,39 +125,49 @@ def _row_blocks(a: sp.csr_matrix) -> list[sp.csr_matrix]:
     return blocks
 
 
-def _product(blocks: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
-    """Stacked products `block @ v`, one thread per block after the first.
+def _in_threads(work, parts: int) -> list:
+    """[work(0), ..., work(parts - 1)], part 0 on the calling thread and every
+    other part on a thread of its own.
 
-    Each row is summed by the same scipy kernel in the same order, so the
-    result equals the whole matrix's product bit for bit.  The threads live
-    for one call only: a pool kept across calls would hang in a child forked
-    after it was made.  scipy releases the interpreter lock in its CSR kernel,
-    and an exception in a worker is raised again here.
+    The threads live for one call only: a pool kept across calls would hang in
+    a child forked after it was made.  One part starts no thread.  Only the
+    threads that started are joined, and the first exception a worker raised
+    is raised again here.
     """
-    if len(blocks) == 1:
-        return blocks[0] @ v
-    out = [None] * len(blocks)
+    out = [None] * parts
     errors = []
 
-    def work(i):
+    def run(i):
         try:
-            out[i] = blocks[i] @ v
+            out[i] = work(i)
         except BaseException as exc:  # handed to the caller below
             errors.append(exc)
 
     threads = []
     try:
-        for i in range(1, len(blocks)):
-            t = threading.Thread(target=work, args=(i,))
+        for i in range(1, parts):
+            t = threading.Thread(target=run, args=(i,))
             t.start()
             threads.append(t)  # only started threads are joined
-        out[0] = blocks[0] @ v
+        out[0] = work(0)
     finally:
         for t in threads:
             t.join()
     if errors:
         raise errors[0]
-    return np.concatenate(out)
+    return out
+
+
+def _product(blocks: list[sp.csr_matrix], v: np.ndarray) -> np.ndarray:
+    """Stacked products `block @ v`, one thread per block after the first.
+
+    Each row is summed by the same scipy kernel in the same order, so the
+    result equals the whole matrix's product bit for bit.  scipy releases the
+    interpreter lock in its CSR kernel, so the blocks run in parallel.
+    """
+    if len(blocks) == 1:
+        return blocks[0] @ v
+    return np.concatenate(_in_threads(lambda i: blocks[i] @ v, len(blocks)))
 
 
 class SparseMatrixOperator:

@@ -157,6 +157,8 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
     Backward over the banks from the last: with the shift stack
     Q_k[o, n] = g_k[n + o] of output channel k's gradient, row k of the bank
     gradient is (input maps) @ Q_kᵀ, and the input gradient gains bank[k] @ Q_k.
+    The first bank's one input channel is the images, so the stack
+    P[o, n] = u[n - o] of the images gives all its taps in one product.
     """
     b = inputs.shape[0]
     rh, rw = first.shape[1], first.shape[2]
@@ -174,14 +176,17 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
         if li < len(banks) - 1:
             # a ReLU passes its gradient exactly where its output is positive
             g_out = np.where(feats[li + 1] > 0, g_out, 0.0)
+        if li == 0:  # the input images need no gradient
+            g_first = g_out.reshape(kout, -1) @ _shift_stack(inputs, rh, rw).T
+            grads.append(g_first.reshape(bank.shape))
+            break
         flat_in = feat_in.reshape(kin, -1)
         g_bank = np.empty_like(bank)
         g_in = np.zeros_like(flat_in)
         for k in range(kout):
             q = _shift_stack(g_out[k], rh, rw, sign=-1)
             g_bank[k] = (flat_in @ q.T).reshape(kin, rh, rw)
-            if li:  # the input images need no gradient
-                g_in += bank[k].reshape(kin, -1) @ q
+            g_in += bank[k].reshape(kin, -1) @ q
         grads.append(g_bank)
         g_out = g_in.reshape(feat_in.shape)
     grads.reverse()

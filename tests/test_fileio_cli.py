@@ -132,6 +132,13 @@ class TestOperatorFile:
         with pytest.raises(ValueError, match="A.txt"):
             read_operator(p)
 
+    def test_row_count_other_than_expected_rejected(self, tmp_path):
+        p = tmp_path / "A.txt"
+        p.write_text("2 2 1\n0 0 1.0\n")
+        assert read_operator(p, expected_rows=2).shape == (2, 2)
+        with pytest.raises(mn.ShapeError, match="A.txt.*declares 2 rows, expected 3"):
+            read_operator(p, expected_rows=3)
+
     # shapes beyond any address space (and, last, beyond int64): nothing is allocated
     @pytest.mark.parametrize("header", [f"{10**17} 2 1", f"2 {10**17} 1", f"{10**20} 2 1"],
                              ids=["rows", "cols", "int64-overflow"])
@@ -382,6 +389,34 @@ class TestCmdReconstruct:
         err = capsys.readouterr().err
         assert "operator.txt" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_huge_operator_header_rejected_before_allocation(self, blur_workspace, capsys,
+                                                            monkeypatch):
+        import tracemalloc
+        t = blur_workspace
+        shutil.copytree(t / "sim", t / "hugesim")
+        path = t / "hugesim" / "operator.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        _, cols, nnz = lines[0].split()
+        path.write_text(f"{10**9} {cols} {nnz}\n" + "".join(lines[1:]))
+        peaks = []
+
+        def traced_read_operator(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return read_operator(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+        monkeypatch.setattr("mbirnet.cli.read_operator", traced_read_operator)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(t / "refs"), "--input", str(t / "hugesim"),
+                     "--out", str(t / "recx")]) == 2
+        err = capsys.readouterr().err
+        assert "operator.txt" in err and "1000000000 rows" in err
+        assert len(err.strip().splitlines()) == 1
+        assert len(peaks) == 1 and peaks[0] < 1 << 20
 
     def test_diverging_refiner_numeric_failure(self, blur_workspace):
         t = blur_workspace
@@ -706,9 +741,9 @@ class TestOperatorParsedOnce:
             manifest.write_text(text.replace("operator: A.txt", "operator: B.txt", 1))
         calls = []
 
-        def counting_read_operator(path):
+        def counting_read_operator(path, **kwargs):
             calls.append(path)
-            return read_operator(path)
+            return read_operator(path, **kwargs)
         monkeypatch.setattr("mbirnet.cli.read_operator", counting_read_operator)
         assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 0
         assert len(calls) == files

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,14 +188,116 @@ class TestBuildRadon:
         mn.CtGeometry(31, 90, n_detectors=45),
     ], ids=lambda g: f"n{g.n}-v{g.n_views}-d{g.n_detectors}-p{g.pitch:g}")
     def test_matches_per_ray_reference(self, geom):
-        # entry for entry, so every CT artifact stays byte-identical
-        got, want = mn.build_radon(geom).matrix, _reference_radon(geom)
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got.indptr.dtype == want.indptr.dtype
-        assert got.indices.dtype == want.indices.dtype
-        assert got.data.dtype == want.data.dtype
+        _assert_equals_reference(mn.build_radon(geom).matrix, geom)
+
+
+def _assert_equals_reference(got, geom):
+    # entry for entry, so every CT artifact stays byte-identical
+    want = _reference_radon(geom)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got.indptr.dtype == want.indptr.dtype
+    assert got.indices.dtype == want.indices.dtype
+    assert got.data.dtype == want.data.dtype
+
+
+@pytest.fixture
+def view_threads(monkeypatch):
+    """Trace every geometry on `k` threads at most, whatever its size."""
+    from mbirnet import imaging
+
+    def set_threads(k):
+        monkeypatch.setattr(imaging, "_MIN_VIEW_CROSSINGS", 0)
+        monkeypatch.setattr(imaging, "usable_cpus", lambda: k)
+    return set_threads
+
+
+class TestThreadedBuildRadon:
+    @pytest.mark.parametrize("k", [2, 3, 64])
+    @pytest.mark.parametrize("geom", [
+        mn.CtGeometry(2, 1, n_detectors=3, pitch=1.0),
+        mn.CtGeometry(3, 1),
+        mn.CtGeometry(16, 8),
+        mn.CtGeometry(24, 180, n_detectors=60, pitch=0.07),
+        mn.CtGeometry(31, 90, n_detectors=45),
+    ], ids=lambda g: f"n{g.n}-v{g.n_views}-d{g.n_detectors}")
+    def test_split_views_match_per_ray_reference(self, geom, k, view_threads, monkeypatch):
+        import threading
+        started = []
+        real_thread = threading.Thread
+
+        def counting_thread(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+        monkeypatch.setattr(threading, "Thread", counting_thread)
+        view_threads(k)
+        _assert_equals_reference(mn.build_radon(geom).matrix, geom)
+        # one range of views per CPU, and no CPU without a view
+        assert len(started) == min(k, geom.n_views) - 1
+
+    def test_small_geometry_starts_no_thread(self, monkeypatch):
+        import threading
+
+        from mbirnet import imaging
+        monkeypatch.setattr(imaging, "usable_cpus", lambda: 64)  # more CPUs do not split it
+        geom = mn.CtGeometry(64, 23)
+        assert geom.n_detectors * (2 * geom.n + 2) < imaging._MIN_VIEW_CROSSINGS
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a small geometry started a thread")
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        mn.build_radon(geom)
+
+    def test_worker_exception_reaches_caller(self, view_threads, monkeypatch):
+        import threading
+
+        from mbirnet import imaging
+        real_trace = imaging._trace_view
+
+        def broken_in_worker(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("view failed")
+            return real_trace(*args)
+        monkeypatch.setattr(imaging, "_trace_view", broken_in_worker)
+        view_threads(2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="view failed"):
+            mn.build_radon(mn.CtGeometry(16, 8))
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc and glibc")
+    def test_repeated_builds_return_their_memory(self):
+        # a buffer that the calling thread frees after a worker allocated it
+        # raises glibc's mmap threshold; later worker allocations then stay in
+        # the worker's heap, which malloc_trim does not shrink
+        script = "\n".join([
+            "import ctypes, gc, re",
+            "import mbirnet as mn",
+            "from mbirnet import imaging",
+            "imaging.usable_cpus = lambda: 2",
+            "trim = getattr(ctypes.CDLL(None), 'malloc_trim', None)",
+            "if trim is None:",
+            "    raise SystemExit(5)",
+            "rss = []",
+            "for _ in range(3):",
+            "    mn.build_radon(mn.CtGeometry(256, 180))",
+            "    gc.collect()",
+            "    trim(0)",
+            "    with open('/proc/self/status') as fh:",
+            "        rss.append(int(re.search(r'VmRSS:\\s+(\\d+)', fh.read()).group(1)) / 1024)",
+            "print(*rss)",
+        ])
+        src = str(Path(mn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=300)
+        if proc.returncode == 5:
+            pytest.skip("the C library has no malloc_trim")
+        assert proc.returncode == 0, proc.stderr
+        first, *later = (float(t) for t in proc.stdout.split())
+        assert all(abs(mb - first) <= 16.0 for mb in later), proc.stdout
 
 
 class TestSimulateCt:
