@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+import scipy.fft
 
 from . import config as cfgmod
 from .config import ConfigError
@@ -32,7 +33,7 @@ from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                      write_pgm, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
-from .linops import QuadraticDataFit, ShapeError, diag_majorizer, select_gamma, usable_cpus
+from .linops import QuadraticDataFit, diag_majorizer, select_gamma, usable_cpus
 from .refiners import load_refiner, save_refiner
 from .solver import NumericFailure, run_bcd_net, run_momentum_net
 from .training import TrainingSample, backprojection_init, greedy_train
@@ -68,6 +69,7 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "numpy_fft": "pocketfft" if hasattr(np.fft, "_pocketfft") else "unknown",
+        "scipy_fft": "pocketfft" if hasattr(scipy.fft, "_pocketfft") else "unknown",
         "cpus": usable_cpus(),
     }
 
@@ -166,15 +168,17 @@ def cmd_simulate(args) -> list[Path]:
 
 
 def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
-                  operators: dict) -> QuadraticDataFit:
-    """Data fit from files under `base`; `operators` maps resolved operator paths
-    to parsed operators, so each file is parsed once per command and shared.
-    The measurements are read first: an operator header declaring another row
-    count is rejected before its matrix is allocated."""
+                  pixels: int, operators: dict) -> QuadraticDataFit:
+    """Data fit over `pixels` unknowns from files under `base`; `operators` maps
+    resolved operator paths to parsed operators, so each file is parsed once per
+    command and shared.  The measurements are read first: an operator header
+    declaring another row count, or other than `pixels` columns, is rejected
+    before its matrix is allocated."""
     y = read_vector_csv(base / measurements)
     key = (base / operator).resolve()
     if key not in operators:
-        operators[key] = read_operator(base / operator, expected_rows=y.size)
+        operators[key] = read_operator(base / operator, expected_rows=y.size,
+                                       expected_cols=pixels)
     return QuadraticDataFit(operators[key], read_vector_csv(base / weights), y)
 
 
@@ -190,8 +194,6 @@ def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit, label: str = "")
     iterate raises NumericFailure, prefixed with `label` when one is given."""
     solver = cfg["solver"]
     n = cfg["problem"]["n"]
-    if datafit.n != n * n:
-        raise ShapeError(f"operator input dim {datafit.n} does not match n={n}")
     feasible = cfgmod.build_feasible(solver)
     net_config = cfgmod.build_solver_config(solver)
     x0 = backprojection_init(datafit, (n, n))
@@ -209,7 +211,9 @@ def cmd_reconstruct(args) -> list[Path]:
     cfg = _load(cfgmod.load_config, args.config, args)
     out = _out_dir(args)
 
-    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
+    n = cfg["problem"]["n"]
+    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv",
+                            n * n, {})
     refiners = _load_refiners(Path(args.refiners))
     trace = _run_solver(cfg, refiners, datafit)
 
@@ -237,7 +241,7 @@ def _training_setup(args):
     for entry in cfg["samples"]:
         truth = read_pgm(base / entry["truth"])
         datafit = _load_datafit(base, entry["operator"], entry["measurements"],
-                                entry["weights"], operators)
+                                entry["weights"], truth.size, operators)
         m_f = diag_majorizer(datafit)
         g = select_gamma(m_f, chi) if gamma is None else gamma
         samples.append(TrainingSample(truth, datafit, g, m_f.shifted(g, lam=lam)))
@@ -295,7 +299,9 @@ def cmd_compare(args) -> list[Path]:
     out = _out_dir(args)
 
     refiners = _load_refiners(Path(args.refiners))
-    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv", {})
+    n = configs[0]["problem"]["n"]
+    datafit = _load_datafit(Path(args.input), "operator.txt", "y.csv", "weights.csv",
+                            n * n, {})
     runs = []
     written = []
     for label, cfg in zip(labels, configs):

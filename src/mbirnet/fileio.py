@@ -78,11 +78,12 @@ def write_operator(path, op: SparseMatrixOperator) -> None:
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def read_operator(path, expected_rows: Optional[int] = None) -> SparseMatrixOperator:
+def read_operator(path, expected_rows: Optional[int] = None,
+                  expected_cols: Optional[int] = None) -> SparseMatrixOperator:
     """The operator stored at `path`.  With `expected_rows` (the measurement
-    count, say), a header declaring another row count is rejected before
-    anything is allocated, so a huge declared shape that could be allocated
-    is not."""
+    count, say) or `expected_cols` (the pixel count), a header declaring
+    another shape is rejected before anything is allocated, so a huge
+    declared shape that could be allocated is not."""
     with open(path, "rb") as fh:
         header = fh.readline().split()
         if len(header) != 3 or not all(t.isdigit() for t in header):
@@ -90,6 +91,8 @@ def read_operator(path, expected_rows: Optional[int] = None) -> SparseMatrixOper
         rows, cols, nnz = (int(t) for t in header)
         if expected_rows is not None and rows != expected_rows:
             raise ShapeError(f"{path}: header declares {rows} rows, expected {expected_rows}")
+        if expected_cols is not None and cols != expected_cols:
+            raise ShapeError(f"{path}: header declares {cols} columns, expected {expected_cols}")
         try:
             with warnings.catch_warnings():  # an empty triple list is checked below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -168,6 +168,15 @@ def _trace_view(n: int, pitch: float, theta: float, offsets: np.ndarray):
 # break-even moves with the allocator's state; the floor follows a fresh one.
 _MIN_VIEW_CROSSINGS = 1 << 17
 
+# Most plane crossings traced in one `_trace_view` call: a view with more is
+# traced in runs of adjacent rays, so each of its (rays, 2n + 2)-shaped
+# temporaries stays near 0.5 MB (64x64 traces a whole view per call).  With
+# these small temporaries, and range buffers too large for a thread heap
+# (glibc maps them on their own), a tracing thread's heap stays small.  When it
+# held whole views' temporaries and per-view pieces, it kept 15-30 MB resident
+# after `malloc_trim` in 6 of 30 runs of three 256x256 builds.
+_CHUNK_CROSSINGS = 1 << 16
+
 
 def build_radon(geom: CtGeometry) -> SparseMatrixOperator:
     """Sparse line-integral matrix for the geometry; all entries nonnegative.
@@ -178,6 +187,8 @@ def build_radon(geom: CtGeometry) -> SparseMatrixOperator:
     traced in contiguous ranges, one per usable CPU (`linops.usable_cpus`), on
     threads that live for this call only; numpy releases the interpreter lock
     inside the tracing.  A smaller geometry is traced on the calling thread.
+    Each range writes its entries into two buffers sized for every crossing
+    of its views, of which only the written pages become resident.
     """
     n, n_det = geom.n, geom.n_detectors
     offsets = (np.arange(n_det) - 0.5 * (n_det - 1)) * geom.pitch
@@ -186,25 +197,35 @@ def build_radon(geom: CtGeometry) -> SparseMatrixOperator:
     if n_det * (2 * n + 2) >= _MIN_VIEW_CROSSINGS:
         parts = min(usable_cpus(), angles.size)
     bounds = [angles.size * i // parts for i in range(parts + 1)]
+    rays = max(1, _CHUNK_CROSSINGS // (2 * n + 2))
 
     def trace(part):
-        pieces = []
-        for angle in angles[bounds[part]:bounds[part + 1]]:
-            ray, idx, lengths = _trace_view(n, geom.pitch, math.radians(angle), offsets)
-            # int32 like scipy's own index arrays: an n with n*n beyond it
-            # would need tens of GB for one view's crossings
-            pieces.append((np.bincount(ray, minlength=n_det), idx.astype(np.int32), lengths))
-        return pieces
+        views = angles[bounds[part]:bounds[part + 1]]
+        # a ray keeps at most its 2n + 3 segments; int32 indices like scipy's
+        # own index arrays: an n with n*n beyond it would need tens of GB for
+        # one view's crossings
+        size = views.size * n_det * (2 * n + 3)
+        indices, data = np.empty(size, dtype=np.int32), np.empty(size)
+        counts, end = [], 0
+        for angle in views:
+            for first in range(0, n_det, rays):
+                run = offsets[first:first + rays]
+                ray, idx, lengths = _trace_view(n, geom.pitch, math.radians(angle), run)
+                counts.append(np.bincount(ray, minlength=run.size))
+                indices[end:end + idx.size] = idx
+                data[end:end + idx.size] = lengths
+                end += idx.size
+        return counts, indices[:end], data[:end]
 
-    # The calling thread joins every view's pieces once.  A CSR block built on
-    # each thread and joined afterwards is as fast, but when the calling
-    # thread frees a worker's block of tens of MB, glibc raises its mmap
-    # threshold; later worker allocations then come from the worker's own
-    # heap, whose free top malloc_trim does not return, and the process keeps
-    # tens of MB more resident after each build.
-    pieces = [p for part in _in_threads(trace, parts) for p in part]
-    counts, indices, data = zip(*pieces)
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    # The calling thread joins the ranges once.  The range buffers are sized
+    # by the crossing bound, not by what was written: at 256x256 with 180 views
+    # they are 67 and 134 MB per range, beyond glibc's largest mmap threshold
+    # (32 MB), so each is mapped on its own and freeing it leaves the threshold
+    # as it was.  Freeing a worker's exactly sized array of tens of MB raises
+    # the threshold; later worker allocations then stay in the worker's heap,
+    # whose free top malloc_trim does not return.
+    counts, indices, data = zip(*_in_threads(trace, parts))
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate([c for cs in counts for c in cs]))))
     # the operator sorts each row's columns in place (`sum_duplicates`)
     return SparseMatrixOperator(sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), indptr), shape=(geom.n_rays, n * n)))

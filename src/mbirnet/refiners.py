@@ -14,8 +14,9 @@ All refiners are immutable value objects; calling one applies the forward map
 to one (h, w) image.  Each forward pass is written once, on (B, h, w) stacks
 (`_scnn_forward`, `_dcnn_forward`), and the training gradients reuse it, so
 the trained network is the one that reconstructs.  The dCNN forward and every
-training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN forward
-multiplies spectra.  `solver.run_caol_bpegm` keeps its own tied forward on
+training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN and
+tied forward multiply spectra, with `scipy.fft` transforms on the calling
+thread.  `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` on
 purpose: it is the independent oracle.
 """
 
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .linops import ShapeError, _frozen, as_f64
 from .prox import soft_threshold
@@ -54,7 +56,7 @@ def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """rfft2 of the embedded filter stack."""
-    return np.fft.rfft2(embed_filters(filters, shape), axes=(-2, -1))
+    return scipy.fft.rfft2(embed_filters(filters, shape), axes=(-2, -1))
 
 
 def flip_filter(filt: np.ndarray) -> np.ndarray:
@@ -132,8 +134,8 @@ def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
 
 def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Thresholded analysis codes (K, B, h, w) of a (B, h, w) stack."""
-    uhat = np.fft.rfft2(u, axes=(-2, -1))
-    code = np.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
+    uhat = scipy.fft.rfft2(u, axes=(-2, -1))
+    code = scipy.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
     return soft_threshold(code, thresholds[:, None, None, None])
 
 
@@ -146,10 +148,11 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
     nonzero exactly where it passed its threshold.
     """
     hidden = _scnn_codes(ehat, thresholds, u)
-    hhat = np.fft.rfft2(hidden, axes=(-2, -1))
+    hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
     # complex products are not bitwise commutative; codes-first is the order
     # single-image reconstruction has always used
-    out = np.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=u.shape[-2:], axes=(-2, -1))
+    hhat *= dhat[:, None]
+    out = scipy.fft.irfft2(np.sum(hhat, axis=0), s=u.shape[-2:], axes=(-2, -1))
     return out, hidden
 
 

@@ -21,7 +21,7 @@ from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MbirObjective,
                      QuadraticDataFit, ShapeError, _flat, as_f64, datafit_gradient,
                      diag_majorizer, mbir_gradient, select_gamma)
 from .prox import prox_indicator, soft_threshold
-from .refiners import filter_fft, tf_defect
+from .refiners import embed_filters, tf_defect
 
 Refiner = Callable[[np.ndarray], np.ndarray]
 
@@ -403,7 +403,7 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
     x_prev = x.copy()
     m_f = diag_majorizer(datafit)
     md = m_f.diag + gamma  # lam = 1: the sparse-coded objective is convex in x
-    hhat = filter_fft(tf_filters, shape)
+    hhat = np.fft.rfft2(embed_filters(tf_filters, shape), axes=(-2, -1))
     theta = 1.0
     m = 0.0
 

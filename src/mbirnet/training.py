@@ -10,6 +10,7 @@ at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The forward half
 of each gradient is the refiner's own batched forward pass
 (`refiners._scnn_forward`, `refiners._dcnn_forward`), so training fits exactly
 the map that reconstruction runs; only the backward half is written here.
+The sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.
 Both backward passes work in the spatial domain, as GEMMs on stacks of the
 circular shifts of the images over the filter taps (`refiners._shift_stack`,
 the layout of `extract_patches`).
@@ -142,8 +143,10 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     hidden = hidden.reshape(k, -1)
     g_dec = hidden @ q.T
     g_hidden = dec.reshape(k, -1) @ q
-    # a code passed its threshold exactly where it is nonzero, with the sign it had
-    g_thr = -dthr * np.sum(g_hidden * np.sign(hidden), axis=1)
+    del q
+    # a code passed its threshold exactly where it is nonzero, with the sign it
+    # had; row by row, each row reduces as the axis-1 sum does, bit for bit
+    g_thr = -dthr * np.array([np.sum(g_hidden[i] * np.sign(hidden[i])) for i in range(k)])
     np.copyto(g_hidden, 0.0, where=hidden == 0.0)
     g_enc = g_hidden @ _shift_stack(inputs, rh, rw).T
     return loss, {"enc": g_enc.reshape(enc.shape), "dec": g_dec.reshape(dec.shape),

@@ -139,6 +139,13 @@ class TestOperatorFile:
         with pytest.raises(mn.ShapeError, match="A.txt.*declares 2 rows, expected 3"):
             read_operator(p, expected_rows=3)
 
+    def test_column_count_other_than_expected_rejected(self, tmp_path):
+        p = tmp_path / "A.txt"
+        p.write_text("2 3 1\n0 0 1.0\n")
+        assert read_operator(p, expected_rows=2, expected_cols=3).shape == (2, 3)
+        with pytest.raises(mn.ShapeError, match="A.txt.*declares 3 columns, expected 4"):
+            read_operator(p, expected_cols=4)
+
     # shapes beyond any address space (and, last, beyond int64): nothing is allocated
     @pytest.mark.parametrize("header", [f"{10**17} 2 1", f"2 {10**17} 1", f"{10**20} 2 1"],
                              ids=["rows", "cols", "int64-overflow"])
@@ -274,6 +281,7 @@ class TestCmdSimulate:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
         assert isinstance(env["numpy_fft"], str) and env["numpy_fft"]
+        assert isinstance(env["scipy_fft"], str) and env["scipy_fft"]
         assert env["cpus"] == usable_cpus() >= 1
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -390,15 +398,17 @@ class TestCmdReconstruct:
         assert "operator.txt" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_huge_operator_header_rejected_before_allocation(self, blur_workspace, capsys,
-                                                            monkeypatch):
+    @staticmethod
+    def _assert_huge_header_rejected(t, capsys, monkeypatch, huge):
+        """A header declaring 10^9 `huge` ("rows" or "columns") exits 2 with one
+        stderr line naming it, and `read_operator` allocates under 1 MB."""
         import tracemalloc
-        t = blur_workspace
         shutil.copytree(t / "sim", t / "hugesim")
         path = t / "hugesim" / "operator.txt"
         lines = path.read_text().splitlines(keepends=True)
-        _, cols, nnz = lines[0].split()
-        path.write_text(f"{10**9} {cols} {nnz}\n" + "".join(lines[1:]))
+        rows, cols, nnz = lines[0].split()
+        header = f"{10**9} {cols}" if huge == "rows" else f"{rows} {10**9}"
+        path.write_text(f"{header} {nnz}\n" + "".join(lines[1:]))
         peaks = []
 
         def traced_read_operator(*args, **kwargs):
@@ -414,9 +424,17 @@ class TestCmdReconstruct:
                      "--refiners", str(t / "refs"), "--input", str(t / "hugesim"),
                      "--out", str(t / "recx")]) == 2
         err = capsys.readouterr().err
-        assert "operator.txt" in err and "1000000000 rows" in err
+        assert "operator.txt" in err and f"1000000000 {huge}" in err
         assert len(err.strip().splitlines()) == 1
         assert len(peaks) == 1 and peaks[0] < 1 << 20
+
+    def test_huge_operator_header_rejected_before_allocation(self, blur_workspace, capsys,
+                                                            monkeypatch):
+        self._assert_huge_header_rejected(blur_workspace, capsys, monkeypatch, "rows")
+
+    def test_huge_column_count_rejected_before_allocation(self, blur_workspace, capsys,
+                                                         monkeypatch):
+        self._assert_huge_header_rejected(blur_workspace, capsys, monkeypatch, "columns")
 
     def test_diverging_refiner_numeric_failure(self, blur_workspace):
         t = blur_workspace

@@ -236,6 +236,14 @@ class TestThreadedBuildRadon:
         # one range of views per CPU, and no CPU without a view
         assert len(started) == min(k, geom.n_views) - 1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_runs_of_rays_match_per_ray_reference(self, k, view_threads, monkeypatch):
+        from mbirnet import imaging
+        monkeypatch.setattr(imaging, "_CHUNK_CROSSINGS", 100)  # 1 or 2 rays per run
+        view_threads(k)
+        for geom in (mn.CtGeometry(16, 8), mn.CtGeometry(31, 90, n_detectors=45)):
+            _assert_equals_reference(mn.build_radon(geom).matrix, geom)
+
     def test_small_geometry_starts_no_thread(self, monkeypatch):
         import threading
 

@@ -322,6 +322,21 @@ class TestCaolBpegm:
                                   deblur_problem["x0"], 0)
         assert len(trace) == 1
 
+    def test_runs_without_scipy_fft(self, deblur_problem, monkeypatch):
+        # the oracle keeps numpy.fft, so it shares no FFT library with the
+        # refiners it checks
+        import scipy.fft
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the oracle ran a scipy.fft transform")
+
+        monkeypatch.setattr(scipy.fft, "rfft2", no_fft)
+        monkeypatch.setattr(scipy.fft, "irfft2", no_fft)
+        trace = mn.run_caol_bpegm(deblur_problem["datafit"], mn.make_tf_filterbank(4),
+                                  np.full(4, 1e-3), 0.05, deblur_problem["feasible"],
+                                  deblur_problem["x0"], 2)
+        assert len(trace) == 3
+
     def test_refuses_non_tight_bank(self, deblur_problem, rng):
         with pytest.raises(ValueError):
             mn.run_caol_bpegm(deblur_problem["datafit"], rng.standard_normal((4, 2, 2)),

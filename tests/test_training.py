@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import mbirnet as mn
 import mbirnet.training
@@ -96,7 +97,8 @@ def _extract_taps(full, rh, rw):
 def _reference_scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets):
     """The sCNN loss and gradients with every convolution and correlation taken
     as a product of spectra: the independent reference for the spatial-domain
-    backward pass."""
+    backward pass.  The forward runs on the refiners' FFT library (scipy.fft),
+    so its loss equals the program's bit for bit at every image size."""
     b, h, w = inputs.shape
     shape = (h, w)
     rh, rw = enc.shape[1], enc.shape[2]
@@ -104,11 +106,11 @@ def _reference_scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets)
     dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
 
     ehat, dhat = filter_fft(enc, shape), filter_fft(dec, shape)
-    uhat = np.fft.rfft2(inputs, axes=(-2, -1))
-    hidden = soft_threshold(np.fft.irfft2(ehat[:, None] * uhat[None], s=shape, axes=(-2, -1)),
+    uhat = scipy.fft.rfft2(inputs, axes=(-2, -1))
+    hidden = soft_threshold(scipy.fft.irfft2(ehat[:, None] * uhat[None], s=shape, axes=(-2, -1)),
                             thr[:, None, None, None])
-    hhat = np.fft.rfft2(hidden, axes=(-2, -1))
-    out = np.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=shape, axes=(-2, -1))
+    hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
+    out = scipy.fft.irfft2(np.sum(hhat * dhat[:, None], axis=0), s=shape, axes=(-2, -1))
     if residual:
         out = out + inputs
     resid = out - targets
@@ -157,6 +159,51 @@ class TestScnnSpatialBackward:
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
         if pinned:
             assert np.all(grads["thr"][::2] == 0.0)
+
+    def test_runs_without_numpy_fft(self, rng, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("the sCNN ran a numpy.fft transform")
+
+        scnn = mn.ScnnRefiner.init_random(4, 9, rng)
+        tied = mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.full(4, 0.1))
+        u = rng.standard_normal((2, 8, 8))
+        monkeypatch.setattr(np.fft, "rfft2", no_fft)
+        monkeypatch.setattr(np.fft, "irfft2", no_fft)
+        assert scnn(u[0]).shape == tied(u[0]).shape == tied.codes(u[0]).shape[1:] == (8, 8)
+        scnn_value_and_grad(np.asarray(scnn.enc_filters), np.asarray(scnn.dec_filters),
+                            np.asarray(scnn.log_thresholds), True, u, u)
+
+
+@pytest.mark.parametrize("k, n", [(25, 40960), (3, 1000), (7, 5), (1, 1), (4, 0)])
+def test_rowwise_threshold_gradient_sum_is_bitwise(rng, k, n):
+    # scnn_value_and_grad reduces each code row on its own; every row must
+    # reduce exactly as the axis-1 sum of the whole (K, N) product does,
+    # with codes and gradients that hold zeros of both signs
+    hidden = rng.standard_normal((k, n))
+    hidden[rng.random((k, n)) < 0.4] = 0.0
+    hidden[rng.random((k, n)) < 0.2] = -0.0
+    grad = rng.standard_normal((k, n))
+    grad[rng.random((k, n)) < 0.2] = -0.0
+    rows = np.array([np.sum(grad[i] * np.sign(hidden[i])) for i in range(k)])
+    whole = np.sum(grad * np.sign(hidden), axis=1)
+    assert rows.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("k, b, h, w", [(25, 10, 64, 33), (3, 2, 9, 7), (4, 1, 5, 3)])
+def test_inplace_filter_sum_is_bitwise(rng, k, b, h, w):
+    # refiners._scnn_forward multiplies the code spectra by the decoder's in
+    # place before the K-sum; that must equal the product-then-sum, bit for bit
+    def spectra(*shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        z.real[rng.random(shape) < 0.2] = 0.0
+        z.imag[rng.random(shape) < 0.2] = -0.0
+        return z
+
+    hhat, dhat = spectra(k, b, h, w), spectra(k, h, w)
+    dhat[0] = -0.0
+    expect = np.sum(hhat * dhat[:, None], axis=0)
+    hhat *= dhat[:, None]
+    assert np.sum(hhat, axis=0).tobytes() == expect.tobytes()
 
 
 def _reference_dcnn_value_and_grad(first, mid, last, inputs, targets):
@@ -237,8 +284,9 @@ class TestDcnnShiftStack:
 
         ref = mn.DcnnRefiner.init_random(3, 9, 3, rng)
         u = rng.standard_normal((2, 8, 8))
-        monkeypatch.setattr(np.fft, "rfft2", no_fft)
-        monkeypatch.setattr(np.fft, "irfft2", no_fft)
+        for module in (np.fft, scipy.fft):
+            monkeypatch.setattr(module, "rfft2", no_fft)
+            monkeypatch.setattr(module, "irfft2", no_fft)
         assert ref(u[0]).shape == (8, 8)
         dcnn_value_and_grad(np.asarray(ref.first_filters), np.asarray(ref.mid_filters),
                             np.asarray(ref.last_filters), u, u)
