@@ -21,6 +21,7 @@ import math
 import platform
 import resource
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                      write_pgm, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
-from .linops import QuadraticDataFit, diag_majorizer, select_gamma, usable_cpus
+from .linops import QuadraticDataFit, usable_cpus
 from .refiners import load_refiner, save_refiner
 from .solver import NumericFailure, run_bcd_net, run_momentum_net
 from .training import TrainingSample, backprojection_init, greedy_train
@@ -226,15 +227,11 @@ def cmd_reconstruct(args) -> list[Path]:
 
 
 def _training_setup(args):
-    """Training manifest (command-line seed applied), its samples and its
-    feasible set."""
+    """Training manifest (command-line seed applied), its solver config, its
+    samples and its feasible set.  The config is built, and so checked, before
+    any sample file is read."""
     cfg = _load(cfgmod.load_training_manifest, args.config, args)
-    chi, gamma, lam = cfg["chi"], cfg["gamma"], cfg["solver"]["lam"]
-    if (chi is None) == (gamma is None):
-        raise ConfigError("training manifest must set exactly one of chi or gamma")
-    for key, value in (("chi", chi), ("gamma", gamma)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{key} must be finite and > 0, got {value}")
+    net_config = cfgmod.build_solver_config(cfg["solver"])
     base = Path(args.config).parent
     operators = {}
     samples = []
@@ -242,21 +239,21 @@ def _training_setup(args):
         truth = read_pgm(base / entry["truth"])
         datafit = _load_datafit(base, entry["operator"], entry["measurements"],
                                 entry["weights"], truth.size, operators)
-        m_f = diag_majorizer(datafit)
-        g = select_gamma(m_f, chi) if gamma is None else gamma
-        samples.append(TrainingSample(truth, datafit, g, m_f.shifted(g, lam=lam)))
-    return cfg, samples, cfgmod.build_feasible(cfg["solver"])
+        samples.append(TrainingSample(truth, datafit))
+    return cfg, net_config, samples, cfgmod.build_feasible(cfg["solver"])
 
 
 def cmd_train(args) -> list[Path]:
-    cfg, samples, feasible = _training_setup(args)
+    cfg, net_config, samples, feasible = _training_setup(args)
     out = _out_dir(args)
 
-    net_config = cfgmod.build_solver_config(cfg["solver"], n_iter=cfg["train"]["n_iter"])
+    net_config = replace(net_config, n_iter=cfg["train"]["n_iter"])
     arch = cfgmod.build_arch(cfg["train"])
     train_config = cfgmod.build_train_config(cfg["train"], cfg["seed"])
 
-    refiners, histories = greedy_train(samples, arch, net_config, train_config, feasible)
+    # a diverging loss raises TrainingAborted (exit 3), not one warning per overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        refiners, histories = greedy_train(samples, arch, net_config, train_config, feasible)
     written = []
     for i, (refiner, history) in enumerate(zip(refiners, histories)):
         rpath = out / f"refiner_{i:03d}.rfn"
@@ -273,14 +270,13 @@ def cmd_train(args) -> list[Path]:
 
 
 def cmd_diagnose(args) -> list[Path]:
-    cfg, samples, feasible = _training_setup(args)
+    cfg, net_config, samples, feasible = _training_setup(args)
     out = _out_dir(args)
 
     refiners = _load_refiners(Path(args.refiners))
     # diagnostics are estimated over the trained depth: one refiner per iteration
-    net_config = cfgmod.build_solver_config(cfg["solver"], n_iter=len(refiners))
-    result = run_diagnostics(refiners, samples, net_config, feasible,
-                             n_pairs=args.pairs, seed=cfg["seed"])
+    result = run_diagnostics(refiners, samples, replace(net_config, n_iter=len(refiners)),
+                             feasible, n_pairs=args.pairs, seed=cfg["seed"])
     path = out / "diagnostics.csv"
     result.to_csv(path)
     print(f"diagnostics over {result.n_iter} iterations -> {path}")

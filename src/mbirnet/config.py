@@ -7,7 +7,7 @@ key must be declared below.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 import yaml
 
@@ -44,7 +44,6 @@ _SOLVER_KEYS = {
     "rho": (float, 0.999),
     "delta": (float, 1.0 - 1e-9),
     "lam": (float, 1.0),
-    "convex": (bool, True),
     "chi": (float, None),
     "gamma": (float, None),
     "inner_iters": (int, 10),
@@ -52,6 +51,9 @@ _SOLVER_KEYS = {
     "box_lo": (float, 0.0),
     "box_hi": (float, 1.0),
 }
+
+# a training manifest sets chi or gamma at its top level only
+_MANIFEST_SOLVER_KEYS = {k: v for k, v in _SOLVER_KEYS.items() if k not in ("chi", "gamma")}
 
 _ARCH_KEYS = {
     "type": (str, "scnn"),
@@ -90,7 +92,7 @@ _MANIFEST_KEYS = {
     "seed": (int, 0),
     "chi": (float, None),
     "gamma": (float, None),
-    "solver": (_SOLVER_KEYS, {}),
+    "solver": (_MANIFEST_SOLVER_KEYS, {}),
     "train": (_TRAIN_KEYS, {}),
     "samples": (list, _REQUIRED),
 }
@@ -168,8 +170,13 @@ def load_config(path) -> dict:
 
 
 def load_training_manifest(path) -> dict:
-    """Load and validate a training-set manifest; sample paths stay relative."""
+    """Load and validate a training-set manifest; sample paths stay relative.
+    Its top-level chi or gamma moves into the solver block, as a problem
+    config holds it."""
     cfg = _read(path, _MANIFEST_KEYS)
+    if (cfg["chi"] is None) == (cfg["gamma"] is None):
+        raise ConfigError(f"{path}: training manifest must set exactly one of chi or gamma")
+    cfg["solver"].update(chi=cfg["chi"], gamma=cfg["gamma"])
     cfg["samples"] = [_validate(s, _SAMPLE_KEYS, f"{path}.samples[{i}]")
                       for i, s in enumerate(cfg["samples"])]
     if not cfg["samples"]:
@@ -195,7 +202,7 @@ def build_feasible(solver: dict) -> FeasibleSet:
 SOLVER_KINDS = ("momentum", "momentum-noextrap", "bcd")
 
 
-def build_solver_config(solver: dict, n_iter: Optional[int] = None) -> MomentumNetConfig:
+def build_solver_config(solver: dict) -> MomentumNetConfig:
     kind = solver["kind"]
     if kind not in SOLVER_KINDS:
         raise ConfigError(f"unknown solver {kind!r}; valid choices: {', '.join(SOLVER_KINDS)}")
@@ -203,13 +210,12 @@ def build_solver_config(solver: dict, n_iter: Optional[int] = None) -> MomentumN
     if chi is None and gamma is None:
         chi = 30.0
     return MomentumNetConfig(
-        n_iter=solver["n_iter"] if n_iter is None else n_iter,
+        n_iter=solver["n_iter"],
         rho=solver["rho"],
         gamma=gamma,
         chi=chi,
         delta=solver["delta"],
         lam=solver["lam"],
-        convex=solver["convex"],
         extrapolate=(kind != "momentum-noextrap"),
     )
 

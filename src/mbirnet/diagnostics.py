@@ -69,12 +69,13 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
     has_pairs = len(refiners) >= 2
 
     xs = xs_prev = _starts(samples, shape)
+    metrics = [config.metric(s.datafit) for s in samples]
     state = MomentumState(delta=config.delta)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate ends the run
         for k in range(1, config.n_iter + 1):
             # refiner k (1-based) consumes x^{(k-1)}; io pairs each input with its output
-            outs, zs, xs_new, state = _advance(samples, xs, xs_prev, state,
+            outs, zs, xs_new, state = _advance(samples, metrics, xs, xs_prev, state,
                                                _refiner_at(refiners, k - 1), config,
                                                feasible, shape)
             io = [(x.reshape(shape), out) for x, out in zip(xs, outs)]

@@ -266,8 +266,8 @@ class DiagonalMajorizer:
             raise ValueError("empty diagonal")
         if not np.all(np.isfinite(self.diag)) or np.any(self.diag <= 0):
             raise ValueError("majorizer diagonal must be finite and strictly positive")
-        if self.lam < 1.0:
-            raise ValueError("scale lam must be >= 1")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"scale lam must be finite and >= 1, got {self.lam}")
 
     @property
     def scaled_diag(self) -> np.ndarray:

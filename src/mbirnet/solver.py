@@ -98,9 +98,10 @@ class MomentumNetConfig:
     chi derives gamma from the spectral spread of the data-fit majorizer at
     run time (falling back to the majorizer maximum when the spread is zero up
     to rounding; see `select_gamma`).
-    lam = 1 pairs with convex mode; nonconvex mode requires lam > 1.  The
-    relaxation weight rho defaults to 0.999 (nearly pure refining); problems
-    with moderate regularization often do better around 0.5.
+    lam = 1 is convex mode; lam > 1 is nonconvex mode, whose extrapolation
+    carries the factor (lam-1)/(2(lam+1)).  The relaxation weight rho defaults
+    to 0.999 (nearly pure refining); problems with moderate regularization
+    often do better around 0.5.
     """
 
     n_iter: int
@@ -109,7 +110,6 @@ class MomentumNetConfig:
     chi: Optional[float] = None
     delta: float = 1.0 - 1e-9
     lam: float = 1.0
-    convex: bool = True
     extrapolate: bool = True
     record_fixed_point: bool = True
 
@@ -125,15 +125,15 @@ class MomentumNetConfig:
         for key, value in (("gamma", self.gamma), ("chi", self.chi)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {value}")
-        if self.convex and self.lam != 1.0:
-            raise ValueError("convex mode uses lam = 1")
-        if not self.convex and self.lam <= 1.0:
-            raise ValueError("nonconvex mode needs lam > 1")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
 
-    def resolve_gamma(self, m_f: DiagonalMajorizer) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        return select_gamma(m_f, self.chi)
+    def metric(self, datafit: QuadraticDataFit) -> tuple[float, DiagonalMajorizer]:
+        """The proximity weight gamma for this data fit and the MBIR metric
+        lam * (M_f + gamma I) built from its diagonal majorizer M_f."""
+        m_f = diag_majorizer(datafit)
+        gamma = select_gamma(m_f, self.chi) if self.gamma is None else self.gamma
+        return gamma, m_f.shifted(gamma, lam=self.lam)
 
 
 @dataclass
@@ -212,8 +212,8 @@ def mbir_step(x_acute, obj: MbirObjective, m_tilde: DiagonalMajorizer):
 
 def fixed_point_residual(x, refiner: Refiner, config: MomentumNetConfig,
                          datafit: QuadraticDataFit, feasible: FeasibleSet,
-                         m_tilde: DiagonalMajorizer, shape: Optional[tuple[int, int]] = None,
-                         gamma: Optional[float] = None) -> float:
+                         m_tilde: DiagonalMajorizer, gamma: float,
+                         shape: Optional[tuple[int, int]] = None) -> float:
     """Normalized distance of x from its own zero-momentum full iteration.
 
     Zero exactly when x reproduces itself through refine -> MBIR with no
@@ -224,8 +224,6 @@ def fixed_point_residual(x, refiner: Refiner, config: MomentumNetConfig,
     if shape is None:
         raise ShapeError("shape required when x is a flat array")
     xf = _flat(x)
-    if gamma is None:
-        gamma = config.resolve_gamma(diag_majorizer(datafit))
     z_bar = (1.0 - config.rho) * xf + config.rho * refiner(xf.reshape(shape)).ravel()
     obj = MbirObjective(datafit, gamma, z_bar, feasible)
     x_next = mbir_step(xf, obj, m_tilde)
@@ -244,7 +242,7 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
     """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
     z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
-        e_diag = extrapolation_matrix(m_big, m_big, state, config.lam, config.convex)
+        e_diag = extrapolation_matrix(m_big, m_big, state, config.lam, config.lam == 1.0)
         x_acute = x + e_diag * (x - x_prev)
     else:
         x_acute = x
@@ -308,9 +306,7 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     """
     shape = x0.shape
     x_prev = x0.data.copy()
-    m_f = diag_majorizer(datafit)
-    gamma = config.resolve_gamma(m_f)
-    m_big = m_f.shifted(gamma, lam=config.lam)
+    gamma, m_big = config.metric(datafit)
     state = MomentumState(delta=config.delta)
 
     def step(refiner, x):
@@ -322,7 +318,7 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
 
     def fixed_point(refiner, x_new):
         return fixed_point_residual(ImageVector(x_new, shape), refiner, config, datafit,
-                                    feasible, m_big, gamma=gamma)
+                                    feasible, m_big, gamma)
 
     return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step,
                   fixed_point if config.record_fixed_point else None)
@@ -363,7 +359,7 @@ def run_bcd_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     if inner_iters < 1:
         raise ValueError("inner_iters must be >= 1")
     shape = x0.shape
-    gamma = config.resolve_gamma(diag_majorizer(datafit))
+    gamma, _ = config.metric(datafit)
 
     def step(refiner, x):
         z = refiner(x.reshape(shape)).ravel()

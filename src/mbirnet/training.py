@@ -24,15 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, QuadraticDataFit,
-                     ShapeError, as_f64, diag_majorizer, select_gamma)
+from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
                        _scnn_forward, _shift_stack, filter_fft, flip_filter)
-from .solver import MomentumNetConfig, MomentumState, Refiner, momentum_net_step
+from .solver import MomentumNetConfig, MomentumState, NumericFailure, Refiner, momentum_net_step
 
 
-class TrainingAborted(RuntimeError):
+class TrainingAborted(NumericFailure):
     """Loss became non-finite; `history` carries the per-epoch losses so far."""
 
     def __init__(self, message: str, history: list[float]):
@@ -62,8 +61,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr_filters < 0 or self.lr_thresholds < 0:
-            raise ValueError("learning rates must be nonnegative")
+        for key in ("lr_filters", "lr_thresholds"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and >= 0, got {value}")
         if not 0.0 <= self.lr_decay < 1.0:
             raise ValueError("lr_decay is a fraction in [0, 1)")
 
@@ -73,32 +74,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One supervised sample: truth image, its data fit, and solver metric."""
+    """One supervised sample: truth image, its data fit, and an optional start
+    iterate (the back-projection when None).  The solver config derives the
+    sample's gamma and metric from the data fit (`MomentumNetConfig.metric`)."""
 
     truth: ImageVector
     datafit: QuadraticDataFit
-    gamma: float
-    majorizer: DiagonalMajorizer  # metric for grad F, i.e. data-fit diag + gamma
     x0: Optional[ImageVector] = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
         if self.truth.size != self.datafit.n:
             raise ShapeError("truth size must match operator input dim")
-        if self.majorizer.diag.size != self.datafit.n:
-            raise ShapeError("majorizer size must match operator input dim")
-
-    @property
-    def measurements(self) -> np.ndarray:
-        return self.datafit.measurements
-
-    @classmethod
-    def build(cls, truth: ImageVector, datafit: QuadraticDataFit, chi: float,
-              lam: float = 1.0, x0: Optional[ImageVector] = None) -> "TrainingSample":
-        m_f = diag_majorizer(datafit)
-        gamma = select_gamma(m_f, chi)
-        return cls(truth, datafit, gamma, m_f.shifted(gamma, lam=lam), x0)
 
 
 def refining_loss(refiner, pairs) -> float:
@@ -337,17 +323,17 @@ def _starts(samples: Sequence[TrainingSample], shape: tuple[int, int]) -> list[n
             for s in samples]
 
 
-def _advance(samples: Sequence[TrainingSample], xs, xs_prev, state: MomentumState,
+def _advance(samples: Sequence[TrainingSample], metrics, xs, xs_prev, state: MomentumState,
              refiner: Refiner, config: MomentumNetConfig, feasible, shape: tuple[int, int]):
     """One momentum iteration for every sample, in order, with one refiner and
-    each sample's own gamma and majorizer.  Returns the refiner outputs R(x) as
-    (h, w) images, the refined images z, the new iterates and the new momentum
-    state (the same for every sample)."""
+    each sample's own (gamma, metric) from `config.metric`.  Returns the refiner
+    outputs R(x) as (h, w) images, the refined images z, the new iterates and
+    the new momentum state (the same for every sample)."""
     steps = []
-    for s, x, x_prev in zip(samples, xs, xs_prev):
+    for s, (gamma, m_big), x, x_prev in zip(samples, metrics, xs, xs_prev):
         out = refiner(x.reshape(shape))
-        steps.append((out, *momentum_net_step(x, x_prev, state, out, s.datafit, s.gamma,
-                                               feasible, s.majorizer, config)))
+        steps.append((out, *momentum_net_step(x, x_prev, state, out, s.datafit, gamma,
+                                               feasible, m_big, config)))
     outs, xs_new, zs, states = zip(*steps)
     return outs, zs, xs_new, states[0]
 
@@ -372,6 +358,7 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
 
     shape = samples[0].truth.shape
     xs = xs_prev = _starts(samples, shape)
+    metrics = [net_config.metric(s.datafit) for s in samples]
     state = MomentumState(delta=net_config.delta)
 
     refiners = []
@@ -384,7 +371,7 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         refiners.append(current)
         histories.append(history)
         if stage + 1 < net_config.n_iter:  # after the last stage nothing trains on it
-            _, _, xs_new, state = _advance(samples, xs, xs_prev, state, current,
+            _, _, xs_new, state = _advance(samples, metrics, xs, xs_prev, state, current,
                                            net_config, feasible, shape)
             xs_prev, xs = xs, xs_new
     return refiners, histories

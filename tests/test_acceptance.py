@@ -83,15 +83,12 @@ def ct_pipeline(tmp_path_factory):
     feasible = mn.FeasibleSet.nonneg()
 
     def reconstruct(fit, refiners, chi, n_iter):
-        gamma = mn.select_gamma(mn.diag_majorizer(fit), chi)
-        cfg = mn.MomentumNetConfig(n_iter=n_iter, rho=0.5, gamma=gamma,
-                                   record_fixed_point=False)
+        cfg = mn.MomentumNetConfig(n_iter=n_iter, rho=0.5, chi=chi, record_fixed_point=False)
         x0 = mn.backprojection_init(fit, (CT_N, CT_N))
         return mn.run_momentum_net(cfg, refiners, fit, feasible, x0)
 
     def train(chi, stages, epochs):
-        samples = [mn.TrainingSample.build(t, f, chi)
-                   for t, f in zip(truths, train_fits)]
+        samples = [mn.TrainingSample(t, f) for t, f in zip(truths, train_fits)]
         net_cfg = mn.MomentumNetConfig(n_iter=stages, rho=0.5, chi=chi,
                                        record_fixed_point=False)
         train_cfg = mn.TrainConfig(batch_size=10, epochs=epochs, lr_filters=3e-3,

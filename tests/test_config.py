@@ -74,3 +74,21 @@ class TestMalformedYaml:
         with pytest.raises(ConfigError, match="c.yaml: invalid YAML") as info:
             load_config(cfg)
         assert "\n" not in str(info.value)
+
+
+class TestProximityWeightKeys:
+    @pytest.mark.parametrize("weights", [{}, {"chi": 10.0, "gamma": 1.0}],
+                             ids=["neither", "both"])
+    def test_manifest_sets_exactly_one(self, tmp_path, weights):
+        doc = {k: v for k, v in MANIFEST.items() if k != "chi"}
+        cfg = tmp_path / "m.yaml"
+        cfg.write_text(yaml.safe_dump(dict(doc, **weights)))
+        with pytest.raises(ConfigError, match="exactly one of chi or gamma"):
+            load_training_manifest(cfg)
+
+    def test_convex_flag_is_unknown(self, tmp_path):
+        # lam alone selects the mode: lam = 1 is convex
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(dict(CONFIG, solver={"convex": False, "lam": 1.5})))
+        with pytest.raises(ConfigError, match=r"solver: unknown key\(s\) \['convex'\]"):
+            load_config(cfg)

@@ -3,7 +3,6 @@ import math
 import shutil
 import textwrap
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -552,6 +551,16 @@ class TestCmdTrain:
         assert "t1.pgm" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_diverging_training_is_numeric_failure(self, tmp_path, capsys):
+        manifest = _write_ct_training_set(tmp_path, stages=1)
+        manifest.write_text(manifest.read_text().replace(
+            "epochs: 4", "epochs: 4\n  lr_filters: 1.0e+300"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numeric failure: non-finite loss" in err
+        assert not (tmp_path / "tr" / "manifest.json").exists()
+
     @pytest.mark.parametrize("arch", [
         "{type: scnn, n_filters: 4, filter_size: 9}",
         "{type: dcnn, n_filters: 4, filter_size: 9, n_layers: 3}",
@@ -575,9 +584,15 @@ class TestProximityWeightSettings:
         ("reconstruct", "chi: 50.0", "gamma: .inf", "gamma"),
         ("train", "chi: 10.0", "chi: 1.0e-320", "chi"),
         ("train", "chi: 10.0", "gamma: .inf", "gamma"),
+        ("reconstruct", "rho: 0.5", "rho: 0.5\n  lam: .nan", "lam"),
+        ("reconstruct", "rho: 0.5", "rho: 0.5\n  lam: .inf", "lam"),
+        ("train", "rho: 0.5", "rho: 0.5\n  lam: .nan", "lam"),
+        ("train", "rho: 0.5", "rho: 0.5\n  lam: .inf", "lam"),
+        ("train", "epochs: 4", "epochs: 4\n  lr_filters: .nan", "lr_filters"),
     ], ids=["reconstruct-chi-tiny", "reconstruct-chi-nan", "reconstruct-chi-inf",
             "reconstruct-gamma-nan", "reconstruct-gamma-inf", "train-chi-tiny",
-            "train-gamma-inf"])
+            "train-gamma-inf", "reconstruct-lam-nan", "reconstruct-lam-inf", "train-lam-nan",
+            "train-lam-inf", "train-lr_filters-nan"])
     def test_bad_value_names_the_setting(self, blur_workspace, capsys, command, old, new,
                                          setting):
         t = blur_workspace
@@ -593,6 +608,18 @@ class TestProximityWeightSettings:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert setting in err
+
+    @pytest.mark.parametrize("key, value", [("chi", "0.001"), ("gamma", "1000.0")])
+    def test_manifest_solver_block_takes_no_weight(self, tmp_path, capsys, key, value):
+        # a manifest sets chi or gamma at its top level only
+        manifest = _write_ct_training_set(tmp_path, stages=1, epochs=1)
+        manifest.write_text(manifest.read_text().replace("rho: 0.5",
+                                                         f"rho: 0.5\n  {key}: {value}"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"solver: unknown key(s) ['{key}']" in err
+        assert not (tmp_path / "tr" / "refiner_000.rfn").exists()
 
 
 class TestCmdDiagnose:
@@ -615,7 +642,7 @@ class TestCmdDiagnose:
             truth = read_pgm(base / f"t{i}.pgm")
             y = read_vector_csv(base / f"y{i}.csv")
             w = read_vector_csv(base / f"w{i}.csv")
-            samples.append(mn.TrainingSample.build(truth, mn.QuadraticDataFit(op, w, y), 10.0))
+            samples.append(mn.TrainingSample(truth, mn.QuadraticDataFit(op, w, y)))
         cfg = mn.MomentumNetConfig(n_iter=6, rho=0.5, chi=10.0, record_fixed_point=False)
         res = mn.run_diagnostics([mn.IdentityRefiner()] * 3, samples, cfg,
                                  mn.FeasibleSet.nonneg(), seed=0)
@@ -664,8 +691,7 @@ def _ct_samples(count, n=16, n_views=8):
         truth = mn.random_ellipse_phantom(n, rng)
         y, w = mn.simulate_ct(truth, op, 1e5, 25.0, seed=i)
         x0 = mn.ImageVector(np.full(n * n, 0.5), (n, n)) if i == 0 else None
-        samples.append(mn.TrainingSample.build(truth, mn.QuadraticDataFit(op, w, y), 10.0,
-                                               x0=x0))
+        samples.append(mn.TrainingSample(truth, mn.QuadraticDataFit(op, w, y), x0))
     return samples
 
 
@@ -677,9 +703,7 @@ def _diagnostics_from_traces(refiners, samples, config, feasible, n_pairs, seed)
     traces = []
     for s in samples:
         x0 = s.x0 if s.x0 is not None else mn.backprojection_init(s.datafit, shape)
-        traces.append(mn.run_momentum_net(
-            replace(config, gamma=s.gamma, chi=None, record_fixed_point=False),
-            refiners, s.datafit, feasible, x0))
+        traces.append(mn.run_momentum_net(config, refiners, s.datafit, feasible, x0))
     n = len(samples)
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b] if n > 1 else [(0, 0)]
     if len(pairs) > n_pairs:

@@ -420,8 +420,9 @@ class TestDiagonalMajorizerType:
             mn.DiagonalMajorizer(np.array([1.0, 0.0]))
 
     def test_lam_lower_bound(self):
-        with pytest.raises(ValueError):
-            mn.DiagonalMajorizer(np.ones(2), lam=0.5)
+        for lam in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam must be finite and >= 1"):
+                mn.DiagonalMajorizer(np.ones(2), lam=lam)
 
     def test_scaled_diag(self):
         m = mn.DiagonalMajorizer(np.array([2.0, 8.0]), lam=1.5)

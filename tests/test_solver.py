@@ -157,10 +157,10 @@ class TestRunMomentumNet:
             mn.MomentumNetConfig(n_iter=5, rho=1.5, gamma=1.0)
         with pytest.raises(ValueError):
             mn.MomentumNetConfig(n_iter=5, gamma=1.0, chi=2.0)
-        with pytest.raises(ValueError):
-            mn.MomentumNetConfig(n_iter=5, gamma=1.0, lam=2.0)  # convex wants lam=1
-        with pytest.raises(ValueError):
-            mn.MomentumNetConfig(n_iter=5, gamma=1.0, convex=False, lam=1.0)
+        # lam = 1 is convex mode and lam > 1 nonconvex; below 1 or non-finite is neither
+        for lam in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam must be finite and >= 1"):
+                mn.MomentumNetConfig(n_iter=5, gamma=1.0, lam=lam)
 
     # delta enters as delta ** 2, which overflows (OverflowError) at -1e300
     @pytest.mark.parametrize("delta", [-1e300, -0.5, float("nan"), 1.0])
@@ -169,6 +169,30 @@ class TestRunMomentumNet:
             mn.MomentumNetConfig(n_iter=5, gamma=1.0, delta=delta)
         with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
             mn.MomentumState(delta=delta)
+
+
+class TestMetric:
+    @staticmethod
+    def _identity_fit():
+        return mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(4)), np.full(4, 2.0),
+                                   np.zeros(4))
+
+    def test_chi_wires_majorizer(self):
+        cfg = mn.MomentumNetConfig(n_iter=1, chi=4.0, lam=1.5)
+        gamma, m_big = cfg.metric(self._identity_fit())
+        # identity operator: majorizer = weights, zero spread, fallback max/chi
+        assert gamma == pytest.approx(0.5)
+        assert np.allclose(m_big.diag, 2.5)
+        assert m_big.lam == 1.5 and np.allclose(m_big.scaled_diag, 3.75)
+
+    def test_explicit_gamma_skips_selection(self):
+        gamma, m_big = mn.MomentumNetConfig(n_iter=1, gamma=0.25).metric(self._identity_fit())
+        assert gamma == 0.25
+        assert np.array_equal(m_big.diag, np.full(4, 2.25)) and m_big.lam == 1.0
+
+    def test_gamma_positive(self):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            mn.MomentumNetConfig(n_iter=1, gamma=0.0)
 
 
 class TestFixedPointResidual:

@@ -406,6 +406,12 @@ class TestTrainRefiner:
                 mn.train_refiner(init, pairs, cfg)
         assert isinstance(err.value.history, list)
 
+    @pytest.mark.parametrize("key", ["lr_filters", "lr_thresholds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_learning_rate_names_itself(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite and >= 0"):
+            mn.TrainConfig(batch_size=1, epochs=1, **{key: value})
+
     def test_untrainable_type_rejected(self, tf_bank4, rng):
         tied = mn.TiedCaolRefiner(tf_bank4, np.zeros(4))
         with pytest.raises(TypeError):
@@ -421,7 +427,7 @@ def _toy_samples(rng, count=3, n=12):
         # crop to n x n via rerendering at size n
         truth = mn.ImageVector.from_2d(truth.as_2d()[:n, :n]) if n < 16 else truth
         y, w = mn.simulate_ct(truth, op, 1e5, 25.0, seed=50 + i)
-        samples.append(mn.TrainingSample.build(truth, mn.QuadraticDataFit(op, w, y), 10.0))
+        samples.append(mn.TrainingSample(truth, mn.QuadraticDataFit(op, w, y)))
     return samples
 
 
@@ -467,8 +473,7 @@ class TestGreedyTrain:
 
     def test_truth_start_keeps_loss_small(self, rng):
         samples = _toy_samples(rng)
-        samples = [mn.TrainingSample(s.truth, s.datafit, s.gamma, s.majorizer,
-                                     x0=s.truth) for s in samples]
+        samples = [mn.TrainingSample(s.truth, s.datafit, x0=s.truth) for s in samples]
         arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
         net_cfg = mn.MomentumNetConfig(n_iter=2, rho=0.5, chi=10.0,
                                        record_fixed_point=False)
@@ -528,17 +533,7 @@ class TestPatchLossBound:
 
 
 class TestTrainingSample:
-    def test_gamma_positive(self, rng):
+    def test_truth_size_must_match_operator(self):
         f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(4)), np.ones(4), np.zeros(4))
-        truth = mn.ImageVector(np.zeros(4), (2, 2))
-        with pytest.raises(ValueError):
-            mn.TrainingSample(truth, f, 0.0, mn.DiagonalMajorizer(np.ones(4)))
-
-    def test_build_wires_majorizer(self, rng):
-        f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(4)), np.full(4, 2.0), np.zeros(4))
-        truth = mn.ImageVector(np.zeros(4), (2, 2))
-        s = mn.TrainingSample.build(truth, f, chi=4.0)
-        # identity operator: majorizer = weights, zero spread, fallback max/chi
-        assert s.gamma == pytest.approx(0.5)
-        assert np.allclose(s.majorizer.diag, 2.5)
-        assert np.array_equal(s.measurements, f.measurements)
+        with pytest.raises(mn.ShapeError):
+            mn.TrainingSample(mn.ImageVector(np.zeros(9), (3, 3)), f)
