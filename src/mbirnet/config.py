@@ -52,8 +52,10 @@ _SOLVER_KEYS = {
     "box_hi": (float, 1.0),
 }
 
-# a training manifest sets chi or gamma at its top level only
-_MANIFEST_SOLVER_KEYS = {k: v for k, v in _SOLVER_KEYS.items() if k not in ("chi", "gamma")}
+# a training manifest sets chi or gamma at its top level only, and trains no
+# BCD inner loop
+_MANIFEST_SOLVER_KEYS = {k: v for k, v in _SOLVER_KEYS.items()
+                         if k not in ("chi", "gamma", "inner_iters")}
 
 _ARCH_KEYS = {
     "type": (str, "scnn"),
@@ -174,6 +176,9 @@ def load_training_manifest(path) -> dict:
     Its top-level chi or gamma moves into the solver block, as a problem
     config holds it."""
     cfg = _read(path, _MANIFEST_KEYS)
+    if cfg["solver"]["kind"] not in TRAINED_KINDS:
+        raise ConfigError(f"{path}: solver.kind must be {' or '.join(TRAINED_KINDS)} in a "
+                          f"training manifest, got {cfg['solver']['kind']!r}")
     if (cfg["chi"] is None) == (cfg["gamma"] is None):
         raise ConfigError(f"{path}: training manifest must set exactly one of chi or gamma")
     cfg["solver"].update(chi=cfg["chi"], gamma=cfg["gamma"])
@@ -200,6 +205,8 @@ def build_feasible(solver: dict) -> FeasibleSet:
 
 
 SOLVER_KINDS = ("momentum", "momentum-noextrap", "bcd")
+# the kinds whose trajectory `train` follows (`greedy_train` takes momentum steps)
+TRAINED_KINDS = ("momentum", "momentum-noextrap")
 
 
 def build_solver_config(solver: dict) -> MomentumNetConfig:

@@ -1,5 +1,11 @@
 """On-disk formats: 16-bit PGM images, one-column CSV vectors, and the
-plain-text sparse-operator format (header `rows cols nnz`, then triples)."""
+plain-text sparse-operator format (header `rows cols nnz`, then triples).
+
+The text writers print each value as `%.17g` (indices as `%d`), the same bytes
+as formatting value by value.  They work in blocks of `_BLOCK` entries and
+format each distinct value of a block once, so no per-entry Python object and
+no text of the whole file is ever built.
+"""
 
 from __future__ import annotations
 
@@ -17,6 +23,13 @@ PGM_MAXVAL = 65535
 # `P5 width height maxval`, fields separated by whitespace or `#` comment lines
 _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 _TRIPLE = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+# Entries per written block: a block's tables, indices and text are all a
+# writer holds at once, however large the operator.
+_BLOCK = 1 << 14
+# Values formatted per list.  A few thousand short-lived bytes objects at a
+# time reuse the same interpreter memory, where a block's worth would leave
+# partly used arenas behind.
+_FORMAT_BATCH = 4096
 
 
 def write_pgm(path, image: ImageVector) -> None:
@@ -44,12 +57,36 @@ def read_pgm(path) -> ImageVector:
     return ImageVector(np.frombuffer(pixels, dtype=">u2") / PGM_MAXVAL, (h, w))
 
 
+def _text_table(values: np.ndarray, text: bytes) -> np.ndarray:
+    """`text % v` for each of `values`, as the rows of a NUL-padded byte table."""
+    table = np.concatenate([
+        np.array([text % v for v in values[i:i + _FORMAT_BATCH].tolist()], dtype=np.bytes_)
+        for i in range(0, values.size, _FORMAT_BATCH)])
+    return table.view(np.uint8).reshape(values.size, table.itemsize)
+
+
+def _write_lines(fh, columns) -> None:
+    """For each entry i, write `text % column[i]` of every (column, text) pair,
+    one after another.  Float64 columns are keyed by their bits, so -0.0 keeps
+    its sign and NaNs with different bits stay apart."""
+    for start in range(0, len(columns[0][0]), _BLOCK):
+        parts = []
+        for column, text in columns:
+            block = column[start:start + _BLOCK]
+            floats = block.dtype == np.float64
+            distinct, inverse = np.unique(block.view(np.uint64) if floats else block,
+                                          return_inverse=True)
+            table = _text_table(distinct.view(np.float64) if floats else distinct, text)
+            parts.append(table[inverse])
+        lines = np.concatenate(parts, axis=1).ravel()
+        fh.write(lines[lines != 0])  # the text holds no NUL, so only the padding goes
+
+
 def write_vector_csv(path, vec) -> None:
     """One float per line, printed with enough digits to round-trip exactly."""
     vec = np.ravel(np.asarray(vec, dtype=np.float64))
-    with open(path, "w") as fh:
-        for v in vec:
-            fh.write(f"{v:.17g}\n")
+    with open(path, "wb") as fh:
+        _write_lines(fh, [(vec, b"%.17g\n")])
 
 
 def read_vector_csv(path) -> np.ndarray:
@@ -72,10 +109,9 @@ def read_vector_csv(path) -> np.ndarray:
 def write_operator(path, op: SparseMatrixOperator) -> None:
     """The operator's matrix as text triples under a `rows cols nnz` header."""
     mat = op.matrix.tocoo()
-    with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
-        for r, c, v in zip(mat.row, mat.col, mat.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d %d\n" % (mat.shape[0], mat.shape[1], mat.nnz))
+        _write_lines(fh, [(mat.row, b"%d "), (mat.col, b"%d "), (mat.data, b"%.17g\n")])
 
 
 def read_operator(path, expected_rows: Optional[int] = None,

@@ -2,13 +2,16 @@ import json
 import math
 import shutil
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mbirnet as mn
+from mbirnet import fileio
 from mbirnet.cli import main
 from mbirnet.fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
                             write_pgm, write_vector_csv)
@@ -153,6 +156,79 @@ class TestOperatorFile:
         p.write_text(f"{header}\n0 0 1.0\n")
         with pytest.raises(ValueError, match="A.txt.*cannot allocate"):
             read_operator(p)
+
+
+def _reference_write_operator(path, op):
+    """The operator writer as it was, one formatted triple per call."""
+    mat = op.matrix.tocoo()
+    with open(path, "w") as fh:
+        fh.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
+        for r, c, v in zip(mat.row, mat.col, mat.data):
+            fh.write(f"{r} {c} {v:.17g}\n")
+
+
+def _reference_write_vector_csv(path, vec):
+    """The vector writer as it was, one formatted value per call."""
+    vec = np.ravel(np.asarray(vec, dtype=np.float64))
+    with open(path, "w") as fh:
+        for v in vec:
+            fh.write(f"{v:.17g}\n")
+
+
+def _special_values_operator():
+    # -0.0 and the two NaN bit patterns are distinct keys, each with its own text
+    data = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                     np.nan, -np.nan, 2.5, -0.0])
+    indices = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3])
+    indptr = np.array([0, 4, 8, 12])
+    return mn.SparseMatrixOperator(sp.csr_matrix((data, indices, indptr), shape=(3, 4)))
+
+
+def _multi_block_operator():
+    # distinct random values over more than two blocks
+    rng = np.random.default_rng(5)
+    at = rng.choice(700 * 500, 2 * fileio._BLOCK + 3, replace=False)
+    return mn.SparseMatrixOperator(sp.csr_matrix(
+        (rng.standard_normal(at.size), (at // 500, at % 500)), shape=(700, 500)))
+
+
+class TestTextWritersMatchReference:
+    @pytest.mark.parametrize("make", [
+        lambda: mn.build_radon(mn.CtGeometry(64, 23)),
+        lambda: mn.build_blur(np.array([[0.1, -0.3, 0.05], [-0.2, 1.0, -0.25], [0.0, 0.4, -0.1]]),
+                              (9, 7)),
+        _special_values_operator,
+        lambda: mn.SparseMatrixOperator(sp.csr_matrix((6, 5))),
+        _multi_block_operator,
+    ], ids=["ct64-23", "blur", "special-values", "empty", "multi-block"])
+    def test_operator_bytes(self, tmp_path, make):
+        op = make()
+        write_operator(tmp_path / "new.txt", op)
+        _reference_write_operator(tmp_path / "old.txt", op)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("vec", [
+        np.array([]),
+        np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e-300, -1e300, 0.1]),
+        np.random.default_rng(3).standard_normal((2, fileio._BLOCK + 1)),
+    ], ids=["empty", "special-values", "multi-block"])
+    def test_vector_bytes(self, tmp_path, vec):
+        write_vector_csv(tmp_path / "new.csv", vec)
+        _reference_write_vector_csv(tmp_path / "old.csv", vec)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_operator_memory_peak_well_below_its_text(self, tmp_path):
+        # 3e5 entries: the writer holds one block of text at a time, never the file's
+        op = mn.SparseMatrixOperator(sp.random(1000, 1000, density=0.3, random_state=2,
+                                               format="csr"))
+        path = tmp_path / "A.txt"
+        tracemalloc.start()
+        try:
+            write_operator(path, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
 
 
 def _overwritten(valid: bytes):
@@ -574,6 +650,22 @@ class TestCmdTrain:
         m2 = json.loads((tmp_path / "t2" / "manifest.json").read_text())["outputs"]
         assert m1 == m2
 
+    # `train` always follows the momentum trajectory and runs no BCD inner loop
+    @pytest.mark.parametrize("old, new, message", [
+        ("kind: momentum", "kind: bcd",
+         "solver.kind must be momentum or momentum-noextrap in a training manifest, got 'bcd'"),
+        ("rho: 0.5", "rho: 0.5\n  inner_iters: 3", "solver: unknown key(s) ['inner_iters']"),
+    ], ids=["kind-bcd", "inner_iters"])
+    def test_solver_setting_train_cannot_follow_is_config_error(self, tmp_path, capsys, old,
+                                                                new, message):
+        manifest = _write_ct_training_set(tmp_path, stages=1, epochs=1)
+        manifest.write_text(manifest.read_text().replace(old, new))
+        capsys.readouterr()
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "tr" / "refiner_000.rfn").exists()
+
 
 class TestProximityWeightSettings:
     @pytest.mark.parametrize("command, old, new, setting", [
@@ -819,7 +911,19 @@ def fuzz_inputs(blur_workspace):
         "reconstruct": (t / "blur.yaml",
                         ["--refiners", str(t / "refs"), "--input", str(t / "sim")]),
         "diagnose": (manifest, ["--refiners", str(t / "refs"), "--pairs", "2"]),
+        "train": (manifest, []),
     }
+
+
+def _assert_one_line_never_a_traceback(capsys, argv):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestConfigFuzz:
@@ -832,12 +936,30 @@ class TestConfigFuzz:
         config, rest = fuzz_inputs[command]
         corrupt = config.with_name("corrupt.yaml")  # sample paths resolve beside it
         corrupt.write_bytes(data.draw(_overwritten(config.read_bytes())))
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main([command, "--config", str(corrupt), "--out", str(tmp_path / "out"),
-                         *rest])
-        err = capsys.readouterr().err
-        assert code in (0, 2, 3, 4)
-        assert err.count("\n") <= 1 and "Traceback" not in err
-        assert not caught, [str(w.message) for w in caught]
+        _assert_one_line_never_a_traceback(
+            capsys, [command, "--config", str(corrupt), "--out", str(tmp_path / "out"), *rest])
+
+    # every artifact file the command reads, relative to its config's directory
+    @pytest.mark.parametrize("command, artifact", [
+        ("reconstruct", "sim/operator.txt"),
+        ("reconstruct", "sim/y.csv"),
+        ("reconstruct", "sim/weights.csv"),
+        ("train", "A.txt"),
+        ("train", "t0.pgm"),
+        ("train", "y0.csv"),
+        ("train", "w0.csv"),
+    ], ids=lambda v: v.replace("sim/", ""))
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_artifact_gives_one_line_never_a_traceback(self, tmp_path, fuzz_inputs,
+                                                               capsys, command, artifact, data):
+        config, rest = fuzz_inputs[command]
+        path = config.parent / artifact
+        valid = path.read_bytes()
+        path.write_bytes(data.draw(_overwritten(valid)))
+        try:
+            _assert_one_line_never_a_traceback(
+                capsys, [command, "--config", str(config), "--out", str(tmp_path / "out"), *rest])
+        finally:
+            path.write_bytes(valid)
