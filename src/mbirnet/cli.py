@@ -95,7 +95,12 @@ class RunManifest:
 
     def write(self) -> None:
         self.info["finished"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self.info["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        usage = resource.getrusage(resource.RUSAGE_SELF)  # outside the checksummed outputs
+        self.info["peak_rss_mb"] = usage.ru_maxrss / 1024
+        self.info["minor_faults"] = usage.ru_minflt
+        self.info["major_faults"] = usage.ru_majflt
+        self.info["user_s"] = usage.ru_utime
+        self.info["sys_s"] = usage.ru_stime
         self.info["environment"] = _environment()
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(self.info, fh, indent=2, sort_keys=True)
@@ -180,7 +185,11 @@ def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
     if key not in operators:
         operators[key] = read_operator(base / operator, expected_rows=y.size,
                                        expected_cols=pixels)
-    return QuadraticDataFit(operators[key], read_vector_csv(base / weights), y)
+    w = read_vector_csv(base / weights)
+    try:
+        return QuadraticDataFit(operators[key], w, y)
+    except ValueError as exc:  # negative weights, or a data fit that overflows
+        raise ValueError(f"{base / measurements} with {base / weights}: {exc}") from None
 
 
 def _load_refiners(refiner_dir: Path):

@@ -11,7 +11,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -242,6 +242,11 @@ class QuadraticDataFit:
             raise ShapeError("weights length must equal operator output dim")
         if self.measurements.size != self.op.out_dim:
             raise ShapeError("measurement length must equal operator output dim")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            norm = 0.5 * float(np.dot(self.weights * self.measurements, self.measurements))
+        if not math.isfinite(norm):
+            raise ValueError("measurements too large: 1/2 ||y||^2_W overflows, so the "
+                             "data fit would too")
 
     def value(self, x) -> float:
         r = self.op.forward(_flat(x)) - self.measurements
@@ -426,39 +431,10 @@ def verify_majorization(
     return MajorizationReport(trials, violations, worst)
 
 
-def power_iteration(op: SparseMatrixOperator, n_iter: int = 100, tol: float = 1e-8, seed: int = 0) -> float:
-    """Largest singular value of `op` via power iteration on A^T A."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.in_dim)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(n_iter):
-        ax = op.forward(x)
-        sigma_new = float(np.linalg.norm(ax))
-        x = op.adjoint(ax)
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            return 0.0
-        x /= nx
-        if sigma > 0 and abs(sigma_new - sigma) <= tol * sigma:
-            return sigma_new
-        sigma = sigma_new
-    return sigma
-
-
-def spectral_spread(m: Union[DiagonalMajorizer, SparseMatrixOperator]) -> float:
-    """Spread sigma_max - sigma_min of a positive (semi)definite metric.
-
-    Exact max-min difference for diagonal majorizers.  For a general operator
-    the largest singular value comes from power iteration and sigma_min is
-    taken as 0, which is exact for the rank-deficient imaging operators used
-    here and an upper bound otherwise.
-    """
-    if isinstance(m, DiagonalMajorizer):
-        return float(np.max(m.diag) - np.min(m.diag))
-    if isinstance(m, SparseMatrixOperator):
-        return power_iteration(m)
-    raise TypeError(f"unsupported argument of type {type(m).__name__}")
+def spectral_spread(m: DiagonalMajorizer) -> float:
+    """Spread sigma_max - sigma_min of a diagonal majorizer: the max - min of
+    its diagonal."""
+    return float(np.max(m.diag) - np.min(m.diag))
 
 
 def select_gamma(m_f: DiagonalMajorizer, chi: float) -> float:

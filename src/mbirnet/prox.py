@@ -2,39 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linops import DiagonalMajorizer, FeasibleSet, _flat, _frozen
+from .linops import DiagonalMajorizer, FeasibleSet, _flat
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
-    """Per-channel nonnegative shrinkage thresholds."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(np.ravel(self.values)))
-        if np.any(self.values < 0):
-            raise ValueError("thresholds must be nonnegative")
-
-
-def soft_threshold(u, alpha):
+def soft_threshold(u, alpha, out=None):
     """Entrywise shrinkage: u - alpha*sgn(u) where |u| > alpha, else 0.
 
     Ties |u| == alpha and NaN entries map to +0.0.  `alpha` may be a scalar or
-    broadcastable array of nonnegative thresholds.
+    broadcastable array of nonnegative thresholds.  The result goes to `out`
+    when one is given (float64, of the broadcast shape); `out` must not share
+    memory with `u`, whose signs are read after `out` is written.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if np.any(alpha < 0):
         raise ValueError("threshold must be nonnegative")
     u = np.asarray(u, dtype=np.float64)
+    shape = np.broadcast_shapes(u.shape, alpha.shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {shape}, "
+                         f"got {out.dtype} of shape {out.shape}")
+    elif np.shares_memory(u, out):
+        raise ValueError("out must not share memory with u")
     # sgn(u) * max(|u| - alpha, 0) in one buffer: fmax drops NaN lanes to 0,
     # and adding +0.0 turns the -0.0 that copysign gives them (and negative
     # ties) into +0.0, so the bits equal where(|u| > alpha, u - alpha*sgn(u), 0)
-    out = np.empty(np.broadcast_shapes(u.shape, alpha.shape))
     np.abs(u, out=out)
     out -= alpha
     np.fmax(out, 0.0, out=out)

@@ -16,7 +16,9 @@ to one (h, w) image.  Each forward pass is written once, on (B, h, w) stacks
 the trained network is the one that reconstructs.  The dCNN forward and every
 training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN and
 tied forward multiply spectra, with `scipy.fft` transforms on the calling
-thread.  `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` on
+thread, in blocks of filters whose code spectra fit in `_BLOCK_BYTES`, and
+write the codes into a caller's buffer when the training gradient asks for
+them.  `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` on
 purpose: it is the independent oracle.
 """
 
@@ -101,25 +103,32 @@ def _square_side(filters: np.ndarray) -> int:
     return filters.shape[1]
 
 
-def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1) -> np.ndarray:
+def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """(rh*rw, B*h*w) stack of the circular shifts of a (B, h, w) image stack.
 
     Row (i, j) holds x[b, n - sign*o] at the centered offset
     o = (i - rh//2, j - rw//2), the layout of the filter taps, so that
     filters.reshape(K, rh*rw) @ stack convolves (sign +1) or correlates
-    (sign -1) every image with every filter.
+    (sign -1) every image with every filter.  The stack is written into `out`
+    (C-contiguous float64 of that shape) when one is given.
     """
     b, h, w = images.shape
+    if out is None:
+        out = np.empty((rh * rw, b * h * w))
+    elif (out.shape != (rh * rw, b * h * w) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be C-contiguous float64 of shape {(rh * rw, b * h * w)}")
     oy = sign * (np.arange(rh) - rh // 2)
     ox = sign * (np.arange(rw) - rw // 2)
     top, left = int(oy.max()), int(ox.max())
     padded = np.pad(images, ((0, 0), (top, -int(oy.min())), (left, -int(ox.min()))),
                     mode="wrap")
-    out = np.empty((rh, rw, b, h, w))
+    taps = out.reshape(rh, rw, b, h, w)
     for i, dy in enumerate(oy):
         for j, dx in enumerate(ox):
-            out[i, j] = padded[:, top - dy:top - dy + h, left - dx:left - dx + w]
-    return out.reshape(rh * rw, b * h * w)
+            taps[i, j] = padded[:, top - dy:top - dy + h, left - dx:left - dx + w]
+    return out
 
 
 def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -132,28 +141,48 @@ def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return out.reshape(kout, *feats.shape[1:])
 
 
-def _scnn_codes(ehat: np.ndarray, thresholds: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Thresholded analysis codes (K, B, h, w) of a (B, h, w) stack."""
-    uhat = scipy.fft.rfft2(u, axes=(-2, -1))
-    code = scipy.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
-    return soft_threshold(code, thresholds[:, None, None, None])
+# The sCNN forward takes its filters in blocks whose code spectra fit in this
+# many bytes.  All 25 filters of a 64x64, B = 1 image (845 KB) fit in one
+# block, so the momentum path keeps 6 FFTs and 2 `filter_fft` calls per
+# refiner call; a (25, 10, 64, 64) training batch runs 3 filters per block.
+_BLOCK_BYTES = 1 << 20
 
 
 def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
-                  u: np.ndarray):
+                  u: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
     """sum_k d_k conv T_thr(e_k conv u) on a (B, h, w) stack, without residual.
 
-    The filters come as spectra, so a tied decoder can pass conj(ehat).
-    Returns (output, codes); the gradient reuses the codes, and a code is
-    nonzero exactly where it passed its threshold.
+    The filters come as spectra, so a tied decoder can pass conj(ehat).  They
+    run in blocks of at most `_BLOCK_BYTES` of code spectra, in filter order,
+    and the decoded spectra are summed sequentially over the filters, so the
+    bits do not depend on the block size.  The thresholded codes (K, B, h, w)
+    go to `codes` when a buffer is given; a code is nonzero exactly where it
+    passed its threshold.
     """
-    hidden = _scnn_codes(ehat, thresholds, u)
-    hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
-    # complex products are not bitwise commutative; codes-first is the order
-    # single-image reconstruction has always used
-    hhat *= dhat[:, None]
-    out = scipy.fft.irfft2(np.sum(hhat, axis=0), s=u.shape[-2:], axes=(-2, -1))
-    return out, hidden
+    shape = u.shape[-2:]
+    uhat = scipy.fft.rfft2(u, axes=(-2, -1))
+    step = max(1, _BLOCK_BYTES // uhat.nbytes)
+    acc = None
+    for start in range(0, ehat.shape[0], step):
+        ks = slice(start, start + step)
+        code = scipy.fft.irfft2(ehat[ks, None] * uhat[None], s=shape, axes=(-2, -1))
+        hidden = soft_threshold(code, thresholds[ks, None, None, None],
+                                out=None if codes is None else codes[ks])
+        del code
+        hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
+        del hidden
+        # complex products are not bitwise commutative; codes-first is the order
+        # single-image reconstruction has always used
+        hhat *= dhat[ks, None]
+        if acc is None:
+            # numpy sums axis 0 one filter after another whenever a filter has
+            # more than one spectrum entry, as the row-by-row adds below do
+            acc = np.sum(hhat, axis=0)
+        else:
+            for row in hhat:
+                acc += row
+        del hhat
+    return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1))
 
 
 def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,
@@ -218,7 +247,7 @@ class ScnnRefiner:
         u = as_f64(u)
         out = _scnn_forward(filter_fft(self.enc_filters, u.shape),
                             filter_fft(self.dec_filters, u.shape),
-                            self.thresholds, u[None])[0][0]
+                            self.thresholds, u[None])[0]
         return out + u if self.residual else out
 
     @classmethod
@@ -333,13 +362,18 @@ class TiedCaolRefiner:
     def codes(self, u: np.ndarray) -> np.ndarray:
         """Thresholded analysis coefficients T_beta(h_k conv u)."""
         u = as_f64(u)
-        return _scnn_codes(filter_fft(self.filters, u.shape), self.thresholds, u[None])[:, 0]
+        codes = np.empty((self.n_filters, 1, *u.shape))
+        self._forward(u, codes)
+        return codes[:, 0]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        return self._forward(u)
+
+    def _forward(self, u: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
         u = as_f64(u)
         hhat = filter_fft(self.filters, u.shape)
         # correlation with h in the spatial domain is conj(H) in Fourier
-        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None])[0][0]
+        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None], codes)[0]
 
 
 class IdentityRefiner:

@@ -388,7 +388,7 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
     """
     if tf_defect(tf_filters) > 1e-8:
         raise ValueError("refusing to run oracle: filter bank is not a tight frame")
-    beta_vec = np.ravel(as_f64(getattr(beta, "values", beta)))
+    beta_vec = np.ravel(as_f64(beta))
     if beta_vec.size == 1:
         beta_vec = np.full(np.atleast_3d(tf_filters).shape[0], float(beta_vec[0]))
     if gamma <= 0:

@@ -13,7 +13,10 @@ the map that reconstruction runs; only the backward half is written here.
 The sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.
 Both backward passes work in the spatial domain, as GEMMs on stacks of the
 circular shifts of the images over the filter taps (`refiners._shift_stack`,
-the layout of `extract_patches`).
+the layout of `extract_patches`).  `train_refiner` gives the sCNN gradient one
+workspace per stage (`_scnn_workspace`: the codes, one shift stack and the
+code gradient, sized for the largest batch), which the gradient fills in place
+instead of allocating and page-faulting them in again on every call.
 """
 
 from __future__ import annotations
@@ -102,8 +105,16 @@ def refining_loss(refiner, pairs) -> float:
 # analytic gradients
 # ---------------------------------------------------------------------------
 
+def _scnn_workspace(k: int, r: int, n: int):
+    """Buffers for `scnn_value_and_grad` on batches of up to n = B*h*w pixels,
+    with K filters of R taps: the codes (K, n), one shift stack (R, n) and the
+    code gradient (K, n)."""
+    return np.empty((k, n)), np.empty((r, n)), np.empty((k, n))
+
+
 def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
-                        residual: bool, inputs: np.ndarray, targets: np.ndarray):
+                        residual: bool, inputs: np.ndarray, targets: np.ndarray,
+                        work=None):
     """Batched loss and analytic parameter gradients for the sCNN refiner.
 
     inputs/targets have shape (B, h, w); the loss is (1/2B) of the summed
@@ -111,30 +122,50 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     backward pass runs in the spatial domain: with the shift stacks
     P[o, n] = u[n - o] of the inputs and Q[o, n] = g[n + o] of the loss
     gradient g over the R filter taps o, each parameter gradient is one GEMM.
+
+    The codes, the shift stack (Q first, then P: Q is dead before P is built)
+    and the code gradient are written into the leading rows*B*h*w entries of
+    the three buffers of `work` (`_scnn_workspace`, sized for the largest
+    batch), so a training stage does not allocate them per call; without
+    `work` they are allocated here.
     """
     b, h, w = inputs.shape
+    n = b * h * w
     shape = (h, w)
     k, rh, rw = enc.shape
+    if work is None:
+        work = _scnn_workspace(k, rh * rw, n)
+    hidden, stack, g_hidden = (buf.reshape(-1)[:rows * n].reshape(rows, n)
+                               for buf, rows in zip(work, (k, rh * rw, k)))
     thr = np.maximum(np.exp(log_thr), THRESHOLD_FLOOR)
     # thresholds pinned at the floor no longer respond to their log-parameter
     dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
 
-    out, hidden = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inputs)
+    out = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inputs,
+                        codes=hidden.reshape(k, b, h, w))
     if residual:
-        out = out + inputs
+        out += inputs
     resid = out - targets
     loss = 0.5 * float(np.sum(resid * resid)) / b
 
-    q = _shift_stack(resid / b, rh, rw, sign=-1)
-    hidden = hidden.reshape(k, -1)
+    q = _shift_stack(resid / b, rh, rw, sign=-1, out=stack)
     g_dec = hidden @ q.T
-    g_hidden = dec.reshape(k, -1) @ q
-    del q
+    np.matmul(dec.reshape(k, -1), q, out=g_hidden)
     # a code passed its threshold exactly where it is nonzero, with the sign it
     # had; row by row, each row reduces as the axis-1 sum does, bit for bit
-    g_thr = -dthr * np.array([np.sum(g_hidden[i] * np.sign(hidden[i])) for i in range(k)])
-    np.copyto(g_hidden, 0.0, where=hidden == 0.0)
-    g_enc = g_hidden @ _shift_stack(inputs, rh, rw).T
+    row = np.empty(n)
+    g_thr = np.empty(k)
+    for i in range(k):
+        np.sign(hidden[i], out=row)
+        row *= g_hidden[i]
+        g_thr[i] = np.sum(row)
+    g_thr *= -dthr
+    # zero the code gradient where a code is zero: multiplying the bits by the
+    # 0/1 mask gives +0.0 there and keeps every other entry's bits, inf and NaN
+    # included (a `copyto(..., where=)` takes about five times as long)
+    g_bits = g_hidden.view(np.int64)
+    g_bits *= hidden != 0.0
+    g_enc = g_hidden @ _shift_stack(inputs, rh, rw, out=stack).T
     return loss, {"enc": g_enc.reshape(enc.shape), "dec": g_dec.reshape(dec.shape),
                   "thr": g_thr}
 
@@ -241,10 +272,13 @@ def train_refiner(init, pairs, config: TrainConfig, rng: Optional[np.random.Gene
         params = {"enc": np.array(init.enc_filters), "dec": np.array(init.dec_filters),
                   "thr": np.array(init.log_thresholds)}
         lr_groups = {"enc": "f", "dec": "f", "thr": "t"}
+        k, rh, rw = init.enc_filters.shape
+        # one workspace for the stage, sized for its largest batch
+        work = _scnn_workspace(k, rh * rw, min(config.batch_size, n_samples) * inputs[0].size)
 
         def value_and_grad(bi, bt):
             return scnn_value_and_grad(params["enc"], params["dec"], params["thr"],
-                                       init.residual, bi, bt)
+                                       init.residual, bi, bt, work)
 
         def rebuild():
             return ScnnRefiner(params["enc"].copy(), params["dec"].copy(),
@@ -413,7 +447,7 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
     right = 0.0
     for residual_img, inp in conv_loss_pairs:
         shape = inp.shape
-        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp[None])[0][0]
+        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp[None])[0]
         left += float(np.sum((residual_img - recon / r) ** 2))
 
         patches = extract_patches(inp, rh)

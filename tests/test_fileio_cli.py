@@ -343,6 +343,17 @@ class TestCmdSimulate:
         peak = json.loads((tmp_path / "s" / "manifest.json").read_text())["peak_rss_mb"]
         assert isinstance(peak, float) and math.isfinite(peak) and peak > 0
 
+    def test_manifest_records_faults_and_cpu_time(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(BLUR_CONFIG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        info = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        for key in ("minor_faults", "major_faults", "user_s", "sys_s"):
+            value = info[key]
+            assert isinstance(value, (int, float)) and not isinstance(value, bool), key
+            assert math.isfinite(value) and value >= 0, key
+            assert key not in info["outputs"]
+
     def test_manifest_records_environment(self, tmp_path):
         import platform
 
@@ -924,6 +935,25 @@ def _assert_one_line_never_a_traceback(capsys, argv):
     assert code in (0, 2, 3, 4)
     assert err.count("\n") <= 1 and "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "train", "diagnose"])
+def test_overflowing_measurements_rejected_on_load(tmp_path, fuzz_inputs, capsys, command):
+    # finite measurements whose 1/2 ||y||^2_W overflows exit 2 with one line
+    # naming the file, before any solver or training step runs
+    config, rest = fuzz_inputs[command]
+    y = config.parent / ("sim/y.csv" if command == "reconstruct" else "y0.csv")
+    lines = y.read_text().splitlines()
+    y.write_text("\n".join(["1e300", *lines[1:]]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out"), *rest])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and str(y) in err and "overflows" in err
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestConfigFuzz:

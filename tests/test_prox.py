@@ -42,6 +42,31 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             mn.soft_threshold(np.array([1.0]), -0.1)
 
+    @pytest.mark.parametrize("alpha", ["scalar", "per-row"])
+    def test_out_gives_the_allocating_bits(self, rng, alpha):
+        special = [0.0, -0.0, 1.5, -1.5, np.nan, -np.nan, -0.2, -7.0]
+        u = np.concatenate([3.0 * rng.standard_normal(248), special]).reshape(4, 64)
+        a = 1.5 if alpha == "scalar" else np.array([[1.5], [0.0], [0.2], [7.0]])  # ties
+        out = np.full(u.shape, 99.0)
+        got = mn.soft_threshold(u, a, out=out)
+        assert got is out
+        assert out.tobytes() == mn.soft_threshold(u, a).tobytes()
+
+    @pytest.mark.parametrize("view", ["same", "row", "reversed"])
+    def test_out_sharing_memory_with_u_rejected(self, rng, view):
+        # |u| written into out first would overwrite the signs copysign reads
+        u = rng.standard_normal((3, 5))
+        before = u.copy()
+        out = {"same": u, "row": u.reshape(-1)[:15].reshape(3, 5),
+               "reversed": u[::-1]}[view]
+        with pytest.raises(ValueError, match="share memory"):
+            mn.soft_threshold(u, 0.5, out=out)
+        assert np.array_equal(u, before)
+
+    def test_out_of_another_shape_rejected(self, rng):
+        with pytest.raises(ValueError, match="shape"):
+            mn.soft_threshold(rng.standard_normal(5), 0.5, out=np.empty((2, 5)))
+
     @settings(max_examples=50, deadline=None)
     @given(u=st.floats(-5, 5), alpha=st.floats(0, 3))
     def test_scalar_minimizer(self, u, alpha):
@@ -109,12 +134,3 @@ class TestProxL1Metric:
             vals = 0.5 * md * (grid - z) ** 2 + beta * np.abs(grid)
             assert abs(out - grid[np.argmin(vals)]) <= 1e-4 + 1e-12
 
-
-class TestThresholdVector:
-    def test_nonnegative_required(self):
-        with pytest.raises(ValueError):
-            mn.ThresholdVector(np.array([0.1, -0.2]))
-
-    def test_holds_values(self):
-        tv = mn.ThresholdVector(np.array([0.0, 1.5]))
-        assert np.array_equal(tv.values, [0.0, 1.5])

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import mbirnet as mn
-from mbirnet.refiners import filter_fft, flip_filter, tf_defect
+import mbirnet.refiners
+from mbirnet.prox import soft_threshold
+from mbirnet.refiners import _scnn_forward, filter_fft, flip_filter, tf_defect
 
 
 def delta_filter(r):
@@ -45,6 +49,74 @@ class TestScnnForward:
     def test_bank_shape_mismatch(self):
         with pytest.raises(mn.ShapeError):
             mn.ScnnRefiner(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), np.zeros(2))
+
+
+def _reference_scnn_forward(ehat, dhat, thresholds, u):
+    """The sCNN forward over all filters at once, as it ran before the filters
+    went in blocks: the reference for the blocked `_scnn_forward`.  Returns
+    (output, codes)."""
+    uhat = scipy.fft.rfft2(u, axes=(-2, -1))
+    code = scipy.fft.irfft2(ehat[:, None] * uhat[None], s=u.shape[-2:], axes=(-2, -1))
+    hidden = soft_threshold(code, thresholds[:, None, None, None])
+    hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
+    hhat *= dhat[:, None]
+    out = scipy.fft.irfft2(np.sum(hhat, axis=0), s=u.shape[-2:], axes=(-2, -1))
+    return out, hidden
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedScnnForward:
+    # every shape has more than one spectrum entry per filter: for a 1x1 image
+    # numpy's axis-0 sum is pairwise, not one filter after another
+    @pytest.mark.parametrize("k, b, h, w", [(25, 10, 64, 64), (25, 1, 256, 256),
+                                            (9, 3, 32, 32), (7, 3, 9, 7), (25, 1, 17, 17)])
+    @pytest.mark.parametrize("decoder", ["scnn", "tied"])
+    @pytest.mark.parametrize("blocks", ["default", "one filter each"])
+    def test_bits_equal_the_single_shot_forward(self, rng, monkeypatch, k, b, h, w,
+                                                decoder, blocks):
+        if blocks == "one filter each":
+            monkeypatch.setattr(mbirnet.refiners, "_BLOCK_BYTES", 1)
+        r = 5 if k == 25 else 3
+        ehat = filter_fft(rng.uniform(-0.3, 0.3, (k, r, r)), (h, w))
+        dhat = (filter_fft(rng.uniform(-0.3, 0.3, (k, r, r)), (h, w)) if decoder == "scnn"
+                else np.conj(ehat))
+        thr = np.exp(rng.normal(-1.5, 0.5, k))
+        u = rng.standard_normal((b, h, w))
+        want, want_codes = _reference_scnn_forward(ehat, dhat, thr, u)
+        codes = np.full((k, b, h, w), np.nan)
+        got = _scnn_forward(ehat, dhat, thr, u, codes=codes)
+        assert got.tobytes() == want.tobytes()
+        assert codes.tobytes() == want_codes.tobytes()
+        assert _scnn_forward(ehat, dhat, thr, u).tobytes() == want.tobytes()
+
+    def test_tied_codes_equal_the_reference(self, rng):
+        tied = mn.TiedCaolRefiner(mn.make_tf_filterbank(9), np.full(9, 0.05))
+        u = rng.standard_normal((12, 10))
+        hhat = filter_fft(tied.filters, u.shape)
+        want = _reference_scnn_forward(hhat, np.conj(hhat), tied.thresholds, u[None])[1][:, 0]
+        assert tied.codes(u).tobytes() == want.tobytes()
+
+    def test_refiner_call_peaks_no_higher_than_the_single_shot(self, rng):
+        # at 64x64, B = 1 all 25 filters are one block
+        refiner = mn.ScnnRefiner.init_random(25, 25, rng)
+        u = rng.standard_normal((64, 64))
+
+        def reference():
+            shape = u.shape
+            return _reference_scnn_forward(filter_fft(refiner.enc_filters, shape),
+                                           filter_fft(refiner.dec_filters, shape),
+                                           refiner.thresholds, u[None])[0][0] + u
+
+        assert refiner(u).tobytes() == reference().tobytes()
+        assert _peak_bytes(lambda: refiner(u)) <= _peak_bytes(reference)
 
 
 class TestDcnnForward:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -6,7 +8,8 @@ import mbirnet as mn
 import mbirnet.training
 from mbirnet.prox import soft_threshold
 from mbirnet.refiners import THRESHOLD_FLOOR, filter_fft
-from mbirnet.training import dcnn_value_and_grad, extract_patches, scnn_value_and_grad
+from mbirnet.training import (_scnn_workspace, dcnn_value_and_grad, extract_patches,
+                              scnn_value_and_grad)
 
 
 class TestSelectGamma:
@@ -174,6 +177,53 @@ class TestScnnSpatialBackward:
                             np.asarray(scnn.log_thresholds), True, u, u)
 
 
+def _scnn_params(rng, k, r):
+    return (rng.uniform(-0.3, 0.3, (k, r, r)), rng.uniform(-0.3, 0.3, (k, r, r)),
+            rng.normal(-1.5, 0.5, k))
+
+
+class TestScnnWorkspace:
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_bits_equal_the_allocating_call(self, rng, residual):
+        enc, dec, log_thr = _scnn_params(rng, 9, 3)
+        inputs = rng.standard_normal((5, 12, 10))
+        targets = rng.standard_normal((5, 12, 10))
+        work = _scnn_workspace(9, 9, 5 * 12 * 10)
+        for buf in work:
+            buf.fill(np.nan)  # stale contents must not leak into the result
+        # a full batch, then a short last batch on leading views of the same
+        # buffers, then the full batch again over what the short one left
+        for b in (5, 2, 5):
+            loss, grads = scnn_value_and_grad(enc, dec, log_thr, residual,
+                                              inputs[:b], targets[:b], work)
+            ref_loss, ref = scnn_value_and_grad(enc, dec, log_thr, residual,
+                                                inputs[:b], targets[:b])
+            assert loss == ref_loss
+            for name in ("enc", "dec", "thr"):
+                assert grads[name].tobytes() == ref[name].tobytes(), (b, name)
+
+    def test_too_small_workspace_rejected(self, rng):
+        enc, dec, log_thr = _scnn_params(rng, 4, 3)
+        u = rng.standard_normal((3, 8, 8))
+        with pytest.raises(ValueError):
+            scnn_value_and_grad(enc, dec, log_thr, True, u, u, _scnn_workspace(4, 9, 2 * 64))
+
+    def test_gradient_peak_in_a_workspace(self, rng):
+        # K = R = 25, B = 10, 64x64: the three (25, 40960) buffers are 8.2 MB
+        # each; what the gradient allocates beside them stays below one
+        enc, dec, log_thr = _scnn_params(rng, 25, 5)
+        inputs = rng.standard_normal((10, 64, 64))
+        targets = rng.standard_normal((10, 64, 64))
+        work = _scnn_workspace(25, 25, 10 * 64 * 64)
+        tracemalloc.start()
+        try:
+            scnn_value_and_grad(enc, dec, log_thr, True, inputs, targets, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
 @pytest.mark.parametrize("k, n", [(25, 40960), (3, 1000), (7, 5), (1, 1), (4, 0)])
 def test_rowwise_threshold_gradient_sum_is_bitwise(rng, k, n):
     # scnn_value_and_grad reduces each code row on its own; every row must
@@ -184,9 +234,30 @@ def test_rowwise_threshold_gradient_sum_is_bitwise(rng, k, n):
     hidden[rng.random((k, n)) < 0.2] = -0.0
     grad = rng.standard_normal((k, n))
     grad[rng.random((k, n)) < 0.2] = -0.0
-    rows = np.array([np.sum(grad[i] * np.sign(hidden[i])) for i in range(k)])
+    rows, row = np.empty(k), np.empty(n)
+    for i in range(k):  # the reused row buffer of scnn_value_and_grad
+        np.sign(hidden[i], out=row)
+        row *= grad[i]
+        rows[i] = np.sum(row)
     whole = np.sum(grad * np.sign(hidden), axis=1)
     assert rows.tobytes() == whole.tobytes()
+
+
+def test_code_gradient_mask_by_bits_is_copyto(rng):
+    # scnn_value_and_grad zeroes the code gradient where a code is zero by
+    # multiplying its int64 bits by the mask; that must equal the copyto it
+    # replaces on every value, signed zeros, infinities and NaNs included
+    hidden = rng.standard_normal((6, 500))
+    hidden[rng.random(hidden.shape) < 0.5] = 0.0
+    hidden[rng.random(hidden.shape) < 0.1] = -0.0
+    grad = rng.standard_normal(hidden.shape)
+    for value, share in [(-0.0, 0.1), (np.inf, 0.02), (-np.inf, 0.02), (np.nan, 0.02)]:
+        grad[rng.random(hidden.shape) < share] = value
+    want = grad.copy()
+    np.copyto(want, 0.0, where=hidden == 0.0)
+    got = grad.view(np.int64)
+    got *= hidden != 0.0
+    assert grad.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k, b, h, w", [(25, 10, 64, 33), (3, 2, 9, 7), (4, 1, 5, 3)])
