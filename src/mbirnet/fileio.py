@@ -90,20 +90,28 @@ def write_vector_csv(path, vec) -> None:
 
 
 def read_vector_csv(path) -> np.ndarray:
-    values = []
-    with open(path, "rb") as fh:  # float() parses bytes, so no decode step can fail
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    """The floats of a one-column file, one per non-blank line.
+
+    Each line is parsed by `float()` (which takes bytes, so no decode step can
+    fail); the first line that is not a finite number is named in the error.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")  # the lines a binary file iterates over
+    kept = [line for line in lines if line.strip()]
+    try:
+        values = np.fromiter(map(float, kept), dtype=np.float64, count=len(kept))
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        for lineno, line in enumerate(lines, 1):
             try:
-                v = float(line)
+                bad = line.strip() and not math.isfinite(float(line))
             except ValueError:
-                v = math.nan  # reported with the non-finite values below
-            if not math.isfinite(v):
+                bad = True
+            if bad:
                 raise ValueError(f"{path}: line {lineno}: expected a finite number, "
                                  f"got {line.strip().decode('latin-1')!r}")
-            values.append(v)
-    return np.array(values, dtype=np.float64)
+    return values
 
 
 def write_operator(path, op: SparseMatrixOperator) -> None:

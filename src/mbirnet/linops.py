@@ -7,6 +7,7 @@ that do not mutate after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -256,6 +257,20 @@ class QuadraticDataFit:
     def n(self) -> int:
         return self.op.in_dim
 
+    @functools.cached_property
+    def _majorizer_diag(self) -> np.ndarray:
+        """The floored diagonal of `diag_majorizer`, formed once per data fit."""
+        op = self.op
+        ones = np.ones(op.in_dim)
+        if op._has_negative:
+            a = abs(op.matrix)
+            d = a.T @ (self.weights * (a @ ones))
+        else:
+            d = _product(op._adj_blocks, self.weights * _product(op._blocks, ones))
+        dmax = float(np.max(d)) if d.size else 0.0
+        floor = 1e-8 * dmax if dmax > 0 else 1e-8
+        return _frozen(np.maximum(d, floor))
+
 
 @dataclass(frozen=True)
 class DiagonalMajorizer:
@@ -362,23 +377,16 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
     1e-8 * max-entry so the majorizer stays strictly positive definite; an
     identically-zero operator falls back to an absolute 1e-8 floor.
 
-    A matrix with no negative entry is its own |A|, so the product runs on the
-    operator's matrix and stored transpose without a copy; it sums in the same
-    order as the transpose view of a copy would.  Like the operator's own
-    products, it is split over one thread per usable CPU when the operator is
-    large enough, with the same bits.  A matrix with a negative entry forms
-    |A| and runs single-threaded.
+    The diagonal depends only on the data fit, which is frozen, so it is
+    formed on the first call for `f` and kept, read-only, on `f`; every later
+    call, with any `lam`, only wraps it.  A matrix with no negative entry is
+    its own |A|, so the product runs on the operator's matrix and stored
+    transpose without a copy; it sums in the same order as the transpose view
+    of a copy would.  Like the operator's own products, it is split over one
+    thread per usable CPU when the operator is large enough, with the same
+    bits.  A matrix with a negative entry forms |A| and runs single-threaded.
     """
-    op = f.op
-    ones = np.ones(op.in_dim)
-    if op._has_negative:
-        a = abs(op.matrix)
-        d = a.T @ (f.weights * (a @ ones))
-    else:
-        d = _product(op._adj_blocks, f.weights * _product(op._blocks, ones))
-    dmax = float(np.max(d)) if d.size else 0.0
-    floor = 1e-8 * dmax if dmax > 0 else 1e-8
-    return DiagonalMajorizer(np.maximum(d, floor), lam)
+    return DiagonalMajorizer(f._majorizer_diag, lam)
 
 
 def mbir_gradient(obj: MbirObjective, x):

@@ -18,8 +18,10 @@ training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN and
 tied forward multiply spectra, with `scipy.fft` transforms on the calling
 thread, in blocks of filters whose code spectra fit in `_BLOCK_BYTES`, and
 write the codes into a caller's buffer when the training gradient asks for
-them.  `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` on
-purpose: it is the independent oracle.
+them.  The filter spectra (`filter_fft`) are built from the filters' r
+nonzero rows, never from a (K, h, w) embedded stack.  `solver.run_caol_bpegm`
+keeps its own tied forward on `numpy.fft` of the embedded filters
+(`embed_filters`) on purpose: it is the independent oracle.
 """
 
 from __future__ import annotations
@@ -57,8 +59,25 @@ def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """rfft2 of the embedded filter stack."""
-    return scipy.fft.rfft2(embed_filters(filters, shape), axes=(-2, -1))
+    """rfft2 of the embedded filter stack, from the filters' rh nonzero rows.
+
+    The filters are embedded along the width only, as a (K, rh, w) band, and
+    transformed along it with one `rfft`; the rh-term DFT down the columns is
+    one complex matmul with the (h, rh) twiddles exp(-2 pi i ((p y) mod h) / h)
+    of the wrapped rows y.  This equals `rfft2(embed_filters(filters, shape))`
+    to rounding, and never builds a (K, h, w) stack.
+    """
+    filters = np.atleast_3d(filters)
+    k, rh, rw = filters.shape
+    h, w = shape
+    if rh > h or rw > w:
+        raise ShapeError(f"filters {filters.shape[1:]} larger than image {shape}")
+    band = np.zeros((k, rh, w))
+    band[:, :, (np.arange(rw) - rw // 2) % w] = filters
+    rows = (np.arange(rh) - rh // 2) % h
+    # the phase index is reduced mod h in integers, so every angle is exact
+    twiddle = np.exp((-2j * np.pi / h) * (np.arange(h)[:, None] * rows % h))
+    return np.matmul(twiddle, scipy.fft.rfft(band, axis=-1))
 
 
 def flip_filter(filt: np.ndarray) -> np.ndarray:
@@ -165,7 +184,8 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
     acc = None
     for start in range(0, ehat.shape[0], step):
         ks = slice(start, start + step)
-        code = scipy.fft.irfft2(ehat[ks, None] * uhat[None], s=shape, axes=(-2, -1))
+        code = scipy.fft.irfft2(ehat[ks, None] * uhat[None], s=shape, axes=(-2, -1),
+                                overwrite_x=True)
         hidden = soft_threshold(code, thresholds[ks, None, None, None],
                                 out=None if codes is None else codes[ks])
         del code
@@ -182,7 +202,7 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
             for row in hhat:
                 acc += row
         del hhat
-    return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1))
+    return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1), overwrite_x=True)
 
 
 def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,

@@ -256,10 +256,11 @@ def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
            fixed_point=None) -> IterateTrace:
     """Loop shared by the unrolled solvers.
 
-    `step(refiner, x)` returns (x_new, z) for one iteration; the driver times
-    it, records the MBIR objective F(x_new; y, z) and a copy of both images,
-    and aborts on a non-finite iterate.  `fixed_point(refiner, x_new)`, when
-    given, fills the record's fixed-point residual.
+    `step(refiner, x)` returns (x_new, z) for one iteration, as fresh arrays
+    that nothing writes afterwards; the driver times it, records the MBIR
+    objective F(x_new; y, z) and both images, uncopied, and aborts on a
+    non-finite iterate.  `fixed_point(refiner, x_new)`, when given, fills the
+    record's fixed-point residual.
     """
     if n_iter > 0 and len(refiners) == 0:
         raise ValueError("need at least one refiner")
@@ -279,8 +280,8 @@ def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
                 objective=MbirObjective(datafit, gamma, z, feasible).value(x_new),
                 step_residual=float(np.linalg.norm(x_new - x)),
                 wall_ms=wall,
-                x=x_new.copy(),
-                z=z.copy(),
+                x=x_new,
+                z=z,
             )
             if not np.all(np.isfinite(x_new)):
                 rec.objective = math.nan

@@ -78,6 +78,42 @@ class TestVectorCsv:
         with pytest.raises(ValueError, match="v.csv: line 3"):
             read_vector_csv(path)
 
+    @staticmethod
+    def _line_by_line(path):
+        """The reader as a loop over the file's lines: the reference."""
+        values = []
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    v = float(line)
+                except ValueError:
+                    v = math.nan
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}: line {lineno}: expected a finite number, "
+                                     f"got {line.strip().decode('latin-1')!r}")
+                values.append(v)
+        return np.array(values, dtype=np.float64)
+
+    @pytest.mark.parametrize("text", [
+        b"", b"\n\n", b"1.5", b"1.5\n\n  \n-0\n0\n 2e-308 \n\t3\r\n1_0\n-0.0\n",
+        b"0x1p3\n", b"1\n2\n\n", b"\n\n1.5\nnan\n", b"1\n-inf\n", b"1\ninfinity\n2\n",
+        b"1\n2\n3 4\n", b"\n1\n\xff\xfe\n", b"1\r2\n", b"1e999\n", b"NaN\n\n1\n"])
+    def test_same_bits_and_errors_as_line_by_line(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text)
+        try:
+            want = self._line_by_line(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_vector_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            got = read_vector_csv(path)
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestOperatorFile:
     def test_sparse_round_trip_exact(self, tmp_path, rng):

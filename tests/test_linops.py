@@ -182,6 +182,36 @@ class TestDiagMajorizer:
         want = np.asarray(a.T @ (w * (a @ np.ones(op.in_dim))))
         assert np.array_equal(mn.diag_majorizer(f).diag, np.maximum(want, 1e-8 * want.max()))
 
+    def test_second_call_runs_no_product(self, monkeypatch, rng):
+        from mbirnet import linops
+        op = mn.build_radon(mn.CtGeometry(16, 5))
+        f = mn.QuadraticDataFit(op, rng.uniform(0.5, 1.5, op.out_dim), np.zeros(op.out_dim))
+        first = mn.diag_majorizer(f)
+
+        def no_product(*args):
+            raise AssertionError("the majorizer was formed again")
+        monkeypatch.setattr(linops, "_product", no_product)
+        again = mn.diag_majorizer(f, lam=1.7)
+        assert np.array_equal(again.diag, first.diag)
+        assert np.shares_memory(again.diag, first.diag)
+        assert (first.lam, again.lam) == (1.0, 1.7)
+        with pytest.raises(ValueError, match="read-only"):
+            first.diag[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            f._majorizer_diag[0] = 1.0
+
+    def test_negative_entries_cached_too(self):
+        f = mn.QuadraticDataFit(dense([[1, -2], [-3, 4]]), np.ones(2), np.zeros(2))
+        first, again = mn.diag_majorizer(f), mn.diag_majorizer(f, lam=2.0)
+        assert np.array_equal(again.diag, [24.0, 34.0])
+        assert np.shares_memory(again.diag, first.diag)
+
+    def test_each_data_fit_forms_its_own(self):
+        op = dense([[1, 2], [3, 4]])
+        ones = mn.diag_majorizer(mn.QuadraticDataFit(op, np.ones(2), np.zeros(2)))
+        twos = mn.diag_majorizer(mn.QuadraticDataFit(op, np.full(2, 2.0), np.zeros(2)))
+        assert np.array_equal(twos.diag, 2 * ones.diag)
+
     def test_nonnegative_matrix_is_not_copied(self):
         import tracemalloc
         op = mn.build_radon(mn.CtGeometry(64, 23))

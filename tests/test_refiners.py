@@ -51,6 +51,38 @@ class TestScnnForward:
             mn.ScnnRefiner(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), np.zeros(2))
 
 
+class TestFilterFft:
+    # (K, rh, rw, image shape): even 2x2 filters (criterion 5), filters as tall
+    # as the image, 1x1 filters, an odd non-square image and a 256x256 one
+    @pytest.mark.parametrize("k, rh, rw, shape", [
+        (4, 2, 2, (16, 16)), (25, 5, 5, (64, 64)), (3, 5, 3, (5, 8)), (3, 1, 1, (8, 8)),
+        (5, 3, 3, (9, 7)), (4, 9, 7, (9, 7)), (25, 5, 5, (256, 256))])
+    def test_equals_the_full_embedded_rfft2(self, rng, k, rh, rw, shape):
+        filters = rng.standard_normal((k, rh, rw))
+        want = scipy.fft.rfft2(mbirnet.refiners.embed_filters(filters, shape))
+        got = filter_fft(filters, shape)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("rh, rw", [(5, 3), (3, 9)])
+    def test_oversized_filters_rejected(self, rh, rw):
+        with pytest.raises(mn.ShapeError):
+            filter_fft(np.ones((2, rh, rw)), (4, 8))
+
+    def test_builds_no_full_filter_stack(self, rng):
+        filters = rng.standard_normal((25, 5, 5))
+        stack_bytes = 25 * 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            spectra = filter_fft(filters, (256, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the spectra it returns, the band and its row transforms
+        # (about half a MB here) are all it holds
+        assert peak - spectra.nbytes < stack_bytes / 8
+
+
 def _reference_scnn_forward(ehat, dhat, thresholds, u):
     """The sCNN forward over all filters at once, as it ran before the filters
     went in blocks: the reference for the blocked `_scnn_forward`.  Returns
