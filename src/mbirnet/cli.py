@@ -63,12 +63,22 @@ def artifact_checksum(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):  # an older numpy or a build without that record
+        return "unknown"
+
+
 def _environment() -> dict:
     """Interpreter and library versions, and the CPUs a large sparse product splits over."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "blas": _blas(),
         "numpy_fft": "pocketfft" if hasattr(np.fft, "_pocketfft") else "unknown",
         "scipy_fft": "pocketfft" if hasattr(scipy.fft, "_pocketfft") else "unknown",
         "cpus": usable_cpus(),

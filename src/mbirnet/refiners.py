@@ -19,7 +19,9 @@ tied forward multiply spectra, with `scipy.fft` transforms on the calling
 thread, in blocks of filters whose code spectra fit in `_BLOCK_BYTES`, and
 write the codes into a caller's buffer when the training gradient asks for
 them.  The filter spectra (`filter_fft`) are built from the filters' r
-nonzero rows, never from a (K, h, w) embedded stack.  `solver.run_caol_bpegm`
+nonzero rows, never from a (K, h, w) embedded stack, with GEMMs small enough
+that OpenBLAS runs them on the calling thread, so an sCNN or tied refiner
+wakes none of its workers; the shift-stack GEMMs use them.  `solver.run_caol_bpegm`
 keeps its own tied forward on `numpy.fft` of the embedded filters
 (`embed_filters`) on purpose: it is the independent oracle.
 """
@@ -58,14 +60,25 @@ def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+# The most multiply-adds (rows x rh x spectrum columns) one complex GEMM of
+# `filter_fft` may take.  OpenBLAS 0.3.31 ran (100, 5) @ (5, 129), 64,500 of
+# them, on the calling thread but woke its worker pool from (104, 5) @ (5, 129)
+# on, and a woken worker spins for about 0.1 s on another CPU, where it slows
+# the solver's split products.  2^15 stays a factor of two below that switch.
+_GEMM_MADDS = 1 << 15
+
+
 def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """rfft2 of the embedded filter stack, from the filters' rh nonzero rows.
 
     The filters are embedded along the width only, as a (K, rh, w) band, and
     transformed along it with one `rfft`; the rh-term DFT down the columns is
-    one complex matmul with the (h, rh) twiddles exp(-2 pi i ((p y) mod h) / h)
+    a complex matmul with the (h, rh) twiddles exp(-2 pi i ((p y) mod h) / h)
     of the wrapped rows y.  This equals `rfft2(embed_filters(filters, shape))`
-    to rounding, and never builds a (K, h, w) stack.
+    to rounding, and never builds a (K, h, w) stack.  The matmul runs in about
+    equal blocks of twiddle rows, each of at most `_GEMM_MADDS` multiply-adds
+    (or two rows), so that BLAS keeps it on the calling thread; every output
+    entry is the same rh-term sum as in one matmul, with the same bits.
     """
     filters = np.atleast_3d(filters)
     k, rh, rw = filters.shape
@@ -77,7 +90,15 @@ def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     rows = (np.arange(rh) - rh // 2) % h
     # the phase index is reduced mod h in integers, so every angle is exact
     twiddle = np.exp((-2j * np.pi / h) * (np.arange(h)[:, None] * rows % h))
-    return np.matmul(twiddle, scipy.fft.rfft(band, axis=-1))
+    spec = scipy.fft.rfft(band, axis=-1)
+    out = np.empty((k, h, spec.shape[-1]), dtype=spec.dtype)
+    # numpy runs a one-row matmul as a gemv, whose sums differ from gemm's in
+    # the last bits, so every block keeps two rows at least
+    parts = max(1, min(h // 2, math.ceil(h * rh * spec.shape[-1] / _GEMM_MADDS)))
+    for i in range(parts):
+        block = slice(i * h // parts, (i + 1) * h // parts)
+        np.matmul(twiddle[block], spec, out=out[:, block])
+    return out
 
 
 def flip_filter(filt: np.ndarray) -> np.ndarray:

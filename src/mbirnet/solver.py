@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MbirObjective,
-                     QuadraticDataFit, ShapeError, _flat, as_f64, datafit_gradient,
+                     QuadraticDataFit, ShapeError, _flat, _norm, as_f64, datafit_gradient,
                      diag_majorizer, mbir_gradient, select_gamma)
 from .prox import prox_indicator, soft_threshold
 from .refiners import embed_filters, tf_defect
@@ -182,7 +182,7 @@ class IterateTrace:
         """Step residuals scaled by max(1, ||x||) of the previous iterate."""
         out = []
         for prev, rec in zip(self.records, self.records[1:]):
-            scale = max(1.0, float(np.linalg.norm(prev.x))) if prev.x is not None else 1.0
+            scale = max(1.0, _norm(prev.x)) if prev.x is not None else 1.0
             out.append(rec.step_residual / scale)
         return np.array(out)
 
@@ -227,7 +227,7 @@ def fixed_point_residual(x, refiner: Refiner, config: MomentumNetConfig,
     z_bar = (1.0 - config.rho) * xf + config.rho * refiner(xf.reshape(shape)).ravel()
     obj = MbirObjective(datafit, gamma, z_bar, feasible)
     x_next = mbir_step(xf, obj, m_tilde)
-    return float(np.linalg.norm(xf - x_next) / max(1.0, np.linalg.norm(xf)))
+    return _norm(xf - x_next) / max(1.0, _norm(xf))
 
 
 def _refiner_at(refiners: Sequence[Refiner], i: int) -> Refiner:
@@ -278,7 +278,7 @@ def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
             rec = IterateRecord(
                 it=i + 1,
                 objective=MbirObjective(datafit, gamma, z, feasible).value(x_new),
-                step_residual=float(np.linalg.norm(x_new - x)),
+                step_residual=_norm(x_new - x),
                 wall_ms=wall,
                 x=x_new,
                 z=z,

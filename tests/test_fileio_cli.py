@@ -405,6 +405,16 @@ class TestCmdSimulate:
         assert isinstance(env["numpy_fft"], str) and env["numpy_fft"]
         assert isinstance(env["scipy_fft"], str) and env["scipy_fft"]
         assert env["cpus"] == usable_cpus() >= 1
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
+
+    def test_manifest_blas_unknown_without_build_info(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(BLUR_CONFIG)
+        monkeypatch.setattr(np, "show_config", lambda mode=None: {"Build Dependencies": {}})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        env = json.loads((tmp_path / "s" / "manifest.json").read_text())["environment"]
+        assert env["blas"] == "unknown"
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.yaml"

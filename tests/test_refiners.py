@@ -54,9 +54,10 @@ class TestScnnForward:
 class TestFilterFft:
     # (K, rh, rw, image shape): even 2x2 filters (criterion 5), filters as tall
     # as the image, 1x1 filters, an odd non-square image and a 256x256 one
-    @pytest.mark.parametrize("k, rh, rw, shape", [
-        (4, 2, 2, (16, 16)), (25, 5, 5, (64, 64)), (3, 5, 3, (5, 8)), (3, 1, 1, (8, 8)),
-        (5, 3, 3, (9, 7)), (4, 9, 7, (9, 7)), (25, 5, 5, (256, 256))])
+    CASES = [(4, 2, 2, (16, 16)), (25, 5, 5, (64, 64)), (3, 5, 3, (5, 8)), (3, 1, 1, (8, 8)),
+             (5, 3, 3, (9, 7)), (4, 9, 7, (9, 7)), (25, 5, 5, (256, 256))]
+
+    @pytest.mark.parametrize("k, rh, rw, shape", CASES)
     def test_equals_the_full_embedded_rfft2(self, rng, k, rh, rw, shape):
         filters = rng.standard_normal((k, rh, rw))
         want = scipy.fft.rfft2(mbirnet.refiners.embed_filters(filters, shape))
@@ -68,6 +69,39 @@ class TestFilterFft:
     def test_oversized_filters_rejected(self, rh, rw):
         with pytest.raises(mn.ShapeError):
             filter_fft(np.ones((2, rh, rw)), (4, 8))
+
+    # one row block at 64x64 and six at 256x256; with the bound at 1, every
+    # block has two or three rows
+    @pytest.mark.parametrize("k, rh, rw, shape", CASES)
+    @pytest.mark.parametrize("bound", ["default", "two rows per block"])
+    def test_bits_equal_one_matmul(self, rng, monkeypatch, k, rh, rw, shape, bound):
+        if bound == "two rows per block":
+            monkeypatch.setattr(mbirnet.refiners, "_GEMM_MADDS", 1)
+        filters = rng.standard_normal((k, rh, rw))
+        h, w = shape
+        band = np.zeros((k, rh, w))
+        band[:, :, (np.arange(rw) - rw // 2) % w] = filters
+        rows = (np.arange(rh) - rh // 2) % h
+        twiddle = np.exp((-2j * np.pi / h) * (np.arange(h)[:, None] * rows % h))
+        # the row-blocked product's reference: the one matmul it replaced
+        want = np.matmul(twiddle, scipy.fft.rfft(band, axis=-1))
+        assert filter_fft(filters, shape).tobytes() == want.tobytes()
+
+    def test_each_matmul_stays_within_the_block_bound(self, rng, monkeypatch):
+        filters = rng.standard_normal((25, 5, 5))
+        want = filter_fft(filters, (256, 256))
+        matmul = np.matmul
+        sizes = []
+
+        def counted(a, b, *args, **kwargs):
+            sizes.append((a.shape[-2], a.shape[-1], b.shape[-1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        got = filter_fft(filters, (256, 256))
+        assert got.tobytes() == want.tobytes()
+        assert len(sizes) > 1 and sum(m for m, _, _ in sizes) == 256
+        assert all(m * n * k <= mbirnet.refiners._GEMM_MADDS for m, n, k in sizes)
 
     def test_builds_no_full_filter_stack(self, rng):
         filters = rng.standard_normal((25, 5, 5))

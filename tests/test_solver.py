@@ -331,6 +331,63 @@ class TestNoExtrapolationBitwise:
             assert np.array_equal(x, trace.records[i + 1].x)
 
 
+class TestReductionsOffBlas:
+    """The solver loop sums its trace values with numpy (`linops._dot`), never
+    with a BLAS reduction, and they equal the np.dot-based values."""
+
+    @pytest.fixture(scope="class")
+    def ct_problem(self):
+        n = 24
+        rng = np.random.default_rng(5)
+        op = mn.build_radon(mn.CtGeometry(n, 8))
+        y, w = mn.simulate_ct(mn.random_ellipse_phantom(n, rng), op, 1e4, 25.0, seed=3)
+        fit = mn.QuadraticDataFit(op, w, y)
+        return fit, mn.backprojection_init(fit, (n, n))
+
+    @pytest.mark.parametrize("solver", ["momentum", "no extrapolation", "bcd"])
+    def test_trace_values_equal_a_blas_recomputation(self, monkeypatch, ct_problem, solver):
+        fit, x0 = ct_problem
+        feasible = mn.FeasibleSet.nonneg()
+        refiner = mn.TiedCaolRefiner(mn.make_tf_filterbank(9), np.full(9, 0.02))
+        cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=0.1,
+                                   extrapolate=solver != "no extrapolation")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BLAS reduction ran in the solver loop")
+
+        with monkeypatch.context() as patched:
+            for module, name in ((np, "dot"), (np, "vdot"), (np, "inner"),
+                                 (np.linalg, "norm")):
+                patched.setattr(module, name, refuse)
+            if solver == "bcd":
+                trace = mn.run_bcd_net(cfg, [refiner], fit, feasible, x0, inner_iters=3)
+            else:
+                trace = mn.run_momentum_net(cfg, [refiner], fit, feasible, x0)
+            relative = trace.relative_step_residuals()
+        assert not trace.aborted and len(trace) == 5
+
+        gamma, m_big = cfg.metric(fit)
+
+        def objective(x, z):
+            r = fit.op.forward(x) - fit.measurements
+            return 0.5 * np.dot(fit.weights * r, r) + 0.5 * gamma * np.dot(x - z, x - z)
+
+        assert trace.records[0].objective == pytest.approx(objective(x0.data, x0.data),
+                                                           rel=1e-13)
+        for prev, rec, rel in zip(trace.records, trace.records[1:], relative):
+            step = np.linalg.norm(rec.x - prev.x)
+            assert rec.objective == pytest.approx(objective(rec.x, rec.z), rel=1e-13)
+            assert rec.step_residual == pytest.approx(step, rel=1e-13)
+            assert rel == pytest.approx(step / max(1.0, np.linalg.norm(prev.x)), rel=1e-13)
+            if solver == "bcd":
+                assert math.isnan(rec.fixed_point_residual)
+                continue
+            z_bar = (1 - cfg.rho) * rec.x + cfg.rho * refiner(rec.x.reshape(x0.shape)).ravel()
+            x_next = mn.mbir_step(rec.x, mn.MbirObjective(fit, gamma, z_bar, feasible), m_big)
+            fp = np.linalg.norm(rec.x - x_next) / max(1.0, np.linalg.norm(rec.x))
+            assert rec.fixed_point_residual == pytest.approx(fp, rel=1e-13)
+
+
 class TestCaolBpegm:
     def test_zero_thresholds_monotone_objective(self, deblur_problem):
         trace = mn.run_caol_bpegm(deblur_problem["datafit"], mn.make_tf_filterbank(4),
