@@ -4,7 +4,7 @@ from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MajorizationRe
                      MbirObjective, QuadraticDataFit, ShapeError, SparseMatrixOperator,
                      datafit_gradient, diag_majorizer, mbir_gradient, select_gamma,
                      spectral_spread, verify_majorization)
-from .prox import prox_indicator, prox_l1_metric, soft_threshold
+from .prox import prox_l1_metric, soft_threshold
 from .refiners import (DcnnRefiner, IdentityRefiner, NonexpansiveReport, ScnnRefiner,
                        TiedCaolRefiner, delta_measure, lipschitz_estimate,
                        load_refiner, make_tf_filterbank, paired_epsilon, save_refiner,

@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -292,28 +291,17 @@ class QuadraticDataFit:
 
 @dataclass(frozen=True)
 class DiagonalMajorizer:
-    """Positive diagonal metric M with scale factor lam >= 1 (scaled form lam*M)."""
+    """Positive diagonal metric M, stored as its diagonal with any scale in it
+    (the MBIR metric lam * (M_f + gamma I) is one: `MomentumNetConfig.metric`)."""
 
     diag: np.ndarray
-    lam: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "diag", _frozen(np.ravel(self.diag)))
-        object.__setattr__(self, "lam", float(self.lam))
         if self.diag.size == 0:
             raise ValueError("empty diagonal")
         if not np.all(np.isfinite(self.diag)) or np.any(self.diag <= 0):
             raise ValueError("majorizer diagonal must be finite and strictly positive")
-        if not (math.isfinite(self.lam) and self.lam >= 1.0):
-            raise ValueError(f"scale lam must be finite and >= 1, got {self.lam}")
-
-    @property
-    def scaled_diag(self) -> np.ndarray:
-        return self.lam * self.diag
-
-    def shifted(self, gamma: float, lam: Optional[float] = None) -> "DiagonalMajorizer":
-        """Majorizer for the gradient of f + (gamma/2)||x - z||^2."""
-        return DiagonalMajorizer(self.diag + gamma, self.lam if lam is None else lam)
 
 
 @dataclass(frozen=True)
@@ -388,7 +376,7 @@ def datafit_gradient(f: QuadraticDataFit, x):
     return f.op.adjoint(f.weights * r)
 
 
-def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
+def diag_majorizer(f: QuadraticDataFit) -> DiagonalMajorizer:
     """Diagonal curvature bound diag(|A^T| W |A| 1) >= A^T W A.
 
     Zero diagonal entries (all-zero rows/columns of A) are floored at
@@ -397,14 +385,14 @@ def diag_majorizer(f: QuadraticDataFit, lam: float = 1.0) -> DiagonalMajorizer:
 
     The diagonal depends only on the data fit, which is frozen, so it is
     formed on the first call for `f` and kept, read-only, on `f`; every later
-    call, with any `lam`, only wraps it.  A matrix with no negative entry is
-    its own |A|, so the product runs on the operator's matrix and stored
-    transpose without a copy; it sums in the same order as the transpose view
-    of a copy would.  Like the operator's own products, it is split over one
-    thread per usable CPU when the operator is large enough, with the same
-    bits.  A matrix with a negative entry forms |A| and runs single-threaded.
+    call only wraps it.  A matrix with no negative entry is its own |A|, so the
+    product runs on the operator's matrix and stored transpose without a copy;
+    it sums in the same order as the transpose view of a copy would.  Like the
+    operator's own products, it is split over one thread per usable CPU when
+    the operator is large enough, with the same bits.  A matrix with a negative
+    entry forms |A| and runs single-threaded.
     """
-    return DiagonalMajorizer(f._majorizer_diag, lam)
+    return DiagonalMajorizer(f._majorizer_diag)
 
 
 def mbir_gradient(obj: MbirObjective, x):
@@ -440,7 +428,7 @@ def verify_majorization(
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     n = f.n
-    md = m.scaled_diag
+    md = m.diag
     violations = 0
     worst = 0.0
     for _ in range(trials):

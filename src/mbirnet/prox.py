@@ -1,10 +1,11 @@
-"""Proximal maps under diagonal majorizer metrics."""
+"""Proximal maps under diagonal majorizer metrics.  The metric projection onto
+a feasible set is `FeasibleSet.project`: a box clamp, whatever the diagonal."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linops import DiagonalMajorizer, FeasibleSet, _flat
+from .linops import DiagonalMajorizer, _flat
 
 
 def soft_threshold(u, alpha, out=None):
@@ -38,17 +39,8 @@ def soft_threshold(u, alpha, out=None):
     return out
 
 
-def prox_indicator(v, m: DiagonalMajorizer, fset: FeasibleSet):
-    """Metric projection argmin_{u in set} 1/2||u - v||^2_M.
-
-    The implemented sets are separable boxes and M is diagonal, so the
-    minimizer is the entrywise clamp of v, independent of M's values.
-    """
-    return fset.project(_flat(v))
-
-
 def prox_l1_metric(z, m: DiagonalMajorizer, beta: float):
     """Prox of beta*||.||_1 in the metric of m: entrywise shrink by beta / M_n."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    return soft_threshold(_flat(z), beta / m.scaled_diag)
+    return soft_threshold(_flat(z), beta / m.diag)

@@ -1,7 +1,8 @@
 """Momentum-extrapolated reconstruction solvers.
 
 `run_momentum_net` executes the three-module iteration (refine, extrapolate,
-noniterative majorized MBIR step); `run_bcd_net` is the inner-solver baseline;
+noniterative MBIR step: one gradient step in the diagonal metric
+lam * (M_f + gamma I), then a clamp); `run_bcd_net` is the inner-solver baseline;
 `run_caol_bpegm` is an independently-coded two-block majorized solver for the
 convolutional sparse prior, used as an equivalence oracle for the tied
 autoencoder configuration.
@@ -18,9 +19,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MbirObjective,
-                     QuadraticDataFit, ShapeError, _flat, _norm, as_f64, datafit_gradient,
+                     QuadraticDataFit, _flat, _norm, as_f64, datafit_gradient,
                      diag_majorizer, mbir_gradient, select_gamma)
-from .prox import prox_indicator, soft_threshold
+from .prox import soft_threshold
 from .refiners import embed_filters, tf_defect
 
 Refiner = Callable[[np.ndarray], np.ndarray]
@@ -63,24 +64,24 @@ def momentum_update(state: MomentumState) -> MomentumState:
 
 
 def extrapolation_matrix(m_prev: DiagonalMajorizer, m_cur: DiagonalMajorizer,
-                         state: MomentumState, lam: float, convex: bool) -> np.ndarray:
+                         state: MomentumState, lam: float) -> np.ndarray:
     """Diagonal extrapolation matrix delta^2 m * M_cur^{-1/2} M_prev^{1/2}.
 
-    The nonconvex variant carries the extra factor (lam-1)/(2(lam+1)), which
-    degenerates to E = 0 at lam = 1.  Returned as the diagonal vector.
+    lam = 1 is convex mode; lam > 1 (nonconvex mode) carries the extra factor
+    (lam-1)/(2(lam+1)).  Returned as the diagonal vector.
     """
     scale = state.delta ** 2 * state.m
-    if not convex:
+    if lam != 1.0:
         scale *= (lam - 1.0) / (2.0 * (lam + 1.0))
     return scale * np.sqrt(m_prev.diag / m_cur.diag)
 
 
 def check_extrapolation_condition(e_diag: np.ndarray, m_prev: DiagonalMajorizer,
                                   m_cur: DiagonalMajorizer, delta: float, lam: float,
-                                  convex: bool, slack: float = 1e-12) -> bool:
-    """Entrywise test of E^T M_cur E <= bound * M_prev for diagonal inputs."""
+                                  slack: float = 1e-12) -> bool:
+    """Entrywise test of E^T M_cur E <= bound * M_prev, nonconvex bound if lam != 1."""
     bound = delta ** 2
-    if not convex:
+    if lam != 1.0:
         bound *= (lam - 1.0) ** 2 / (4.0 * (lam + 1.0) ** 2)
     lhs = np.asarray(e_diag) ** 2 * m_cur.diag
     rhs = bound * m_prev.diag
@@ -130,10 +131,10 @@ class MomentumNetConfig:
 
     def metric(self, datafit: QuadraticDataFit) -> tuple[float, DiagonalMajorizer]:
         """The proximity weight gamma for this data fit and the MBIR metric
-        lam * (M_f + gamma I) built from its diagonal majorizer M_f."""
+        lam * (M_f + gamma I), one diagonal, built from its diagonal majorizer M_f."""
         m_f = diag_majorizer(datafit)
         gamma = select_gamma(m_f, self.chi) if self.gamma is None else self.gamma
-        return gamma, m_f.shifted(gamma, lam=self.lam)
+        return gamma, DiagonalMajorizer(self.lam * (m_f.diag + gamma))
 
 
 @dataclass
@@ -141,10 +142,10 @@ class IterateRecord:
     it: int
     objective: float
     step_residual: float
+    x: np.ndarray
+    z: np.ndarray
     fixed_point_residual: float = math.nan
     wall_ms: float = 0.0
-    x: Optional[np.ndarray] = None
-    z: Optional[np.ndarray] = None
 
 
 TRACE_COLUMNS = ("iter", "objective", "step_residual", "fixed_point_residual", "wall_ms")
@@ -182,8 +183,7 @@ class IterateTrace:
         """Step residuals scaled by max(1, ||x||) of the previous iterate."""
         out = []
         for prev, rec in zip(self.records, self.records[1:]):
-            scale = max(1.0, _norm(prev.x)) if prev.x is not None else 1.0
-            out.append(rec.step_residual / scale)
+            out.append(rec.step_residual / max(1.0, _norm(prev.x)))
         return np.array(out)
 
     def to_csv(self, path) -> None:
@@ -206,25 +206,22 @@ def _fmt(v: float) -> str:
 def mbir_step(x_acute, obj: MbirObjective, m_tilde: DiagonalMajorizer):
     """Noniterative majorized MBIR update: gradient step in the M-metric, then projection."""
     xa = _flat(x_acute)
-    step = xa - mbir_gradient(obj, xa) / m_tilde.scaled_diag
-    return prox_indicator(step, m_tilde, obj.feasible)
+    step = xa - mbir_gradient(obj, xa) / m_tilde.diag
+    # the sets are separable boxes and M is diagonal, so the M-metric
+    # projection argmin_{u in set} 1/2||u - step||^2_M is the entrywise clamp
+    return obj.feasible.project(step)
 
 
-def fixed_point_residual(x, refiner: Refiner, config: MomentumNetConfig,
+def fixed_point_residual(x: ImageVector, refiner: Refiner, config: MomentumNetConfig,
                          datafit: QuadraticDataFit, feasible: FeasibleSet,
-                         m_tilde: DiagonalMajorizer, gamma: float,
-                         shape: Optional[tuple[int, int]] = None) -> float:
+                         m_tilde: DiagonalMajorizer, gamma: float) -> float:
     """Normalized distance of x from its own zero-momentum full iteration.
 
     Zero exactly when x reproduces itself through refine -> MBIR with no
     extrapolation, the empirical marker of a solver fixed point.
     """
-    if isinstance(x, ImageVector):
-        shape = x.shape
-    if shape is None:
-        raise ShapeError("shape required when x is a flat array")
-    xf = _flat(x)
-    z_bar = (1.0 - config.rho) * xf + config.rho * refiner(xf.reshape(shape)).ravel()
+    xf = x.data
+    z_bar = (1.0 - config.rho) * xf + config.rho * refiner(x.as_2d()).ravel()
     obj = MbirObjective(datafit, gamma, z_bar, feasible)
     x_next = mbir_step(xf, obj, m_tilde)
     return _norm(xf - x_next) / max(1.0, _norm(xf))
@@ -242,7 +239,7 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
     """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
     z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
-        e_diag = extrapolation_matrix(m_big, m_big, state, config.lam, config.lam == 1.0)
+        e_diag = extrapolation_matrix(m_big, m_big, state, config.lam)
         x_acute = x + e_diag * (x - x_prev)
     else:
         x_acute = x
@@ -411,10 +408,8 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         return datafit.value(xv) + gamma * (quad + l1)
 
     trace = IterateTrace(shape=shape)
-    rec0 = IterateRecord(it=0, objective=datafit.value(x), step_residual=0.0)
-    rec0.x = x.copy()
-    rec0.z = x.copy()
-    trace.append(rec0)
+    trace.append(IterateRecord(it=0, objective=datafit.value(x), step_residual=0.0,
+                               x=x.copy(), z=x.copy()))
 
     for i in range(n_iter):
         t0 = time.perf_counter()
@@ -434,9 +429,8 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         wall = (time.perf_counter() - t0) * 1e3
 
         rec = IterateRecord(it=i + 1, objective=caol_objective(x_new, codes),
-                            step_residual=float(np.linalg.norm(x_new - x)), wall_ms=wall)
-        rec.x = x_new.copy()
-        rec.z = z.copy()
+                            step_residual=float(np.linalg.norm(x_new - x)), wall_ms=wall,
+                            x=x_new.copy(), z=z.copy())
         if not np.all(np.isfinite(x_new)):
             rec.objective = math.nan
             trace.append(rec)

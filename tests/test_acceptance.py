@@ -271,9 +271,9 @@ def test_criterion_04_extrapolation_condition():
                                  delta=float(rng.uniform(0.5, 1 - 1e-9)))
         convex = bool(trial % 2)
         lam = 1.0 if convex else float(rng.uniform(1.0 + 1e-6, 4.0))
-        e = mn.extrapolation_matrix(m_prev, m_cur, state, lam, convex)
+        e = mn.extrapolation_matrix(m_prev, m_cur, state, lam)
         assert mn.check_extrapolation_condition(e, m_prev, m_cur, state.delta,
-                                                lam, convex, slack=1e-12)
+                                                lam, slack=1e-12)
     _report(4, "1000 random extrapolation matrices satisfy the bound, both modes")
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mbirnet as mn
 from mbirnet.linops import ShapeError
@@ -191,10 +192,9 @@ class TestDiagMajorizer:
         def no_product(*args):
             raise AssertionError("the majorizer was formed again")
         monkeypatch.setattr(linops, "_product", no_product)
-        again = mn.diag_majorizer(f, lam=1.7)
+        again = mn.diag_majorizer(f)
         assert np.array_equal(again.diag, first.diag)
         assert np.shares_memory(again.diag, first.diag)
-        assert (first.lam, again.lam) == (1.0, 1.7)
         with pytest.raises(ValueError, match="read-only"):
             first.diag[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
@@ -202,7 +202,7 @@ class TestDiagMajorizer:
 
     def test_negative_entries_cached_too(self):
         f = mn.QuadraticDataFit(dense([[1, -2], [-3, 4]]), np.ones(2), np.zeros(2))
-        first, again = mn.diag_majorizer(f), mn.diag_majorizer(f, lam=2.0)
+        first, again = mn.diag_majorizer(f), mn.diag_majorizer(f)
         assert np.array_equal(again.diag, [24.0, 34.0])
         assert np.shares_memory(again.diag, first.diag)
 
@@ -428,7 +428,7 @@ class TestVerifyMajorization:
         m = mn.diag_majorizer(f)
         v = np.array([1.0, -2.0, 0.5])
         lhs = f.value(v)
-        rhs = f.value(v) + 0.5 * float(np.dot(m.scaled_diag * 0.0, np.zeros(3)))
+        rhs = f.value(v) + 0.5 * float(np.dot(m.diag * 0.0, np.zeros(3)))
         assert lhs == rhs
 
     def test_trials_validation(self):
@@ -449,15 +449,6 @@ class TestDiagonalMajorizerType:
         with pytest.raises(ValueError):
             mn.DiagonalMajorizer(np.array([1.0, 0.0]))
 
-    def test_lam_lower_bound(self):
-        for lam in (0.5, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="lam must be finite and >= 1"):
-                mn.DiagonalMajorizer(np.ones(2), lam=lam)
-
-    def test_scaled_diag(self):
-        m = mn.DiagonalMajorizer(np.array([2.0, 8.0]), lam=1.5)
-        assert np.allclose(m.scaled_diag, [3.0, 12.0])
-
 
 class TestFeasibleSet:
     def test_box_validation(self):
@@ -469,3 +460,16 @@ class TestFeasibleSet:
         assert np.array_equal(mn.FeasibleSet.all().project(v), v)
         assert np.array_equal(mn.FeasibleSet.nonneg().project(v), [0.0, 0.5, 2.0])
         assert np.array_equal(mn.FeasibleSet.box(0, 1).project(v), [0.0, 0.5, 1.0])
+        inside = np.array([0.2, 0.8])
+        assert np.array_equal(mn.FeasibleSet.box(0, 1).project(inside), inside)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-4, 4), min_size=2, max_size=6))
+    def test_projection_idempotent_and_nonexpansive(self, values):
+        v = np.array(values)
+        fset = mn.FeasibleSet.box(-1.0, 1.5)
+        p = fset.project(v)
+        assert np.array_equal(fset.project(p), p)
+        w = np.linspace(-2, 2, v.size)
+        q = fset.project(w)
+        assert np.linalg.norm(p - q) <= np.linalg.norm(v - w) + 1e-12

@@ -78,36 +78,6 @@ class TestSoftThreshold:
         assert abs(t_star - best) <= 6e-4  # one grid cell
 
 
-class TestProxIndicator:
-    def _m(self, n):
-        return mn.DiagonalMajorizer(np.linspace(1.0, 3.0, n))
-
-    def test_box_clamp(self):
-        out = mn.prox_indicator(np.array([-1.0, 0.5, 2.0]), self._m(3), mn.FeasibleSet.box(0, 1))
-        assert np.array_equal(out, [0.0, 0.5, 1.0])
-
-    def test_feasible_point_fixed(self):
-        v = np.array([0.2, 0.8])
-        out = mn.prox_indicator(v, self._m(2), mn.FeasibleSet.box(0, 1))
-        assert np.array_equal(out, v)
-
-    def test_nonneg(self):
-        out = mn.prox_indicator(np.array([-2.0, 3.0]), self._m(2), mn.FeasibleSet.nonneg())
-        assert np.array_equal(out, [0.0, 3.0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(-4, 4), min_size=2, max_size=6))
-    def test_idempotent_and_nonexpansive(self, values):
-        v = np.array(values)
-        m = self._m(v.size)
-        fset = mn.FeasibleSet.box(-1.0, 1.5)
-        p = mn.prox_indicator(v, m, fset)
-        assert np.array_equal(mn.prox_indicator(p, m, fset), p)
-        w = np.linspace(-2, 2, v.size)
-        q = mn.prox_indicator(w, m, fset)
-        assert np.linalg.norm(p - q) <= np.linalg.norm(v - w) + 1e-12
-
-
 class TestProxL1Metric:
     def test_identity_metric_reduces_to_soft_threshold(self):
         m = mn.DiagonalMajorizer(np.ones(1))

@@ -40,29 +40,24 @@ class TestExtrapolationMatrix:
     def test_convex_equal_majorizers(self):
         m = mn.DiagonalMajorizer(np.array([2.0, 8.0]))
         state = mn.MomentumState(theta=2.0, m=0.5, delta=0.9)
-        e = mn.extrapolation_matrix(m, m, state, lam=1.0, convex=True)
+        e = mn.extrapolation_matrix(m, m, state, lam=1.0)
         assert np.allclose(e, 0.405)
 
     def test_zero_momentum_gives_zero(self):
         m = mn.DiagonalMajorizer(np.array([1.0, 4.0]))
-        e = mn.extrapolation_matrix(m, m, mn.MomentumState(m=0.0, delta=0.9), 1.0, True)
+        e = mn.extrapolation_matrix(m, m, mn.MomentumState(m=0.0, delta=0.9), 1.0)
         assert np.array_equal(e, np.zeros(2))
 
     def test_nonconvex_factor(self):
         m = mn.DiagonalMajorizer(np.array([2.0, 8.0]))
         state = mn.MomentumState(theta=2.0, m=0.5, delta=0.9)
-        e = mn.extrapolation_matrix(m, m, state, lam=3.0, convex=False)
+        e = mn.extrapolation_matrix(m, m, state, lam=3.0)
         assert np.allclose(e, 0.405 * 0.25)
-
-    def test_lam_one_nonconvex_degenerates_to_zero(self):
-        m = mn.DiagonalMajorizer(np.ones(3))
-        e = mn.extrapolation_matrix(m, m, mn.MomentumState(m=0.9, delta=0.9), 1.0, False)
-        assert np.array_equal(e, np.zeros(3))
 
     def test_unequal_majorizers_use_sqrt_ratio(self):
         m_prev = mn.DiagonalMajorizer(np.array([4.0]))
         m_cur = mn.DiagonalMajorizer(np.array([1.0]))
-        e = mn.extrapolation_matrix(m_prev, m_cur, mn.MomentumState(m=0.5, delta=0.9), 1.0, True)
+        e = mn.extrapolation_matrix(m_prev, m_cur, mn.MomentumState(m=0.5, delta=0.9), 1.0)
         assert np.allclose(e, 0.405 * 2.0)
 
 
@@ -71,19 +66,19 @@ class TestExtrapolationCondition:
         for _ in range(50):
             m_prev = mn.DiagonalMajorizer(rng.uniform(0.1, 10.0, 4))
             m_cur = mn.DiagonalMajorizer(rng.uniform(0.1, 10.0, 4))
-            for convex, lam in ((True, 1.0), (False, 1.5)):
+            for lam in (1.0, 1.5):
                 state = mn.MomentumState(theta=3.0, m=rng.uniform(0, 1), delta=0.97)
-                e = mn.extrapolation_matrix(m_prev, m_cur, state, lam, convex)
-                assert mn.check_extrapolation_condition(e, m_prev, m_cur, 0.97, lam, convex)
+                e = mn.extrapolation_matrix(m_prev, m_cur, state, lam)
+                assert mn.check_extrapolation_condition(e, m_prev, m_cur, 0.97, lam)
 
     def test_oversized_matrix_fails(self):
         m = mn.DiagonalMajorizer(np.ones(2))
         e = np.full(2, 2.0 / 0.9)
-        assert not mn.check_extrapolation_condition(e, m, m, 0.9, 1.0, True)
+        assert not mn.check_extrapolation_condition(e, m, m, 0.9, 1.0)
 
     def test_zero_matrix_passes(self):
         m = mn.DiagonalMajorizer(np.array([3.0, 5.0]))
-        assert mn.check_extrapolation_condition(np.zeros(2), m, m, 0.5, 1.0, True)
+        assert mn.check_extrapolation_condition(np.zeros(2), m, m, 0.5, 1.0)
 
 
 class TestMbirStep:
@@ -182,13 +177,15 @@ class TestMetric:
         gamma, m_big = cfg.metric(self._identity_fit())
         # identity operator: majorizer = weights, zero spread, fallback max/chi
         assert gamma == pytest.approx(0.5)
-        assert np.allclose(m_big.diag, 2.5)
-        assert m_big.lam == 1.5 and np.allclose(m_big.scaled_diag, 3.75)
+        assert np.allclose(m_big.diag, 3.75)
+        # lam * (M_f + gamma I), in that order of operations
+        f_diag = mn.diag_majorizer(self._identity_fit()).diag
+        assert m_big.diag.tobytes() == (1.5 * (f_diag + gamma)).tobytes()
 
     def test_explicit_gamma_skips_selection(self):
         gamma, m_big = mn.MomentumNetConfig(n_iter=1, gamma=0.25).metric(self._identity_fit())
         assert gamma == 0.25
-        assert np.array_equal(m_big.diag, np.full(4, 2.25)) and m_big.lam == 1.0
+        assert np.array_equal(m_big.diag, np.full(4, 2.25))
 
     def test_gamma_positive(self):
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
@@ -201,7 +198,7 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x0 = mn.ImageVector(np.array([0.3, -0.1, 0.7, 0.2]), (2, 2))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=2.0)
-        m = mn.diag_majorizer(f).shifted(2.0)
+        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 2.0)
         r = mn.fixed_point_residual(x0, mn.IdentityRefiner(), cfg, f,
                                     mn.FeasibleSet.all(), m, gamma=2.0)
         assert r <= 1e-14
@@ -211,7 +208,7 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x = mn.ImageVector(np.array([-1.0, -1.0, -1.0, -1.0]), (2, 2))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=2.0)
-        m = mn.diag_majorizer(f).shifted(2.0)
+        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 2.0)
         r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg, f,
                                     mn.FeasibleSet.nonneg(), m, gamma=2.0)
         assert r > 0.0
@@ -221,7 +218,7 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x = mn.ImageVector(np.abs(rng.standard_normal(n)), (3, 3))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.7, gamma=1.3)
-        m = mn.diag_majorizer(f).shifted(1.3)
+        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 1.3)
         r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg, f,
                                     mn.FeasibleSet.nonneg(), m, gamma=1.3)
         assert r <= 1e-14
@@ -322,13 +319,44 @@ class TestNoExtrapolationBitwise:
                                    record_fixed_point=False)
         trace = mn.run_momentum_net(cfg, [refiner], datafit, feasible, x0)
 
-        m_tilde = mn.diag_majorizer(datafit).shifted(gamma)
+        m_tilde = mn.DiagonalMajorizer(mn.diag_majorizer(datafit).diag + gamma)
         x = x0.data.copy()
         for i in range(20):
             z = (1.0 - rho) * x + rho * refiner(x.reshape(shape)).ravel()
             obj = mn.MbirObjective(datafit, gamma, z, feasible)
             x = np.asarray(mn.mbir_step(x, obj, m_tilde))
             assert np.array_equal(x, trace.records[i + 1].x)
+
+
+class TestExtrapolationBitwise:
+    @pytest.mark.parametrize("lam", [1.0, 1.5])
+    def test_matches_direct_loop(self, deblur_problem, lam):
+        """extrapolate=True must be bitwise equal to a plain refine, extrapolate
+        and step loop in the metric from `MomentumNetConfig.metric`."""
+        datafit = deblur_problem["datafit"]
+        feasible = deblur_problem["feasible"]
+        x0 = deblur_problem["x0"]
+        shape = x0.shape
+        refiner = mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.full(4, 1e-3))
+        gamma = 0.05
+        rho = 0.5
+        n_iter = 20
+        cfg = mn.MomentumNetConfig(n_iter=n_iter, rho=rho, gamma=gamma, lam=lam,
+                                   record_fixed_point=False)
+        trace = mn.run_momentum_net(cfg, [refiner], datafit, feasible, x0)
+
+        m = cfg.metric(datafit)[1]
+        state = mn.MomentumState(delta=cfg.delta)
+        x = x0.data.copy()
+        x_prev = x
+        for i in range(n_iter):
+            z = (1.0 - rho) * x + rho * refiner(x.reshape(shape)).ravel()
+            x_acute = x + mn.extrapolation_matrix(m, m, state, lam) * (x - x_prev)
+            obj = mn.MbirObjective(datafit, gamma, z, feasible)
+            x_prev, x = x, np.asarray(mn.mbir_step(x_acute, obj, m))
+            state = mn.momentum_update(state)
+            assert trace.records[i + 1].x.tobytes() == x.tobytes()
+            assert trace.records[i + 1].z.tobytes() == z.tobytes()
 
 
 class TestReductionsOffBlas:
