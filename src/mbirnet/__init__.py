@@ -15,7 +15,7 @@ from .solver import (IterateRecord, IterateTrace, MomentumNetConfig, MomentumSta
                      momentum_update, run_bcd_net, run_caol_bpegm, run_momentum_net)
 from .training import (PatchBoundReport, RefinerArch, TrainConfig, TrainingAborted,
                        TrainingSample, backprojection_init, greedy_train,
-                       patch_loss_bound_check, refining_loss, train_refiner)
+                       patch_loss_bound_check, train_refiner)
 from .imaging import (CtGeometry, binomial_kernel, build_blur, build_radon, psnr,
                       random_ellipse_phantom, rmse, shepp_logan, simulate_ct)
 from .diagnostics import DiagnosticsResult, run_diagnostics

@@ -19,7 +19,7 @@ import numpy as np
 
 from .linops import FeasibleSet
 from .refiners import delta_measure, lipschitz_estimate, paired_epsilon
-from .solver import MomentumNetConfig, MomentumState, Refiner, _fmt, _refiner_at
+from .solver import MomentumNetConfig, MomentumState, Refiner, _refiner_at
 from .training import TrainingSample, _advance, _starts
 
 
@@ -42,7 +42,7 @@ class DiagnosticsResult:
             columns = ("epsilon", "delta", "kappa") if self.has_pairs else ("kappa",)
             writer.writerow(("iter",) + columns)
             for i in range(self.n_iter):
-                writer.writerow([i + 1] + [_fmt(getattr(self, c)[i]) for c in columns])
+                writer.writerow([i + 1] + [f"{getattr(self, c)[i]:.17g}" for c in columns])
 
 
 def _pair_indices(n_samples: int, n_pairs: int, rng: np.random.Generator):

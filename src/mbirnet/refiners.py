@@ -101,11 +101,6 @@ def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def flip_filter(filt: np.ndarray) -> np.ndarray:
-    """Reverse a filter along each spatial dimension."""
-    return np.atleast_2d(filt)[::-1, ::-1].copy()
-
-
 def tf_defect(filters: np.ndarray) -> float:
     """Deviation of the tap-level Gram sum_k h_k h_k^T from I/R.
 
@@ -400,21 +395,11 @@ class TiedCaolRefiner:
     def filter_size(self) -> int:
         return self.filters[0].size
 
-    def codes(self, u: np.ndarray) -> np.ndarray:
-        """Thresholded analysis coefficients T_beta(h_k conv u)."""
-        u = as_f64(u)
-        codes = np.empty((self.n_filters, 1, *u.shape))
-        self._forward(u, codes)
-        return codes[:, 0]
-
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self._forward(u)
-
-    def _forward(self, u: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
         u = as_f64(u)
         hhat = filter_fft(self.filters, u.shape)
         # correlation with h in the spatial domain is conj(H) in Fourier
-        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None], codes)[0]
+        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None])[0]
 
 
 class IdentityRefiner:
@@ -443,7 +428,7 @@ def paired_epsilon(pairs) -> float:
         d_out = ru - rv
         gap = float(np.sum(d_out * d_out) - np.sum((u - v) ** 2))
         worst = max(worst, gap)
-    return max(worst, 0.0)
+    return worst
 
 
 def delta_measure(z_next, z_prev, x) -> float:

@@ -63,17 +63,19 @@ def momentum_update(state: MomentumState) -> MomentumState:
     return replace(state, theta=theta_next, m=m_next)
 
 
-def extrapolation_matrix(m_prev: DiagonalMajorizer, m_cur: DiagonalMajorizer,
-                         state: MomentumState, lam: float) -> np.ndarray:
-    """Diagonal extrapolation matrix delta^2 m * M_cur^{-1/2} M_prev^{1/2}.
-
-    lam = 1 is convex mode; lam > 1 (nonconvex mode) carries the extra factor
-    (lam-1)/(2(lam+1)).  Returned as the diagonal vector.
-    """
+def _extrapolation_scale(state: MomentumState, lam: float) -> float:
+    """delta^2 m, times (lam-1)/(2(lam+1)) in nonconvex mode (lam != 1)."""
     scale = state.delta ** 2 * state.m
     if lam != 1.0:
         scale *= (lam - 1.0) / (2.0 * (lam + 1.0))
-    return scale * np.sqrt(m_prev.diag / m_cur.diag)
+    return scale
+
+
+def extrapolation_matrix(m_prev: DiagonalMajorizer, m_cur: DiagonalMajorizer,
+                         state: MomentumState, lam: float) -> np.ndarray:
+    """Diagonal extrapolation matrix delta^2 m * M_cur^{-1/2} M_prev^{1/2}
+    (times the nonconvex factor when lam != 1), returned as the diagonal vector."""
+    return _extrapolation_scale(state, lam) * np.sqrt(m_prev.diag / m_cur.diag)
 
 
 def check_extrapolation_condition(e_diag: np.ndarray, m_prev: DiagonalMajorizer,
@@ -157,7 +159,6 @@ class IterateTrace:
 
     shape: tuple[int, int]
     records: list[IterateRecord] = field(default_factory=list)
-    aborted: bool = False
     abort_iteration: Optional[int] = None
 
     def append(self, rec: IterateRecord) -> None:
@@ -165,6 +166,10 @@ class IterateTrace:
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_iteration is not None
 
     @property
     def final(self) -> IterateRecord:
@@ -191,12 +196,8 @@ class IterateTrace:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for r in self.records:
-                writer.writerow([r.it] + [_fmt(v) for v in (
+                writer.writerow([r.it] + [f"{v:.17g}" for v in (
                     r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)])
-
-
-def _fmt(v: float) -> str:
-    return "nan" if v != v else f"{v:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +240,8 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
     """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
     z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
-        e_diag = extrapolation_matrix(m_big, m_big, state, config.lam)
-        x_acute = x + e_diag * (x - x_prev)
+        # the metric is fixed per data fit, so the M-ratio of E is 1
+        x_acute = x + _extrapolation_scale(state, config.lam) * (x - x_prev)
     else:
         x_acute = x
     obj = MbirObjective(datafit, gamma, z, feasible)
@@ -283,7 +284,6 @@ def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
             if not np.all(np.isfinite(x_new)):
                 rec.objective = math.nan
                 trace.append(rec)
-                trace.aborted = True
                 trace.abort_iteration = i + 1
                 return trace
             if fixed_point is not None:
@@ -434,7 +434,6 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         if not np.all(np.isfinite(x_new)):
             rec.objective = math.nan
             trace.append(rec)
-            trace.aborted = True
             trace.abort_iteration = i + 1
             return trace
         trace.append(rec)

@@ -13,7 +13,7 @@ the map that reconstruction runs; only the backward half is written here.
 The sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.
 Both backward passes work in the spatial domain, as GEMMs on stacks of the
 circular shifts of the images over the filter taps (`refiners._shift_stack`,
-the layout of `extract_patches`).  `train_refiner` gives the sCNN gradient one
+one overlapping patch per column).  `train_refiner` gives the sCNN gradient one
 workspace per stage (`_scnn_workspace`: the codes, one shift stack and the
 code gradient, sized for the largest batch), which the gradient fills in place
 instead of allocating and page-faulting them in again on every call.
@@ -30,7 +30,7 @@ import numpy as np
 from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
-                       _scnn_forward, _shift_stack, filter_fft, flip_filter)
+                       _scnn_forward, _shift_stack, filter_fft)
 from .solver import MomentumNetConfig, MomentumState, NumericFailure, Refiner, momentum_net_step
 
 
@@ -88,17 +88,6 @@ class TrainingSample:
     def __post_init__(self):
         if self.truth.size != self.datafit.n:
             raise ShapeError("truth size must match operator input dim")
-
-
-def refining_loss(refiner, pairs) -> float:
-    """Mean squared refiner residual (1/2S) sum_s ||truth_s - R(input_s)||^2."""
-    if len(pairs) == 0:
-        raise ValueError("need at least one (truth, input) pair")
-    total = 0.0
-    for truth, inp in pairs:
-        r = as_f64(truth) - refiner(as_f64(inp))
-        total += float(np.sum(r * r))
-    return 0.5 * total / len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +404,6 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
 # convolutional-loss vs patch-loss bound
 # ---------------------------------------------------------------------------
 
-def extract_patches(image: np.ndarray, side: int) -> np.ndarray:
-    """All overlapping side x side patches (circular boundary, stride 1).
-
-    Column n holds the taps x[n - o] over the centered offset grid, matching
-    the circular-convolution convention, so E @ patches reproduces the stacked
-    analysis coefficients.  It is the single-image `_shift_stack`.
-    """
-    return _shift_stack(as_f64(image)[None], side, side)
-
-
 @dataclass(frozen=True)
 class PatchBoundReport:
     trials: int
@@ -441,7 +420,7 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
     k, rh, rw = enc.shape
     r = rh * rw
     e_mat = enc.reshape(k, r)
-    d_mat = np.stack([flip_filter(dec[j]).ravel() for j in range(k)], axis=1)  # (R, K)
+    d_mat = dec[:, ::-1, ::-1].reshape(k, r).T  # flipped decoder taps, (R, K)
     n_pairs = len(conv_loss_pairs)
     left = 0.0
     right = 0.0
@@ -450,8 +429,9 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
         recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp[None])[0]
         left += float(np.sum((residual_img - recon / r) ** 2))
 
-        patches = extract_patches(inp, rh)
-        target_patches = extract_patches(residual_img, rh)
+        # every overlapping rh x rh patch (circular, stride 1), one per column
+        patches = _shift_stack(inp[None], rh, rh)
+        target_patches = _shift_stack(residual_img[None], rh, rh)
         codes = soft_threshold(e_mat @ patches, thr[:, None])
         right += float(np.sum((target_patches - d_mat @ codes) ** 2)) / r
     return 0.5 * left / n_pairs, 0.5 * right / n_pairs

@@ -80,6 +80,23 @@ class TestExtrapolationCondition:
         m = mn.DiagonalMajorizer(np.array([3.0, 5.0]))
         assert mn.check_extrapolation_condition(np.zeros(2), m, m, 0.5, 1.0)
 
+    # the bound on E^2 M_cur / M_prev is delta^2 c, with c = 1 (convex) or
+    # (lam-1)^2 / (4 (lam+1)^2) = 1/16 at lam = 3
+    @pytest.mark.parametrize("lam, c", [(1.0, 1.0), (3.0, 1.0 / 16.0)])
+    def test_bound_is_delta_squared(self, lam, c):
+        delta = 0.5
+        m_prev = mn.DiagonalMajorizer(np.array([2.0, 5.0, 0.3]))
+        m_cur = mn.DiagonalMajorizer(np.array([3.0, 0.5, 7.0]))
+
+        def e_with_ratio(ratio):
+            return np.sqrt(ratio * m_prev.diag / m_cur.diag)
+
+        below = e_with_ratio(delta ** 2 * c * (1 - 1e-9))
+        assert mn.check_extrapolation_condition(below, m_prev, m_cur, delta, lam)
+        # between delta^2 c and delta c: within a bound of delta, not of delta^2
+        between = e_with_ratio(0.5 * (delta ** 2 + delta) * c)
+        assert not mn.check_extrapolation_condition(between, m_prev, m_cur, delta, lam)
+
 
 class TestMbirStep:
     def test_stationary_feasible_point(self):
@@ -245,6 +262,25 @@ class TestApgSolve:
         obj = mn.MbirObjective(f, 1.0, np.zeros(n), mn.FeasibleSet.all())
         with pytest.raises(ValueError):
             mn.apg_solve(obj, np.zeros(n), 0)
+
+    def test_matches_hand_written_accelerated_loop(self, rng):
+        # projected gradient steps in M_f + gamma with momentum from
+        # `momentum_update`; the momentum weight is 0 until the third step
+        n = 16
+        op = mn.build_blur(mn.binomial_kernel(0.3), (4, 4))
+        f = mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 1.5, n))
+        obj = mn.MbirObjective(f, 0.3, rng.uniform(0, 1, n), mn.FeasibleSet.box(0, 1))
+        x0 = rng.uniform(0, 1, n)
+        md = mn.diag_majorizer(f).diag + 0.3
+        x = x0.copy()
+        v = x.copy()
+        state = mn.MomentumState()
+        for iters in range(1, 6):
+            u = obj.feasible.project(v - mn.mbir_gradient(obj, v) / md)
+            state = mn.momentum_update(state)
+            v = u + state.m * (u - x)
+            x = u
+            assert mn.apg_solve(obj, x0, iters).tobytes() == x.tobytes()
 
     def test_box_constrained_matches_grid(self, rng):
         # small version of the acceptance oracle

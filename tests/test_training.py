@@ -7,9 +7,8 @@ import scipy.fft
 import mbirnet as mn
 import mbirnet.training
 from mbirnet.prox import soft_threshold
-from mbirnet.refiners import THRESHOLD_FLOOR, filter_fft
-from mbirnet.training import (_scnn_workspace, dcnn_value_and_grad, extract_patches,
-                              scnn_value_and_grad)
+from mbirnet.refiners import THRESHOLD_FLOOR, _shift_stack, filter_fft
+from mbirnet.training import _scnn_workspace, dcnn_value_and_grad, scnn_value_and_grad
 
 
 class TestSelectGamma:
@@ -44,29 +43,6 @@ class TestSelectGamma:
             g1 = mn.select_gamma(mn.DiagonalMajorizer(diag), 4.2)
             g2 = mn.select_gamma(mn.DiagonalMajorizer(c * diag), 4.2)
             assert g2 == pytest.approx(c * g1, rel=1e-12)
-
-
-class TestRefiningLoss:
-    def test_exact_map_zero_loss(self, rng):
-        pairs = [(rng.standard_normal((4, 4)),) * 2 for _ in range(3)]
-        assert mn.refining_loss(mn.IdentityRefiner(), pairs) == 0.0
-
-    def test_single_pair_hand_value(self):
-        truth = np.array([[1.0, 0.0]])
-        zero = lambda u: np.zeros_like(u)
-        assert mn.refining_loss(zero, [(truth, truth)]) == pytest.approx(0.5)
-
-    def test_permutation_invariance(self, rng):
-        pairs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
-                 for _ in range(4)]
-        blur = lambda u: 0.5 * u
-        a = mn.refining_loss(blur, pairs)
-        b = mn.refining_loss(blur, pairs[::-1])
-        assert a == pytest.approx(b, rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mn.refining_loss(mn.IdentityRefiner(), [])
 
 
 def _fd_gradcheck(value_fn, params, grads, step=1e-5, max_coords=25):
@@ -172,7 +148,7 @@ class TestScnnSpatialBackward:
         u = rng.standard_normal((2, 8, 8))
         monkeypatch.setattr(np.fft, "rfft2", no_fft)
         monkeypatch.setattr(np.fft, "irfft2", no_fft)
-        assert scnn(u[0]).shape == tied(u[0]).shape == tied.codes(u[0]).shape[1:] == (8, 8)
+        assert scnn(u[0]).shape == tied(u[0]).shape == (8, 8)
         scnn_value_and_grad(np.asarray(scnn.enc_filters), np.asarray(scnn.dec_filters),
                             np.asarray(scnn.log_thresholds), True, u, u)
 
@@ -398,16 +374,16 @@ class TestAnalyticGradients:
                                    np.asarray(ref.last_filters), inputs, targets)[0]
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
-    def test_loss_matches_refining_loss(self, rng, arch):
+    def test_loss_matches_the_per_image_residual_sum(self, rng, arch):
         if arch == "scnn":
             ref = mn.ScnnRefiner.init_random(2, 9, rng)
         else:
             ref = mn.DcnnRefiner.init_random(2, 9, 3, rng)
         inputs = rng.standard_normal((3, 8, 8))
         targets = rng.standard_normal((3, 8, 8))
-        pairs = list(zip(targets, inputs))
-        assert self._loss(ref, inputs, targets) == pytest.approx(
-            mn.refining_loss(ref, pairs), rel=1e-12)
+        # (1/2B) sum_b ||t_b - R(u_b)||^2, one refiner call per image
+        want = 0.5 * sum(np.sum((t - ref(u)) ** 2) for t, u in zip(targets, inputs)) / 3
+        assert self._loss(ref, inputs, targets) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("arch", ["scnn", "dcnn"])
     def test_single_image_loss_is_the_refiner_forward_bitwise(self, rng, arch):
@@ -458,7 +434,7 @@ class TestTrainRefiner:
                              lr_thresholds=0.0, lr_decay=0.2, seed=0)
         out, history = mn.train_refiner(init, pairs, cfg)
         assert history[-1] < 1e-8
-        assert mn.refining_loss(out, pairs) < 1e-8
+        assert 0.5 * np.mean([np.sum((t - out(u)) ** 2) for t, u in pairs]) < 1e-8
 
     def test_dcnn_trains(self, rng):
         init = mn.DcnnRefiner.init_random(2, 9, 3, rng)
@@ -599,7 +575,7 @@ class TestPatchLossBound:
         img = rng.standard_normal((7, 7))
         filt = rng.standard_normal((1, 3, 3))
         conv = np.fft.irfft2(filter_fft(filt, img.shape) * np.fft.rfft2(img), s=img.shape)[0]
-        patches = extract_patches(img, 3)
+        patches = _shift_stack(img[None], 3, 3)
         assert np.allclose(filt.reshape(1, 9) @ patches, conv.ravel(), atol=1e-12)
 
 
