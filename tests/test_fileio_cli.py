@@ -921,6 +921,29 @@ class TestDiagnosticsTrajectory:
         assert res.epsilon.shape == res.delta.shape == (3,)
 
 
+class TestDiagnosticsCsv:
+    @pytest.mark.parametrize("has_pairs", [True, False])
+    def test_columns_and_exact_values(self, tmp_path, has_pairs):
+        kappa = np.array([0.1, 1.0 / 3.0, math.inf])
+        epsilon = np.array([math.nan, -0.0, 5e-324])
+        delta = np.array([math.nan, 1e300, -math.inf])
+        res = mn.DiagnosticsResult(kappa, epsilon, delta, has_pairs)
+        res.to_csv(tmp_path / "d.csv")
+        lines = (tmp_path / "d.csv").read_text().splitlines()
+        columns = ("epsilon", "delta", "kappa") if has_pairs else ("kappa",)
+        assert lines[0] == ",".join(("iter",) + columns)
+        assert len(lines) == 1 + res.n_iter
+        for i, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[0] == str(i + 1)
+            for cell, c in zip(cells[1:], columns):
+                want = getattr(res, c)[i]
+                if math.isnan(want):
+                    assert cell == "nan"
+                else:
+                    assert np.float64(cell).tobytes() == np.float64(want).tobytes()
+
+
 class TestOperatorParsedOnce:
     @pytest.mark.parametrize("files", [1, 2])
     def test_train_and_diagnose_parse_each_operator_file_once(self, tmp_path, monkeypatch,

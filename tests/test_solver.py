@@ -514,3 +514,26 @@ class TestTraceExport:
         header = path.read_text().splitlines()[0]
         assert header == "iter,objective,step_residual,fixed_point_residual,wall_ms"
         assert len(path.read_text().splitlines()) == 5
+
+    def test_values_round_trip_exactly(self, tmp_path):
+        import csv
+
+        values = [0.1, -0.0, 5e-324, -1e300, math.inf, -math.inf, math.nan, -math.nan]
+        trace = mn.IterateTrace((1, 1))
+        for i, v in enumerate(values):
+            trace.append(mn.IterateRecord(it=i, objective=v, step_residual=values[-1 - i],
+                                          x=np.zeros(1), z=np.zeros(1),
+                                          fixed_point_residual=v, wall_ms=1.0 / 3.0))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [int(r[0]) for r in rows] == list(range(len(values)))
+        assert [r[1] for r in rows[4:]] == ["inf", "-inf", "nan", "nan"]
+        for r, rec in zip(rows, trace.records):
+            for cell, want in zip(r[1:], (rec.objective, rec.step_residual,
+                                          rec.fixed_point_residual, rec.wall_ms)):
+                if math.isnan(want):
+                    assert cell == "nan"
+                else:
+                    assert np.float64(cell).tobytes() == np.float64(want).tobytes()
