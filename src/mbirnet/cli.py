@@ -32,7 +32,7 @@ from . import config as cfgmod
 from .config import ConfigError
 from .diagnostics import run_diagnostics
 from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
-                     write_pgm, write_vector_csv)
+                     write_pgm, write_table, write_vector_csv)
 from .imaging import simulate_ct, shepp_logan
 from .linops import QuadraticDataFit, usable_cpus
 from .refiners import load_refiner, save_refiner
@@ -143,7 +143,10 @@ def _load(loader, path, args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_phantom(args) -> list[Path]:
-    image = shepp_logan(args.n)
+    try:
+        image = shepp_logan(args.n)
+    except MemoryError:
+        raise ConfigError(f"--n {args.n}: cannot allocate a {args.n}x{args.n} image") from None
     path = _out_dir(args) / "phantom.pgm"
     write_pgm(path, image)
     print(f"wrote {path}")
@@ -156,11 +159,17 @@ def cmd_simulate(args) -> list[Path]:
     noiseless = problem["noiseless"] or args.noiseless
     out = _out_dir(args)
 
-    op = cfgmod.build_operator(problem)
+    n = problem["n"]
+    try:
+        op = cfgmod.build_operator(problem)
+        phantom = shepp_logan(n)
+    except MemoryError:
+        raise ConfigError(f"problem.n = {n}: cannot allocate its image or {problem['kind']} "
+                          "operator") from None
     # simulate from the truth as saved (PGM quantization included), so the
     # written artifacts are exactly consistent with each other
     truth_path = out / "truth.pgm"
-    write_pgm(truth_path, shepp_logan(problem["n"]))
+    write_pgm(truth_path, phantom)
     truth = read_pgm(truth_path)
     if problem["kind"] == "ct":
         y, w = simulate_ct(truth, op, problem["incident"], problem["sigma2"],
@@ -278,11 +287,7 @@ def cmd_train(args) -> list[Path]:
         rpath = out / f"refiner_{i:03d}.rfn"
         save_refiner(rpath, refiner)
         lpath = out / f"loss_{i:03d}.csv"
-        with open(lpath, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for epoch, loss in enumerate(history):
-                writer.writerow([epoch, f"{loss:.17g}"])
+        write_table(lpath, ("epoch", "loss"), enumerate(history))
         written += [rpath, lpath]
     print(f"trained {len(refiners)} refiners -> {out}")
     return written
@@ -329,17 +334,14 @@ def cmd_compare(args) -> list[Path]:
     # iterations until the objective is within 0.1% of the best final value
     ref = min(trace.final.objective for _, _, trace in runs)
     threshold = ref + 1e-3 * abs(ref)
+    rows = []
+    for label, kind, trace in runs:
+        hit = np.nonzero(trace.objectives() <= threshold)[0]
+        rows.append((label, kind, len(trace) - 1, trace.final.objective,
+                     int(hit[0]) if hit.size else -1, sum(r.wall_ms for r in trace.records)))
     summary = out / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "solver", "n_iter", "final_objective",
-                         "iters_to_threshold", "wall_ms"])
-        for label, kind, trace in runs:
-            hit = np.nonzero(trace.objectives() <= threshold)[0]
-            iters_to = int(hit[0]) if hit.size else -1
-            wall_ms = sum(r.wall_ms for r in trace.records)
-            writer.writerow([label, kind, len(trace) - 1, f"{trace.final.objective:.17g}",
-                             iters_to, f"{wall_ms:.17g}"])
+    write_table(summary, ("label", "solver", "n_iter", "final_objective",
+                          "iters_to_threshold", "wall_ms"), rows)
     print(f"compared {len(runs)} configurations -> {summary}")
     return written + [summary]
 

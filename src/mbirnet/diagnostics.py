@@ -10,13 +10,13 @@ All three are clipped maxima over randomly selected sample pairs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .fileio import write_table
 from .linops import FeasibleSet
 from .refiners import delta_measure, lipschitz_estimate, paired_epsilon
 from .solver import MomentumNetConfig, MomentumState, Refiner, _refiner_at
@@ -37,12 +37,9 @@ class DiagnosticsResult:
         return self.kappa.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            columns = ("epsilon", "delta", "kappa") if self.has_pairs else ("kappa",)
-            writer.writerow(("iter",) + columns)
-            for i in range(self.n_iter):
-                writer.writerow([i + 1] + [f"{getattr(self, c)[i]:.17g}" for c in columns])
+        columns = ("epsilon", "delta", "kappa") if self.has_pairs else ("kappa",)
+        write_table(path, ("iter",) + columns,
+                    zip(range(1, self.n_iter + 1), *(getattr(self, c) for c in columns)))
 
 
 def _pair_indices(n_samples: int, n_pairs: int, rng: np.random.Generator):
@@ -70,7 +67,7 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
 
     xs = xs_prev = _starts(samples, shape)
     metrics = [config.metric(s.datafit) for s in samples]
-    state = MomentumState(delta=config.delta)
+    state = MomentumState()
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate ends the run
         for k in range(1, config.n_iter + 1):

@@ -1,5 +1,5 @@
-"""On-disk formats: 16-bit PGM images, one-column CSV vectors, and the
-plain-text sparse-operator format (header `rows cols nnz`, then triples).
+"""On-disk formats: 16-bit PGM images, one-column CSV vectors, CSV tables,
+and the plain-text sparse-operator format (header `rows cols nnz`, then triples).
 
 The text writers print each value as `%.17g` (indices as `%d`), the same bytes
 as formatting value by value.  They work in blocks of `_BLOCK` entries and
@@ -9,6 +9,7 @@ no text of the whole file is ever built.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import warnings
@@ -87,6 +88,16 @@ def write_vector_csv(path, vec) -> None:
     vec = np.ravel(np.asarray(vec, dtype=np.float64))
     with open(path, "wb") as fh:
         _write_lines(fh, [(vec, b"%.17g\n")])
+
+
+def write_table(path, header, rows) -> None:
+    """CSV table under a header line; floats printed as `%.17g`, which
+    round-trips exactly, and every other cell as `str`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
 
 
 def read_vector_csv(path) -> np.ndarray:

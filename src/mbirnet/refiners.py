@@ -115,15 +115,23 @@ def tf_defect(filters: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(r) / r)))
 
 
+def filter_side(n_filters: int, filter_size: int) -> int:
+    """The side r of a bank of n_filters >= 1 square filters of filter_size = r^2
+    taps; any other bank is a ValueError naming both settings."""
+    r = math.isqrt(max(filter_size, 0))
+    if n_filters < 1 or filter_size < 1 or r * r != filter_size:
+        raise ValueError(f"a filter bank needs n_filters >= 1 and filter_size a positive perfect "
+                         f"square, got n_filters={n_filters}, filter_size={filter_size}")
+    return r
+
+
 def make_tf_filterbank(R: int) -> np.ndarray:
     """Tight-frame bank of K = R filters of size sqrt(R) x sqrt(R).
 
     The filters are the 2-D separable orthonormal DCT basis scaled by
     1/sqrt(R), so the tap Gram is exactly I/R.
     """
-    r = math.isqrt(R)
-    if r * r != R:
-        raise ValueError(f"filter size R={R} must be a perfect square")
+    r = filter_side(R, R)
     n = np.arange(r)
     basis = np.cos(np.pi * (2 * n[None, :] + 1) * n[:, None] / (2 * r))
     basis *= np.sqrt(2.0 / r)
@@ -135,7 +143,7 @@ def make_tf_filterbank(R: int) -> np.ndarray:
 def _square_side(filters: np.ndarray) -> int:
     if filters.shape[1] != filters.shape[2]:  # the refiner container stores one side
         raise ShapeError(f"filters must be square, got {filters.shape[1]}x{filters.shape[2]}")
-    return filters.shape[1]
+    return filter_side(filters.shape[0], filters.shape[1] * filters.shape[2])
 
 
 def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
@@ -288,15 +296,13 @@ class ScnnRefiner:
 
     @classmethod
     def init_random(cls, K: int, R: int, rng: np.random.Generator,
-                    residual: bool = True, init_threshold: float = 1e-2) -> "ScnnRefiner":
-        """Fan-in-scaled uniform filters, thresholds at log(init_threshold)."""
-        r = math.isqrt(R)
-        if r * r != R:
-            raise ValueError("R must be a perfect square")
+                    residual: bool = True) -> "ScnnRefiner":
+        """Fan-in-scaled uniform filters, thresholds at 1e-2."""
+        r = filter_side(K, R)
         bound = math.sqrt(6.0 / R)
         enc = rng.uniform(-bound, bound, size=(K, r, r))
         dec = rng.uniform(-bound, bound, size=(K, r, r))
-        thr = np.full(K, math.log(init_threshold))
+        thr = np.full(K, math.log(1e-2))
         return cls(enc, dec, thr, residual)
 
 
@@ -347,9 +353,7 @@ class DcnnRefiner:
 
     @classmethod
     def init_random(cls, K: int, R: int, L: int, rng: np.random.Generator) -> "DcnnRefiner":
-        r = math.isqrt(R)
-        if r * r != R:
-            raise ValueError("R must be a perfect square")
+        r = filter_side(K, R)
         if L < 2:
             raise ValueError("dCNN needs at least 2 layers")
         b1 = math.sqrt(6.0 / R)

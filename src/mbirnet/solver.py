@@ -10,7 +10,6 @@ autoencoder configuration.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -18,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .fileio import write_table
 from .linops import (DiagonalMajorizer, FeasibleSet, ImageVector, MbirObjective,
                      QuadraticDataFit, _flat, _norm, as_f64, datafit_gradient,
                      diag_majorizer, mbir_gradient, select_gamma)
@@ -40,20 +40,17 @@ class MomentumState:
     """Accelerated-gradient momentum coefficients.
 
     theta follows theta' = (1 + sqrt(1 + 4 theta^2)) / 2 from theta = 1 and the
-    weight m' = (theta - 1) / theta' lives in [0, 1).
+    weight m' = (theta - 1) / theta' lives in [0, 1).  delta is `MomentumNetConfig`'s.
     """
 
     theta: float = 1.0
     m: float = 0.0
-    delta: float = 1.0 - 1e-9
 
     def __post_init__(self):
         if self.theta < 1.0:
             raise ValueError("theta must be >= 1")
         if not 0.0 <= self.m <= 1.0:
             raise ValueError("momentum weight must lie in [0, 1]")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
 
 
 def momentum_update(state: MomentumState) -> MomentumState:
@@ -63,19 +60,19 @@ def momentum_update(state: MomentumState) -> MomentumState:
     return replace(state, theta=theta_next, m=m_next)
 
 
-def _extrapolation_scale(state: MomentumState, lam: float) -> float:
+def _extrapolation_scale(state: MomentumState, delta: float, lam: float) -> float:
     """delta^2 m, times (lam-1)/(2(lam+1)) in nonconvex mode (lam != 1)."""
-    scale = state.delta ** 2 * state.m
+    scale = delta ** 2 * state.m
     if lam != 1.0:
         scale *= (lam - 1.0) / (2.0 * (lam + 1.0))
     return scale
 
 
 def extrapolation_matrix(m_prev: DiagonalMajorizer, m_cur: DiagonalMajorizer,
-                         state: MomentumState, lam: float) -> np.ndarray:
+                         state: MomentumState, delta: float, lam: float) -> np.ndarray:
     """Diagonal extrapolation matrix delta^2 m * M_cur^{-1/2} M_prev^{1/2}
     (times the nonconvex factor when lam != 1), returned as the diagonal vector."""
-    return _extrapolation_scale(state, lam) * np.sqrt(m_prev.diag / m_cur.diag)
+    return _extrapolation_scale(state, delta, lam) * np.sqrt(m_prev.diag / m_cur.diag)
 
 
 def check_extrapolation_condition(e_diag: np.ndarray, m_prev: DiagonalMajorizer,
@@ -192,12 +189,9 @@ class IterateTrace:
         return np.array(out)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in self.records:
-                writer.writerow([r.it] + [f"{v:.17g}" for v in (
-                    r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)])
+        write_table(path, TRACE_COLUMNS, (
+            (r.it, r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)
+            for r in self.records))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +235,7 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
     z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
         # the metric is fixed per data fit, so the M-ratio of E is 1
-        x_acute = x + _extrapolation_scale(state, config.lam) * (x - x_prev)
+        x_acute = x + _extrapolation_scale(state, config.delta, config.lam) * (x - x_prev)
     else:
         x_acute = x
     obj = MbirObjective(datafit, gamma, z, feasible)
@@ -305,7 +299,7 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     shape = x0.shape
     x_prev = x0.data.copy()
     gamma, m_big = config.metric(datafit)
-    state = MomentumState(delta=config.delta)
+    state = MomentumState()
 
     def step(refiner, x):
         nonlocal state, x_prev

@@ -30,7 +30,7 @@ import numpy as np
 from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
-                       _scnn_forward, _shift_stack, filter_fft)
+                       _scnn_forward, _shift_stack, filter_fft, filter_side)
 from .solver import MomentumNetConfig, MomentumState, NumericFailure, Refiner, momentum_net_step
 
 
@@ -208,13 +208,11 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Plain adaptive-moment optimizer (decay 0.9/0.999, epsilon 1e-8)."""
+    """Plain adaptive-moment optimizer with the usual decays and epsilon."""
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray]):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -321,6 +319,7 @@ class RefinerArch:
     def __post_init__(self):
         if self.kind not in ("scnn", "dcnn"):
             raise ValueError(f"unknown refiner architecture {self.kind!r}")
+        filter_side(self.n_filters, self.filter_size)
 
     def build(self, rng: np.random.Generator):
         if self.kind == "scnn":
@@ -382,7 +381,7 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
     shape = samples[0].truth.shape
     xs = xs_prev = _starts(samples, shape)
     metrics = [net_config.metric(s.datafit) for s in samples]
-    state = MomentumState(delta=net_config.delta)
+    state = MomentumState()
 
     refiners = []
     histories = []

@@ -267,13 +267,12 @@ def test_criterion_04_extrapolation_condition():
         m_prev = mn.DiagonalMajorizer(rng.uniform(1e-3, 1e3, n))
         m_cur = mn.DiagonalMajorizer(rng.uniform(1e-3, 1e3, n))
         state = mn.MomentumState(theta=float(rng.uniform(1, 50)),
-                                 m=float(rng.uniform(0, 1)),
-                                 delta=float(rng.uniform(0.5, 1 - 1e-9)))
+                                 m=float(rng.uniform(0, 1)))
+        delta = float(rng.uniform(0.5, 1 - 1e-9))
         convex = bool(trial % 2)
         lam = 1.0 if convex else float(rng.uniform(1.0 + 1e-6, 4.0))
-        e = mn.extrapolation_matrix(m_prev, m_cur, state, lam)
-        assert mn.check_extrapolation_condition(e, m_prev, m_cur, state.delta,
-                                                lam, slack=1e-12)
+        e = mn.extrapolation_matrix(m_prev, m_cur, state, delta, lam)
+        assert mn.check_extrapolation_condition(e, m_prev, m_cur, delta, lam, slack=1e-12)
     _report(4, "1000 random extrapolation matrices satisfy the bound, both modes")
 
 

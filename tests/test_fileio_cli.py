@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import shutil
@@ -350,6 +351,16 @@ class TestCmdPhantom:
     def test_below_minimum_is_config_error(self, tmp_path):
         assert main(["phantom", "--n", "8", "--out", str(tmp_path / "x")]) == 2
 
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(n):
+            raise MemoryError
+        monkeypatch.setattr("mbirnet.cli.shepp_logan", out_of_memory)
+        capsys.readouterr()
+        assert main(["phantom", "--n", "200000", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "--n 200000" in err
+        assert not (tmp_path / "x" / "phantom.pgm").exists()
+
 
 class TestCmdSimulate:
     def test_noiseless_matches_forward(self, tmp_path):
@@ -415,6 +426,23 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         env = json.loads((tmp_path / "s" / "manifest.json").read_text())["environment"]
         assert env["blas"] == "unknown"
+
+    @pytest.mark.parametrize("problem, builder", [
+        ("{kind: ct, n: 100000, n_views: 1}", "build_radon"),
+        ("{kind: blur, n: 200000}", "build_blur"),
+    ], ids=["ct", "blur"])
+    def test_unallocatable_operator_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    problem, builder):
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(f"mbirnet.config.{builder}", out_of_memory)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"schema: 1\nproblem: {problem}\n")
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and "problem.n" in err
+        assert not (tmp_path / "s" / "truth.pgm").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -707,6 +735,23 @@ class TestCmdTrain:
         m2 = json.loads((tmp_path / "t2" / "manifest.json").read_text())["outputs"]
         assert m1 == m2
 
+    @pytest.mark.parametrize("arch, named", [
+        ("{type: scnn, n_filters: 0, filter_size: 9}", "n_filters=0"),
+        ("{type: scnn, n_filters: -1, filter_size: 9}", "n_filters=-1"),
+        ("{type: scnn, n_filters: 4, filter_size: 0}", "filter_size=0"),
+        ("{type: scnn, n_filters: 4, filter_size: 10}", "filter_size=10"),
+        ("{type: dcnn, n_filters: 0, filter_size: 9, n_layers: 3}", "n_filters=0"),
+    ], ids=["scnn-no-filters", "scnn-negative-filters", "scnn-size-0", "scnn-size-10",
+            "dcnn-no-filters"])
+    def test_invalid_filter_bank_is_config_error(self, tmp_path, capsys, arch, named):
+        manifest = _write_ct_training_set(tmp_path, arch=arch, stages=1, epochs=1)
+        capsys.readouterr()
+        assert main(["train", "--config", str(manifest), "--out", str(tmp_path / "tr")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "tr" / "refiner_000.rfn").exists()
+
     # `train` always follows the momentum trajectory and runs no BCD inner loop
     @pytest.mark.parametrize("old, new, message", [
         ("kind: momentum", "kind: bcd",
@@ -897,7 +942,9 @@ class TestDiagnosticsTrajectory:
     @pytest.mark.parametrize("count,n_pairs", [(3, 4), (3, 100), (1, 100)])
     def test_matches_rows_from_whole_solver_traces(self, count, n_pairs):
         rng = np.random.default_rng(1)
-        refiners = [mn.ScnnRefiner.init_random(4, 9, rng, init_threshold=0.05) for _ in range(3)]
+        refiners = [dataclasses.replace(mn.ScnnRefiner.init_random(4, 9, rng),
+                                        log_thresholds=np.full(4, math.log(0.05)))
+                    for _ in range(3)]
         samples = _ct_samples(count)
         cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=10.0)
         feasible = mn.FeasibleSet.nonneg()
@@ -921,24 +968,61 @@ class TestDiagnosticsTrajectory:
         assert res.epsilon.shape == res.delta.shape == (3,)
 
 
+def _summary_table(t, monkeypatch):
+    """`mbirnet compare`'s summary.csv over two runs with these traces, its
+    header, and the rows it must hold."""
+    def trace(objectives, walls):
+        out = mn.IterateTrace((1, 1))
+        for i, (objective, wall) in enumerate(zip(objectives, walls)):
+            out.append(mn.IterateRecord(it=i, objective=objective, step_residual=0.0,
+                                        x=np.zeros(1), z=np.zeros(1), wall_ms=wall))
+        return out
+
+    traces = {"blur": trace([1.0 / 3.0, -0.0], [0.0, 1.0 / 3.0]),
+              "noext": trace([math.inf, 5e-324], [1e300, math.nan])}
+    monkeypatch.setattr("mbirnet.cli._run_solver",
+                        lambda cfg, refiners, datafit, label: traces[label])
+    (t / "noext.yaml").write_text((t / "blur.yaml").read_text().replace(
+        "kind: momentum", "kind: momentum-noextrap"))
+    assert main(["compare", "--config", str(t / "blur.yaml"), str(t / "noext.yaml"),
+                 "--refiners", str(t / "refs"), "--input", str(t / "sim"),
+                 "--out", str(t / "cmp")]) == 0
+    # the best final objective is -0.0, so the threshold is 0.0
+    rows = [["blur", "momentum", 1, -0.0, 1, 1.0 / 3.0],
+            ["noext", "momentum-noextrap", 1, 5e-324, -1, math.nan]]
+    return t / "cmp" / "summary.csv", ("label", "solver", "n_iter", "final_objective",
+                                       "iters_to_threshold", "wall_ms"), rows
+
+
 class TestDiagnosticsCsv:
-    @pytest.mark.parametrize("has_pairs", [True, False])
-    def test_columns_and_exact_values(self, tmp_path, has_pairs):
-        kappa = np.array([0.1, 1.0 / 3.0, math.inf])
-        epsilon = np.array([math.nan, -0.0, 5e-324])
-        delta = np.array([math.nan, 1e300, -math.inf])
-        res = mn.DiagnosticsResult(kappa, epsilon, delta, has_pairs)
-        res.to_csv(tmp_path / "d.csv")
-        lines = (tmp_path / "d.csv").read_text().splitlines()
-        columns = ("epsilon", "delta", "kappa") if has_pairs else ("kappa",)
-        assert lines[0] == ",".join(("iter",) + columns)
-        assert len(lines) == 1 + res.n_iter
-        for i, line in enumerate(lines[1:]):
+    """The diagnostics table, with and without pair columns, and `compare`'s
+    summary: every float cell reads back with the same bits."""
+
+    @pytest.mark.parametrize("table", ["pairs", "kappa", "summary"])
+    def test_columns_and_exact_values(self, tmp_path, monkeypatch, request, table):
+        if table == "summary":
+            path, header, rows = _summary_table(request.getfixturevalue("blur_workspace"),
+                                                monkeypatch)
+        else:
+            kappa = np.array([0.1, 1.0 / 3.0, math.inf])
+            epsilon = np.array([math.nan, -0.0, 5e-324])
+            delta = np.array([math.nan, 1e300, -math.inf])
+            res = mn.DiagnosticsResult(kappa, epsilon, delta, table == "pairs")
+            path = tmp_path / "d.csv"
+            res.to_csv(path)
+            columns = ("epsilon", "delta", "kappa") if table == "pairs" else ("kappa",)
+            header = ("iter",) + columns
+            rows = [[i + 1] + [getattr(res, c)[i] for c in columns] for i in range(res.n_iter)]
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert len(lines) == 1 + len(rows)
+        for line, row in zip(lines[1:], rows):
             cells = line.split(",")
-            assert cells[0] == str(i + 1)
-            for cell, c in zip(cells[1:], columns):
-                want = getattr(res, c)[i]
-                if math.isnan(want):
+            assert len(cells) == len(row)
+            for cell, want in zip(cells, row):
+                if not isinstance(want, float):
+                    assert cell == str(want)
+                elif math.isnan(want):
                     assert cell == "nan"
                 else:
                     assert np.float64(cell).tobytes() == np.float64(want).tobytes()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import mbirnet as mn
+from mbirnet.cli import main
+from mbirnet.solver import momentum_net_step
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -39,25 +41,25 @@ class TestMomentumUpdate:
 class TestExtrapolationMatrix:
     def test_convex_equal_majorizers(self):
         m = mn.DiagonalMajorizer(np.array([2.0, 8.0]))
-        state = mn.MomentumState(theta=2.0, m=0.5, delta=0.9)
-        e = mn.extrapolation_matrix(m, m, state, lam=1.0)
+        state = mn.MomentumState(theta=2.0, m=0.5)
+        e = mn.extrapolation_matrix(m, m, state, 0.9, lam=1.0)
         assert np.allclose(e, 0.405)
 
     def test_zero_momentum_gives_zero(self):
         m = mn.DiagonalMajorizer(np.array([1.0, 4.0]))
-        e = mn.extrapolation_matrix(m, m, mn.MomentumState(m=0.0, delta=0.9), 1.0)
+        e = mn.extrapolation_matrix(m, m, mn.MomentumState(m=0.0), 0.9, 1.0)
         assert np.array_equal(e, np.zeros(2))
 
     def test_nonconvex_factor(self):
         m = mn.DiagonalMajorizer(np.array([2.0, 8.0]))
-        state = mn.MomentumState(theta=2.0, m=0.5, delta=0.9)
-        e = mn.extrapolation_matrix(m, m, state, lam=3.0)
+        state = mn.MomentumState(theta=2.0, m=0.5)
+        e = mn.extrapolation_matrix(m, m, state, 0.9, lam=3.0)
         assert np.allclose(e, 0.405 * 0.25)
 
     def test_unequal_majorizers_use_sqrt_ratio(self):
         m_prev = mn.DiagonalMajorizer(np.array([4.0]))
         m_cur = mn.DiagonalMajorizer(np.array([1.0]))
-        e = mn.extrapolation_matrix(m_prev, m_cur, mn.MomentumState(m=0.5, delta=0.9), 1.0)
+        e = mn.extrapolation_matrix(m_prev, m_cur, mn.MomentumState(m=0.5), 0.9, 1.0)
         assert np.allclose(e, 0.405 * 2.0)
 
 
@@ -67,8 +69,8 @@ class TestExtrapolationCondition:
             m_prev = mn.DiagonalMajorizer(rng.uniform(0.1, 10.0, 4))
             m_cur = mn.DiagonalMajorizer(rng.uniform(0.1, 10.0, 4))
             for lam in (1.0, 1.5):
-                state = mn.MomentumState(theta=3.0, m=rng.uniform(0, 1), delta=0.97)
-                e = mn.extrapolation_matrix(m_prev, m_cur, state, lam)
+                state = mn.MomentumState(theta=3.0, m=rng.uniform(0, 1))
+                e = mn.extrapolation_matrix(m_prev, m_cur, state, 0.97, lam)
                 assert mn.check_extrapolation_condition(e, m_prev, m_cur, 0.97, lam)
 
     def test_oversized_matrix_fails(self):
@@ -179,8 +181,6 @@ class TestRunMomentumNet:
     def test_delta_outside_unit_interval_rejected(self, delta):
         with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
             mn.MomentumNetConfig(n_iter=5, gamma=1.0, delta=delta)
-        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\)"):
-            mn.MomentumState(delta=delta)
 
 
 class TestMetric:
@@ -382,17 +382,34 @@ class TestExtrapolationBitwise:
         trace = mn.run_momentum_net(cfg, [refiner], datafit, feasible, x0)
 
         m = cfg.metric(datafit)[1]
-        state = mn.MomentumState(delta=cfg.delta)
+        state = mn.MomentumState()
         x = x0.data.copy()
         x_prev = x
         for i in range(n_iter):
             z = (1.0 - rho) * x + rho * refiner(x.reshape(shape)).ravel()
-            x_acute = x + mn.extrapolation_matrix(m, m, state, lam) * (x - x_prev)
+            x_acute = x + mn.extrapolation_matrix(m, m, state, cfg.delta, lam) * (x - x_prev)
             obj = mn.MbirObjective(datafit, gamma, z, feasible)
             x_prev, x = x, np.asarray(mn.mbir_step(x_acute, obj, m))
             state = mn.momentum_update(state)
             assert trace.records[i + 1].x.tobytes() == x.tobytes()
             assert trace.records[i + 1].z.tobytes() == z.tobytes()
+
+    def test_step_extrapolates_with_the_config_delta(self, rng):
+        """`momentum_net_step` takes delta from its config, not from the state."""
+        op = mn.SparseMatrixOperator(rng.uniform(-1, 1, (6, 4)))
+        fit = mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, 6), rng.uniform(-1, 1, 6))
+        feasible = mn.FeasibleSet.nonneg()
+        cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=0.3, delta=0.5)
+        gamma, m = cfg.metric(fit)
+        state = mn.momentum_update(mn.momentum_update(mn.MomentumState()))
+        assert state.m > 0.28
+        x, x_prev, refined = rng.uniform(0, 1, (3, 4))
+        x_new, z, _ = momentum_net_step(x, x_prev, state, refined, fit, gamma, feasible, m, cfg)
+        want_z = 0.5 * x + 0.5 * refined
+        x_acute = x + 0.5 ** 2 * state.m * (x - x_prev)
+        want = mn.mbir_step(x_acute, mn.MbirObjective(fit, gamma, want_z, feasible), m)
+        assert z.tobytes() == want_z.tobytes()
+        assert x_new.tobytes() == want.tobytes()
 
 
 class TestReductionsOffBlas:
@@ -515,24 +532,46 @@ class TestTraceExport:
         assert header == "iter,objective,step_residual,fixed_point_residual,wall_ms"
         assert len(path.read_text().splitlines()) == 5
 
-    def test_values_round_trip_exactly(self, tmp_path):
+    @staticmethod
+    def _loss_table(tmp_path, monkeypatch, history):
+        """`mbirnet train`'s loss_000.csv for one stage with this loss history."""
+        (tmp_path / "blur.yaml").write_text("schema: 1\nproblem: {kind: blur, n: 16}\n")
+        assert main(["simulate", "--config", str(tmp_path / "blur.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        (tmp_path / "manifest.yaml").write_text(
+            "schema: 1\ngamma: 1.0\nsamples:\n  - {truth: truth.pgm, measurements: y.csv, "
+            "weights: weights.csv, operator: operator.txt}\n")
+        refiner = mn.ScnnRefiner.init_random(1, 1, np.random.default_rng(0))
+        monkeypatch.setattr("mbirnet.cli.greedy_train", lambda *args: ([refiner], [history]))
+        assert main(["train", "--config", str(tmp_path / "manifest.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        return tmp_path / "loss_000.csv"
+
+    @pytest.mark.parametrize("table", ["trace", "loss"])
+    def test_values_round_trip_exactly(self, tmp_path, monkeypatch, table):
         import csv
 
         values = [0.1, -0.0, 5e-324, -1e300, math.inf, -math.inf, math.nan, -math.nan]
-        trace = mn.IterateTrace((1, 1))
-        for i, v in enumerate(values):
-            trace.append(mn.IterateRecord(it=i, objective=v, step_residual=values[-1 - i],
-                                          x=np.zeros(1), z=np.zeros(1),
-                                          fixed_point_residual=v, wall_ms=1.0 / 3.0))
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
+        if table == "trace":
+            trace = mn.IterateTrace((1, 1))
+            for i, v in enumerate(values):
+                trace.append(mn.IterateRecord(it=i, objective=v, step_residual=values[-1 - i],
+                                              x=np.zeros(1), z=np.zeros(1),
+                                              fixed_point_residual=v, wall_ms=1.0 / 3.0))
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            wanted = [(rec.objective, rec.step_residual, rec.fixed_point_residual, rec.wall_ms)
+                      for rec in trace.records]
+        else:
+            path = self._loss_table(tmp_path, monkeypatch, values)
+            wanted = [(v,) for v in values]
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [int(r[0]) for r in rows] == list(range(len(values)))
         assert [r[1] for r in rows[4:]] == ["inf", "-inf", "nan", "nan"]
-        for r, rec in zip(rows, trace.records):
-            for cell, want in zip(r[1:], (rec.objective, rec.step_residual,
-                                          rec.fixed_point_residual, rec.wall_ms)):
+        for r, cells in zip(rows, wanted):
+            assert len(r) == 1 + len(cells)
+            for cell, want in zip(r[1:], cells):
                 if math.isnan(want):
                     assert cell == "nan"
                 else:
