@@ -206,9 +206,15 @@ def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
                                        expected_cols=pixels)
     w = read_vector_csv(base / weights)
     try:
-        return QuadraticDataFit(operators[key], w, y)
+        datafit = QuadraticDataFit(operators[key], w, y)
     except ValueError as exc:  # negative weights, or a data fit that overflows
         raise ValueError(f"{base / measurements} with {base / weights}: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        finite = np.all(np.isfinite(datafit._majorizer_diag))  # formed once per data fit
+    if not finite:
+        raise ValueError(f"{base / operator} with {base / measurements} and {base / weights}: "
+                         "the data-fit majorizer diagonal overflows")
+    return datafit
 
 
 def _load_refiners(refiner_dir: Path):
@@ -265,6 +271,10 @@ def _training_setup(args):
     samples = []
     for entry in cfg["samples"]:
         truth = read_pgm(base / entry["truth"])
+        if samples and truth.shape != samples[0].truth.shape:
+            (h0, w0), (h, w) = samples[0].truth.shape, truth.shape
+            raise ConfigError(f"samples must share one image size: {base / entry['truth']} is "
+                              f"{h}x{w} but {base / cfg['samples'][0]['truth']} is {h0}x{w0}")
         datafit = _load_datafit(base, entry["operator"], entry["measurements"],
                                 entry["weights"], truth.size, operators)
         samples.append(TrainingSample(truth, datafit))

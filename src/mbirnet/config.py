@@ -7,6 +7,7 @@ key must be declared below.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 import yaml
@@ -41,9 +42,9 @@ _PROBLEM_KEYS = {
 _SOLVER_KEYS = {
     "kind": (str, "momentum"),
     "n_iter": (int, 30),
-    "rho": (float, 0.999),
-    "delta": (float, 1.0 - 1e-9),
-    "lam": (float, 1.0),
+    "rho": (float, MomentumNetConfig.rho),
+    "delta": (float, MomentumNetConfig.delta),
+    "lam": (float, MomentumNetConfig.lam),
     "chi": (float, None),
     "gamma": (float, None),
     "inner_iters": (int, 10),
@@ -61,17 +62,17 @@ _ARCH_KEYS = {
     "type": (str, "scnn"),
     "n_filters": (int, 25),
     "filter_size": (int, 25),
-    "n_layers": (int, 2),
-    "residual": (bool, True),
+    "n_layers": (int, RefinerArch.n_layers),
+    "residual": (bool, RefinerArch.residual),
 }
 
 _TRAIN_KEYS = {
     "arch": (_ARCH_KEYS, None),
     "epochs": (int, 50),
     "batch_size": (int, 10),
-    "lr_filters": (float, 1e-3),
-    "lr_thresholds": (float, 1e-1),
-    "lr_decay": (float, 0.1),
+    "lr_filters": (float, TrainConfig.lr_filters),
+    "lr_thresholds": (float, TrainConfig.lr_thresholds),
+    "lr_decay": (float, TrainConfig.lr_decay),
     "n_iter": (int, 10),
 }
 
@@ -100,6 +101,11 @@ _MANIFEST_KEYS = {
 }
 
 
+# a decimal float literal with an exponent, which PyYAML reads as a string
+# unless its mantissa has a dot (3e-4, 1E5, .5e1)
+_EXPONENT_FLOAT = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)[eE][+-]?\d+")
+
+
 def _coerce(value, expected, where: str):
     if expected is bool:
         if not isinstance(value, bool):
@@ -110,6 +116,8 @@ def _coerce(value, expected, where: str):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return value
     if expected is float:
+        if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+            return float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
         return float(value)

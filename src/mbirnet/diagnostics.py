@@ -1,11 +1,11 @@
 """Empirical convergence diagnostics over a trained refiner sequence.
 
 Advances the samples along the one trajectory shared with training
-(`training._advance`), running each refiner once per sample per iteration, and
-estimates from those outputs kappa (Lipschitz constant of the refiner on its
-actual inputs), epsilon (paired-nonexpansiveness slack across adjacent
-refiners), and delta (block-coordinate-minimizer slack of the refined images).
-All three are clipped maxima over randomly selected sample pairs.
+(`training._advance`), running each refiner once per iteration on the stack of
+all samples, and estimates from those outputs kappa (Lipschitz constant of the
+refiner on its actual inputs), epsilon (paired-nonexpansiveness slack across
+adjacent refiners), and delta (block-coordinate-minimizer slack of the refined
+images).  All three are clipped maxima over randomly selected sample pairs.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
     rng = np.random.default_rng(seed)
-    shape = samples[0].truth.shape
     idx_pairs = _pair_indices(len(samples), n_pairs, rng)
     has_pairs = len(refiners) >= 2
 
-    xs = xs_prev = _starts(samples, shape)
+    xs = xs_prev = _starts(samples)
     metrics = [config.metric(s.datafit) for s in samples]
     state = MomentumState()
     rows = []
@@ -74,8 +73,8 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
             # refiner k (1-based) consumes x^{(k-1)}; io pairs each input with its output
             outs, zs, xs_new, state = _advance(samples, metrics, xs, xs_prev, state,
                                                _refiner_at(refiners, k - 1), config,
-                                               feasible, shape)
-            io = [(x.reshape(shape), out) for x, out in zip(xs, outs)]
+                                               feasible)
+            io = list(zip(xs, outs))
             lip_pairs = [(io[a], io[b]) for a, b in idx_pairs if a != b]
             kappa = lipschitz_estimate(lip_pairs) if lip_pairs else math.nan
             epsilon = delta = math.nan
@@ -83,7 +82,7 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
                 epsilon = paired_epsilon([(io[a], io_prev[b]) for a, b in idx_pairs])
                 delta = max(delta_measure(z, z_prev, x) for z, z_prev, x in zip(zs, zs_prev, xs))
             rows.append((kappa, epsilon, delta))
-            if not all(np.all(np.isfinite(x)) for x in xs_new):
+            if not np.all(np.isfinite(xs_new)):
                 break
             xs_prev, xs, io_prev, zs_prev = xs, xs_new, io, zs
     kappa, epsilon, delta = np.array(rows, dtype=float).reshape(-1, 3).T

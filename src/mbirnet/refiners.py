@@ -11,19 +11,19 @@ Three refiner families operate on 2-D images via circular convolution:
                       this is the exact proximal update of the sparse prior.
 
 All refiners are immutable value objects; calling one applies the forward map
-to one (h, w) image.  Each forward pass is written once, on (B, h, w) stacks
-(`_scnn_forward`, `_dcnn_forward`), and the training gradients reuse it, so
-the trained network is the one that reconstructs.  The dCNN forward and every
-training gradient are GEMMs on shift stacks (`_shift_stack`); the sCNN and
-tied forward multiply spectra, with `scipy.fft` transforms on the calling
-thread, in blocks of filters whose code spectra fit in `_BLOCK_BYTES`, and
-write the codes into a caller's buffer when the training gradient asks for
-them.  The filter spectra (`filter_fft`) are built from the filters' r
-nonzero rows, never from a (K, h, w) embedded stack, with GEMMs small enough
-that OpenBLAS runs them on the calling thread, so an sCNN or tied refiner
-wakes none of its workers; the shift-stack GEMMs use them.  `solver.run_caol_bpegm`
-keeps its own tied forward on `numpy.fft` of the embedded filters
-(`embed_filters`) on purpose: it is the independent oracle.
+to an (h, w) image or to each image of a (B, h, w) stack.  Each forward pass is
+written once, on stacks (`_scnn_forward`, `_dcnn_forward`), and the training
+gradients reuse it, so the trained network is the one that reconstructs.  The
+dCNN forward and every training gradient are GEMMs on shift stacks
+(`_shift_stack`); the sCNN and tied forward multiply spectra, with `scipy.fft`
+transforms on the calling thread, in blocks of filters whose code spectra fit
+in `_BLOCK_BYTES`, and write the codes into a caller's buffer when the training
+gradient asks for them.  The filter spectra (`filter_fft`) are built from the
+filters' r nonzero rows, never from a (K, h, w) embedded stack, with GEMMs
+small enough that OpenBLAS runs them on the calling thread, so an sCNN or tied
+refiner wakes none of its workers; the shift-stack GEMMs use them.
+`solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` of the
+embedded filters (`embed_filters`) on purpose: it is the independent oracle.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ _BLOCK_BYTES = 1 << 20
 
 def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
                   u: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
-    """sum_k d_k conv T_thr(e_k conv u) on a (B, h, w) stack, without residual.
+    """sum_k d_k conv T_thr(e_k conv u) on an image or a (B, h, w) stack, without residual.
 
     The filters come as spectra, so a tied decoder can pass conj(ehat).  They
     run in blocks of at most `_BLOCK_BYTES` of code spectra, in filter order,
@@ -203,7 +203,7 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
     passed its threshold.
     """
     shape = u.shape[-2:]
-    uhat = scipy.fft.rfft2(u, axes=(-2, -1))
+    uhat = scipy.fft.rfft2(u.reshape(-1, *shape), axes=(-2, -1))
     step = max(1, _BLOCK_BYTES // uhat.nbytes)
     acc = None
     for start in range(0, ehat.shape[0], step):
@@ -226,7 +226,7 @@ def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
             for row in hhat:
                 acc += row
         del hhat
-    return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1), overwrite_x=True)
+    return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1), overwrite_x=True).reshape(u.shape)
 
 
 def _dcnn_forward(first: np.ndarray, mid: np.ndarray, last: np.ndarray, u: np.ndarray,
@@ -289,9 +289,8 @@ class ScnnRefiner:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
-        out = _scnn_forward(filter_fft(self.enc_filters, u.shape),
-                            filter_fft(self.dec_filters, u.shape),
-                            self.thresholds, u[None])[0]
+        out = _scnn_forward(filter_fft(self.enc_filters, u.shape[-2:]),
+                            filter_fft(self.dec_filters, u.shape[-2:]), self.thresholds, u)
         return out + u if self.residual else out
 
     @classmethod
@@ -349,7 +348,7 @@ class DcnnRefiner:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
         return _dcnn_forward(self.first_filters, self.mid_filters, self.last_filters,
-                             u[None])[0][0]
+                             u.reshape(-1, *u.shape[-2:]))[0].reshape(u.shape)
 
     @classmethod
     def init_random(cls, K: int, R: int, L: int, rng: np.random.Generator) -> "DcnnRefiner":
@@ -401,9 +400,9 @@ class TiedCaolRefiner:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
-        hhat = filter_fft(self.filters, u.shape)
+        hhat = filter_fft(self.filters, u.shape[-2:])
         # correlation with h in the spatial domain is conj(H) in Fourier
-        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u[None])[0]
+        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u)
 
 
 class IdentityRefiner:

@@ -4,18 +4,18 @@ Each reconstruction iteration gets its own refiner, trained to map the current
 sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
 refiner (`_advance`, the one sample trajectory, which diagnostics follow too:
-each refiner runs once per sample per iteration).  Gradients through the
-networks are computed analytically (subgradient 0 at soft-threshold kinks and
-at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The forward half
-of each gradient is the refiner's own batched forward pass
+each refiner runs once per iteration, on the stack of all samples).  Gradients
+through the networks are computed analytically (subgradient 0 at soft-threshold
+kinks and at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The
+forward half of each gradient is the refiner's own batched forward pass
 (`refiners._scnn_forward`, `refiners._dcnn_forward`), so training fits exactly
-the map that reconstruction runs; only the backward half is written here.
-The sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.
-Both backward passes work in the spatial domain, as GEMMs on stacks of the
-circular shifts of the images over the filter taps (`refiners._shift_stack`,
-one overlapping patch per column).  `train_refiner` gives the sCNN gradient one
-workspace per stage (`_scnn_workspace`: the codes, one shift stack and the
-code gradient, sized for the largest batch), which the gradient fills in place
+the map that reconstruction runs; only the backward half is written here.  The
+sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.  Both
+backward passes work in the spatial domain, as GEMMs on stacks of the circular
+shifts of the images over the filter taps (`refiners._shift_stack`, one
+overlapping patch per column).  `train_refiner` gives the sCNN gradient one
+workspace per stage (`_scnn_workspace`: the codes, one shift stack and the code
+gradient, sized for the largest batch), which the gradient fills in place
 instead of allocating and page-faulting them in again on every call.
 """
 
@@ -77,13 +77,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One supervised sample: truth image, its data fit, and an optional start
-    iterate (the back-projection when None).  The solver config derives the
-    sample's gamma and metric from the data fit (`MomentumNetConfig.metric`)."""
+    """One supervised sample: truth image and its data fit; it starts from its
+    back-projection.  The solver config derives the sample's gamma and metric
+    from the data fit (`MomentumNetConfig.metric`)."""
 
     truth: ImageVector
     datafit: QuadraticDataFit
-    x0: Optional[ImageVector] = None
 
     def __post_init__(self):
         if self.truth.size != self.datafit.n:
@@ -339,25 +338,24 @@ def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> Im
     return ImageVector(bp, shape)
 
 
-def _starts(samples: Sequence[TrainingSample], shape: tuple[int, int]) -> list[np.ndarray]:
-    """Flat start iterates: each sample's x0, else its back-projection."""
-    return [(s.x0 if s.x0 is not None else backprojection_init(s.datafit, shape)).data.copy()
-            for s in samples]
+def _starts(samples: Sequence[TrainingSample]) -> np.ndarray:
+    """The (B, h, w) stack of the samples' back-projection starts."""
+    shape = samples[0].truth.shape
+    return np.stack([backprojection_init(s.datafit, shape).as_2d() for s in samples])
 
 
 def _advance(samples: Sequence[TrainingSample], metrics, xs, xs_prev, state: MomentumState,
-             refiner: Refiner, config: MomentumNetConfig, feasible, shape: tuple[int, int]):
-    """One momentum iteration for every sample, in order, with one refiner and
-    each sample's own (gamma, metric) from `config.metric`.  Returns the refiner
-    outputs R(x) as (h, w) images, the refined images z, the new iterates and
-    the new momentum state (the same for every sample)."""
-    steps = []
-    for s, (gamma, m_big), x, x_prev in zip(samples, metrics, xs, xs_prev):
-        out = refiner(x.reshape(shape))
-        steps.append((out, *momentum_net_step(x, x_prev, state, out, s.datafit, gamma,
-                                               feasible, m_big, config)))
-    outs, xs_new, zs, states = zip(*steps)
-    return outs, zs, xs_new, states[0]
+             refiner: Refiner, config: MomentumNetConfig, feasible):
+    """One momentum iteration for the (B, h, w) stack of iterates: one refiner
+    call on the stack, then each sample's step, in order, with its own (gamma,
+    metric) from `config.metric`.  Returns the stacks R(x), z and the new
+    iterates, and the new momentum state (the same for every sample)."""
+    outs = refiner(xs)
+    steps = [momentum_net_step(x.ravel(), x_prev.ravel(), state, out, s.datafit, gamma,
+                               feasible, m_big, config)
+             for s, (gamma, m_big), x, x_prev, out in zip(samples, metrics, xs, xs_prev, outs)]
+    xs_new, zs, states = zip(*steps)
+    return outs, np.stack(zs).reshape(xs.shape), np.stack(xs_new).reshape(xs.shape), states[0]
 
 
 def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
@@ -378,8 +376,7 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         raise ValueError("need at least one training sample")
     rng = np.random.default_rng(train_config.seed)
 
-    shape = samples[0].truth.shape
-    xs = xs_prev = _starts(samples, shape)
+    xs = xs_prev = _starts(samples)
     metrics = [net_config.metric(s.datafit) for s in samples]
     state = MomentumState()
 
@@ -387,14 +384,14 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
     histories = []
     current = arch.build(rng)
     for stage in range(net_config.n_iter):
-        pairs = [(s.truth.as_2d(), x.reshape(shape)) for s, x in zip(samples, xs)]
+        pairs = [(s.truth.as_2d(), x) for s, x in zip(samples, xs)]
         stage_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         current, history = train_refiner(current, pairs, train_config, rng=stage_rng)
         refiners.append(current)
         histories.append(history)
         if stage + 1 < net_config.n_iter:  # after the last stage nothing trains on it
             _, _, xs_new, state = _advance(samples, metrics, xs, xs_prev, state, current,
-                                           net_config, feasible, shape)
+                                           net_config, feasible)
             xs_prev, xs = xs, xs_new
     return refiners, histories
 
@@ -425,7 +422,7 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
     right = 0.0
     for residual_img, inp in conv_loss_pairs:
         shape = inp.shape
-        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp[None])[0]
+        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp)
         left += float(np.sum((residual_img - recon / r) ** 2))
 
         # every overlapping rh x rh patch (circular, stride 1), one per column

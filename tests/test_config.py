@@ -92,3 +92,49 @@ class TestProximityWeightKeys:
         cfg.write_text(yaml.safe_dump(dict(CONFIG, solver={"convex": False, "lam": 1.5})))
         with pytest.raises(ConfigError, match=r"solver: unknown key\(s\) \['convex'\]"):
             load_config(cfg)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+FLOAT_CASES = [case[:3] for case in CASES if case[3] is float]
+
+
+class TestExponentNumbers:
+    # PyYAML reads an exponent whose mantissa has no dot (3e-4) as a string
+    @pytest.mark.parametrize("loader, base, path", FLOAT_CASES,
+                             ids=[f"{c[0].__name__}:{_dotted(c[2])}" for c in FLOAT_CASES])
+    def test_float_key_reads_exponent_without_dot(self, tmp_path, loader, base, path):
+        doc = copy.deepcopy(base)
+        if path == ("gamma",):
+            del doc["chi"]  # a manifest sets exactly one of chi or gamma
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = "EXPONENT"
+        # yaml.safe_dump writes the float 3e-4 as 0.0003, so the literal goes in by hand
+        text = yaml.safe_dump(doc).replace("EXPONENT", "3e-4")
+        assert _at(yaml.safe_load(text), path) == "3e-4"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        value = _at(loader(cfg), path)
+        assert type(value) is float and value == 3e-4
+
+    @pytest.mark.parametrize("text", ["1E5", ".5e1", "-2.e+3"])
+    def test_exponent_forms(self, tmp_path, text):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"schema: 1\nproblem: {{kind: ct, n: 16, incident: {text}}}\n")
+        assert load_config(cfg)["problem"]["incident"] == float(text)
+
+    # an integer key takes no exponent form, and a float key no other string
+    @pytest.mark.parametrize("problem, key", [("n: 1e5", "n"),
+                                              ("n: 16, incident: nan", "incident"),
+                                              ("n: 16, incident: 1e", "incident")])
+    def test_other_strings_stay_errors(self, tmp_path, problem, key):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"schema: 1\nproblem: {{kind: ct, {problem}}}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"problem.{key}: expected")):
+            load_config(cfg)

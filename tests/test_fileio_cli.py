@@ -877,15 +877,14 @@ class TestCmdDiagnose:
 
 
 def _ct_samples(count, n=16, n_views=8):
-    """In-memory CT samples sharing one operator; the first starts from x0 = 0.5."""
+    """In-memory CT samples sharing one operator."""
     op = mn.build_radon(mn.CtGeometry(n, n_views))
     rng = np.random.default_rng(0)
     samples = []
     for i in range(count):
         truth = mn.random_ellipse_phantom(n, rng)
         y, w = mn.simulate_ct(truth, op, 1e5, 25.0, seed=i)
-        x0 = mn.ImageVector(np.full(n * n, 0.5), (n, n)) if i == 0 else None
-        samples.append(mn.TrainingSample(truth, mn.QuadraticDataFit(op, w, y), x0))
+        samples.append(mn.TrainingSample(truth, mn.QuadraticDataFit(op, w, y)))
     return samples
 
 
@@ -894,10 +893,8 @@ def _diagnostics_from_traces(refiners, samples, config, feasible, n_pairs, seed)
     calling the refiners again on every pair member."""
     rng = np.random.default_rng(seed)
     shape = samples[0].truth.shape
-    traces = []
-    for s in samples:
-        x0 = s.x0 if s.x0 is not None else mn.backprojection_init(s.datafit, shape)
-        traces.append(mn.run_momentum_net(config, refiners, s.datafit, feasible, x0))
+    traces = [mn.run_momentum_net(config, refiners, s.datafit, feasible,
+                                  mn.backprojection_init(s.datafit, shape)) for s in samples]
     n = len(samples)
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b] if n > 1 else [(0, 0)]
     if len(pairs) > n_pairs:
@@ -930,14 +927,15 @@ class _CountingRefiner:
 
 
 class TestDiagnosticsTrajectory:
-    def test_each_refiner_runs_once_per_sample_per_iteration(self):
+    def test_each_refiner_runs_once_per_iteration(self):
         refiners = [_CountingRefiner() for _ in range(3)]
         cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=10.0)
         res = mn.run_diagnostics(refiners, _ct_samples(3), cfg, mn.FeasibleSet.nonneg(),
                                  n_pairs=6)
         assert res.n_iter == 4
-        # 3 samples x 4 iterations; the last refiner repeats at iteration 4
-        assert [r.calls for r in refiners] == [3, 3, 6]
+        # one call on the stack of all 3 samples per iteration; the last
+        # refiner repeats at iteration 4
+        assert [r.calls for r in refiners] == [1, 1, 2]
 
     @pytest.mark.parametrize("count,n_pairs", [(3, 4), (3, 100), (1, 100)])
     def test_matches_rows_from_whole_solver_traces(self, count, n_pairs):
@@ -1106,6 +1104,59 @@ def test_overflowing_measurements_rejected_on_load(tmp_path, fuzz_inputs, capsys
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and str(y) in err and "overflows" in err
     assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "train", "diagnose"])
+def test_overflowing_majorizer_rejected_on_load(tmp_path, fuzz_inputs, capsys, command):
+    # one operator entry of 1e200 keeps 1/2 ||y||^2_W finite, but the data-fit
+    # majorizer |A|^T W |A| 1 overflows: exit 2 with one line naming the files
+    config, rest = fuzz_inputs[command]
+    sim = config.parent / "sim" if command == "reconstruct" else config.parent
+    names = (("operator.txt", "y.csv", "weights.csv") if command == "reconstruct"
+             else ("A.txt", "y0.csv", "w0.csv"))
+    op_path = sim / names[0]
+    header, first, *rest_lines = op_path.read_text().splitlines()
+    op_path.write_text("\n".join([header, " ".join(first.split()[:2] + ["1e200"]),
+                                   *rest_lines]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out"), *rest])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "majorizer" in err
+    assert all(str(sim / name) in err for name in names)
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+def test_mixed_image_sizes_rejected_on_load(tmp_path, capsys, command):
+    # sample 1 is a 20x20 image with its own operator; sample 0 is 16x16
+    manifest = _write_ct_training_set(tmp_path, count=2, stages=1, epochs=1)
+    base = manifest.parent
+    op = mn.build_radon(mn.CtGeometry(20, 8))
+    write_operator(base / "A20.txt", op)
+    truth = mn.random_ellipse_phantom(20, np.random.default_rng(1))
+    y, w = mn.simulate_ct(truth, op, 1e5, 25.0, seed=1)
+    write_pgm(base / "t1.pgm", truth)
+    write_vector_csv(base / "y1.csv", y)
+    write_vector_csv(base / "w1.csv", w)
+    manifest.write_text(manifest.read_text().replace("w1.csv, operator: A.txt",
+                                                     "w1.csv, operator: A20.txt"))
+    refdir = tmp_path / "refs"
+    refdir.mkdir()
+    mn.save_refiner(refdir / "refiner_000.rfn",
+                    mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.full(4, 1e-3)))
+    rest = ["--refiners", str(refdir)] if command == "diagnose" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(manifest), "--out", str(tmp_path / "out"),
+                 *rest]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert str(base / "t0.pgm") in err and str(base / "t1.pgm") in err
+    assert "16x16" in err and "20x20" in err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

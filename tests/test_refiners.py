@@ -226,6 +226,26 @@ class TestTiedCaolForward:
         r(rng.standard_normal((6, 6)))
 
 
+class TestStackedCall:
+    """A refiner applied to a (B, h, w) stack equals the stack of its calls on
+    each image, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["scnn", "scnn-plain", "tied", "dcnn"])
+    # at 64x64, B = 10 the sCNN forward runs 3 of its 25 filters per block
+    @pytest.mark.parametrize("b, h, w", [(10, 64, 64), (3, 16, 16), (7, 32, 20)])
+    def test_stack_equals_per_image_calls(self, rng, kind, b, h, w):
+        if kind.startswith("scnn"):
+            refiner = mn.ScnnRefiner.init_random(25, 25, rng, residual=kind == "scnn")
+        elif kind == "tied":
+            refiner = mn.TiedCaolRefiner(mn.make_tf_filterbank(25), np.full(25, 0.05))
+        else:
+            refiner = mn.DcnnRefiner.init_random(4, 9, 3, rng)
+        u = rng.uniform(0.0, 1.0, (b, h, w))
+        got = refiner(u)
+        assert got.shape == u.shape
+        assert got.tobytes() == np.stack([refiner(x) for x in u]).tobytes()
+
+
 class TestTfFilterbank:
     @pytest.mark.parametrize("R,tol", [(4, 1e-12), (16, 1e-12)])
     def test_tf_identity_on_random_images(self, R, tol, rng):

@@ -518,17 +518,6 @@ class TestGreedyTrain:
         assert len(refiners) == stages
         assert len(calls) == steps
 
-    def test_truth_start_keeps_loss_small(self, rng):
-        samples = _toy_samples(rng)
-        samples = [mn.TrainingSample(s.truth, s.datafit, x0=s.truth) for s in samples]
-        arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
-        net_cfg = mn.MomentumNetConfig(n_iter=2, rho=0.5, chi=10.0,
-                                       record_fixed_point=False)
-        train_cfg = mn.TrainConfig(batch_size=3, epochs=60, lr_filters=5e-3, seed=9)
-        refiners, histories = mn.greedy_train(samples, arch, net_cfg, train_cfg)
-        # residual architecture can represent the identity, so loss stays small
-        assert histories[0][-1] < 0.2 * histories[0][0]
-
     def test_requires_stage(self, rng):
         samples = _toy_samples(rng)
         arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
