@@ -1145,11 +1145,8 @@ def test_mixed_image_sizes_rejected_on_load(tmp_path, capsys, command):
     write_vector_csv(base / "w1.csv", w)
     manifest.write_text(manifest.read_text().replace("w1.csv, operator: A.txt",
                                                      "w1.csv, operator: A20.txt"))
-    refdir = tmp_path / "refs"
-    refdir.mkdir()
-    mn.save_refiner(refdir / "refiner_000.rfn",
-                    mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.full(4, 1e-3)))
-    rest = ["--refiners", str(refdir)] if command == "diagnose" else []
+    # the samples are checked before any refiner is read
+    rest = ["--refiners", str(tmp_path / "refs")] if command == "diagnose" else []
     capsys.readouterr()
     assert main([command, "--config", str(manifest), "--out", str(tmp_path / "out"),
                  *rest]) == 2
