@@ -237,8 +237,8 @@ def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit, label: str = "")
     else:
         trace = run_momentum_net(net_config, refiners, datafit, feasible, x0)
     if trace.aborted:
-        raise NumericFailure(f"{label}: non-finite iterate" if label else
-                             f"non-finite iterate at iteration {trace.abort_iteration}")
+        raise NumericFailure(f"{label + ': ' if label else ''}non-finite iterate at "
+                             f"iteration {trace.abort_iteration}")
     return trace
 
 

@@ -28,6 +28,7 @@ embedded filters (`embed_filters`) on purpose: it is the independent oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -276,14 +277,6 @@ class ScnnRefiner:
         _square_side(enc)
 
     @property
-    def n_filters(self) -> int:
-        return self.enc_filters.shape[0]
-
-    @property
-    def filter_size(self) -> int:
-        return self.enc_filters[0].size
-
-    @property
     def thresholds(self) -> np.ndarray:
         return np.maximum(np.exp(self.log_thresholds), THRESHOLD_FLOOR)
 
@@ -337,14 +330,6 @@ class DcnnRefiner:
     def n_layers(self) -> int:
         return self.mid_filters.shape[0] + 2
 
-    @property
-    def n_filters(self) -> int:
-        return self.first_filters.shape[0]
-
-    @property
-    def filter_size(self) -> int:
-        return self.first_filters[0].size
-
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
         return _dcnn_forward(self.first_filters, self.mid_filters, self.last_filters,
@@ -389,14 +374,6 @@ class TiedCaolRefiner:
             raise ValueError("thresholds must be nonnegative")
         if self.tight_frame and tf_defect(filters) > 1e-10:
             raise ValueError("filter bank violates the tight-frame identity")
-
-    @property
-    def n_filters(self) -> int:
-        return self.filters.shape[0]
-
-    @property
-    def filter_size(self) -> int:
-        return self.filters[0].size
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
@@ -475,14 +452,13 @@ def scnn_nonexpansive_sufficient(refiner: ScnnRefiner) -> NonexpansiveReport:
     (delta = Kronecker-delta filter) and compares the top eigenvalue of each
     Gram matrix against 1/R.
     """
-    K = refiner.n_filters
-    R = refiner.filter_size
     r = _square_side(refiner.enc_filters)
+    R = r * r
     delta_col = np.zeros(R)
     delta_col[(r // 2) * r + (r // 2)] = 1.0
 
     def top_eig(bank: np.ndarray) -> float:
-        cols = np.column_stack([bank.reshape(K, R).T, delta_col])
+        cols = np.column_stack([bank.reshape(-1, R).T, delta_col])
         return float(np.linalg.eigvalsh(cols.T @ cols)[-1])
 
     enc_top = top_eig(np.asarray(refiner.enc_filters))
@@ -498,65 +474,69 @@ def scnn_nonexpansive_sufficient(refiner: ScnnRefiner) -> NonexpansiveReport:
 _MAGIC = b"MBIRNET-REFINER v1\n"
 
 
+def parameters(refiner) -> dict[str, np.ndarray]:
+    """A refiner's trained parameters: its array-valued dataclass fields, in field order."""
+    return {f.name: getattr(refiner, f.name) for f in dataclasses.fields(refiner)
+            if isinstance(getattr(refiner, f.name), np.ndarray)}
+
+
+# container tag -> (class, header flag, shapes of `parameters` from the header's K, r, flag)
+_CONTAINER = {
+    "scnn": (ScnnRefiner, "residual", lambda k, r, flag: [(k, r, r), (k, r, r), (k,)]),
+    "dcnn": (DcnnRefiner, "n_layers",
+             lambda k, r, flag: [(k, r, r), (flag - 2, k, k, r, r), (k, r, r)]),
+    "tied": (TiedCaolRefiner, "tight_frame", lambda k, r, flag: [(k, r, r), (k,)]),
+}
+
+
 def save_refiner(path, refiner) -> None:
-    """Write a refiner to a small versioned binary container."""
+    """Write a refiner to a small versioned binary container: the magic line, the
+    line `tag K R flag`, then `parameters(refiner)` as little-endian float64."""
+    tag = next((t for t, (cls, _, _) in _CONTAINER.items() if type(refiner) is cls), None)
+    if tag is None:  # before the file is opened, so that none is left behind
+        raise TypeError(f"cannot serialize refiner of type {type(refiner).__name__}")
+    payload = parameters(refiner)
+    k, rh, rw = next(iter(payload.values())).shape  # every kind's first array is its bank
+    flag = int(getattr(refiner, _CONTAINER[tag][1]))
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        if isinstance(refiner, ScnnRefiner):
-            fh.write(f"scnn {refiner.n_filters} {refiner.filter_size} "
-                     f"{int(refiner.residual)}\n".encode())
-            payload = (refiner.enc_filters, refiner.dec_filters, refiner.log_thresholds)
-        elif isinstance(refiner, DcnnRefiner):
-            fh.write(f"dcnn {refiner.n_filters} {refiner.filter_size} "
-                     f"{refiner.n_layers}\n".encode())
-            payload = (refiner.first_filters, refiner.mid_filters, refiner.last_filters)
-        elif isinstance(refiner, TiedCaolRefiner):
-            fh.write(f"tied {refiner.n_filters} {refiner.filter_size} "
-                     f"{int(refiner.tight_frame)}\n".encode())
-            payload = (refiner.filters, refiner.thresholds)
-        else:
-            raise TypeError(f"cannot serialize refiner of type {type(refiner).__name__}")
-        for arr in payload:
+        fh.write(_MAGIC + f"{tag} {k} {rh * rw} {flag}\n".encode())
+        for arr in payload.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_refiner(path):
-    """Read a refiner written by `save_refiner`; a malformed file is a ValueError."""
+    """Read a refiner written by `save_refiner`; a malformed file is a ValueError naming it."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError(f"{path}: not a refiner container")
         header = fh.readline().decode(errors="replace").split()
         blob = fh.read()
-    kind = header[0] if header else ""
-    if kind not in ("scnn", "dcnn", "tied"):
-        raise ValueError(f"{path}: unknown refiner type tag {kind!r}")
     try:
-        K, R, flag = (int(tok) for tok in header[1:])
-    except ValueError:
-        raise ValueError(f"{path}: {kind} header needs three integers, "
-                         f"got {' '.join(header[1:])!r}") from None
-    r = math.isqrt(max(R, 0))
-    if K < 1 or R < 1 or r * r != R or (kind == "dcnn" and flag < 2):
-        raise ValueError(f"{path}: invalid {kind} header {' '.join(header)!r}")
-    sizes = {"scnn": [K * R, K * R, K],
-             "dcnn": [K * R, (flag - 2) * K * K * R, K * R],
-             "tied": [K * R, K]}[kind]
-    if len(blob) != 8 * sum(sizes):
-        raise ValueError(f"{path}: payload is {len(blob)} bytes, "
-                         f"its header implies {8 * sum(sizes)}")
-    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{path}: non-finite {kind} parameters")
-    arrays = np.split(values, np.cumsum(sizes)[:-1])
-    try:
-        if kind == "scnn":
-            enc, dec, thr = arrays
-            return ScnnRefiner(enc.reshape(K, r, r), dec.reshape(K, r, r), thr, bool(flag))
-        if kind == "dcnn":
-            first, mid, last = arrays
-            return DcnnRefiner(first.reshape(K, r, r), mid.reshape(flag - 2, K, K, r, r),
-                               last.reshape(K, r, r))
-        filters, thr = arrays
-        return TiedCaolRefiner(filters.reshape(K, r, r), thr, bool(flag))
-    except ValueError as exc:  # parameters the refiner type rejects
+        tag = header[0] if header else ""
+        if tag not in _CONTAINER:
+            raise ValueError(f"unknown refiner type tag {tag!r}")
+        cls, flag_name, payload_shapes = _CONTAINER[tag]
+        try:
+            K, R, flag = (int(tok) for tok in header[1:])
+        except ValueError:
+            raise ValueError(f"{tag} header needs three integers, "
+                             f"got {' '.join(header[1:])!r}") from None
+        r = filter_side(K, R)
+        names = [f.name for f in dataclasses.fields(cls)]
+        # a flag that is a field is a boolean; a dCNN's is its n_layers >= 2
+        if flag not in (0, 1) if flag_name in names else flag < 2:
+            raise ValueError(f"invalid {tag} header {' '.join(header)!r}")
+        shapes = payload_shapes(K, r, flag)
+        sizes = [math.prod(shape) for shape in shapes]
+        if len(blob) != 8 * sum(sizes):
+            raise ValueError(f"payload is {len(blob)} bytes, its header implies {8 * sum(sizes)}")
+        values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"non-finite {tag} parameters")
+        arrays = np.split(values, np.cumsum(sizes)[:-1])
+        fields = {name: a.reshape(shape) for name, a, shape in zip(names, arrays, shapes)}
+        if flag_name in names:
+            fields[flag_name] = bool(flag)
+        return cls(**fields)
+    except ValueError as exc:  # a bad header, payload, or parameters the class rejects
         raise ValueError(f"{path}: {exc}") from None

@@ -16,13 +16,15 @@ shifts of the images over the filter taps (`refiners._shift_stack`, one
 overlapping patch per column).  `train_refiner` gives the sCNN gradient one
 workspace per stage (`_scnn_workspace`: the codes, one shift stack and the code
 gradient, sized for the largest batch), which the gradient fills in place
-instead of allocating and page-faulting them in again on every call.
+instead of allocating and page-faulting them in again on every call.  Training
+fits every array field of a refiner (`refiners.parameters`), `log_thresholds`
+at `lr_thresholds` and every other array at `lr_filters`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ import numpy as np
 from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
-                       _scnn_forward, _shift_stack, filter_fft, filter_side)
+                       _scnn_forward, _shift_stack, filter_fft, filter_side, parameters)
 from .solver import MomentumNetConfig, MomentumState, NumericFailure, Refiner, momentum_net_step
 
 
@@ -137,7 +139,7 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     loss = 0.5 * float(np.sum(resid * resid)) / b
 
     q = _shift_stack(resid / b, rh, rw, sign=-1, out=stack)
-    g_dec = hidden @ q.T
+    g_dec = (hidden @ q.T).reshape(dec.shape)
     np.matmul(dec.reshape(k, -1), q, out=g_hidden)
     # a code passed its threshold exactly where it is nonzero, with the sign it
     # had; row by row, each row reduces as the axis-1 sum does, bit for bit
@@ -153,9 +155,8 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     # included (a `copyto(..., where=)` takes about five times as long)
     g_bits = g_hidden.view(np.int64)
     g_bits *= hidden != 0.0
-    g_enc = g_hidden @ _shift_stack(inputs, rh, rw, out=stack).T
-    return loss, {"enc": g_enc.reshape(enc.shape), "dec": g_dec.reshape(dec.shape),
-                  "thr": g_thr}
+    g_enc = (g_hidden @ _shift_stack(inputs, rh, rw, out=stack).T).reshape(enc.shape)
+    return loss, {"enc_filters": g_enc, "dec_filters": g_dec, "log_thresholds": g_thr}
 
 
 def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
@@ -198,8 +199,8 @@ def dcnn_value_and_grad(first: np.ndarray, mid: np.ndarray, last: np.ndarray,
         grads.append(g_bank)
         g_out = g_in.reshape(feat_in.shape)
     grads.reverse()
-    return loss, {"first": grads[0][:, 0], "mid": np.reshape(grads[1:-1], mid.shape),
-                  "last": grads[-1][0]}
+    return loss, {"first_filters": grads[0][:, 0],
+                  "mid_filters": np.reshape(grads[1:-1], mid.shape), "last_filters": grads[-1][0]}
 
 
 # ---------------------------------------------------------------------------
@@ -255,40 +256,24 @@ def train_refiner(init, pairs, config: TrainConfig, rng: Optional[np.random.Gene
         rng = np.random.default_rng(config.seed)
 
     if isinstance(init, ScnnRefiner):
-        params = {"enc": np.array(init.enc_filters), "dec": np.array(init.dec_filters),
-                  "thr": np.array(init.log_thresholds)}
-        lr_groups = {"enc": "f", "dec": "f", "thr": "t"}
         k, rh, rw = init.enc_filters.shape
         # one workspace for the stage, sized for its largest batch
         work = _scnn_workspace(k, rh * rw, min(config.batch_size, n_samples) * inputs[0].size)
 
         def value_and_grad(bi, bt):
-            return scnn_value_and_grad(params["enc"], params["dec"], params["thr"],
-                                       init.residual, bi, bt, work)
-
-        def rebuild():
-            return ScnnRefiner(params["enc"].copy(), params["dec"].copy(),
-                               params["thr"].copy(), init.residual)
+            return scnn_value_and_grad(*params.values(), init.residual, bi, bt, work)
     elif isinstance(init, DcnnRefiner):
-        params = {"first": np.array(init.first_filters), "mid": np.array(init.mid_filters),
-                  "last": np.array(init.last_filters)}
-        lr_groups = {"first": "f", "mid": "f", "last": "f"}
-
         def value_and_grad(bi, bt):
-            return dcnn_value_and_grad(params["first"], params["mid"], params["last"], bi, bt)
-
-        def rebuild():
-            return DcnnRefiner(params["first"].copy(), params["mid"].copy(),
-                               params["last"].copy())
+            return dcnn_value_and_grad(*params.values(), bi, bt)
     else:
         raise TypeError(f"cannot train refiner of type {type(init).__name__}")
+    params = {name: np.array(value) for name, value in parameters(init).items()}
 
     opt = Adam(params)
     history: list[float] = []
     for epoch in range(config.epochs):
-        lrs = {key: config.lr_at(config.lr_filters if grp == "f" else config.lr_thresholds,
-                                 epoch)
-               for key, grp in lr_groups.items()}
+        lrs = {name: config.lr_at(config.lr_thresholds if name == "log_thresholds"
+                                  else config.lr_filters, epoch) for name in params}
         order = rng.permutation(n_samples)
         batch_losses = []
         for start in range(0, n_samples, config.batch_size):
@@ -302,7 +287,7 @@ def train_refiner(init, pairs, config: TrainConfig, rng: Optional[np.random.Gene
             batch_losses.append(loss)
         # epoch loss = mean of the pre-update batch losses (one extra pass saved)
         history.append(float(np.mean(batch_losses)))
-    return rebuild(), history
+    return replace(init, **{name: p.copy() for name, p in params.items()}), history
 
 
 @dataclass(frozen=True)
@@ -444,12 +429,11 @@ def patch_loss_bound_check(refiner: ScnnRefiner, pairs, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k = refiner.n_filters
-    rh = refiner.enc_filters.shape[1]
+    k, rh = refiner.enc_filters.shape[:2]
     if rh % 2 == 0:
         raise ValueError("patch bound check requires odd filter side")
     rng = np.random.default_rng(seed)
-    bound = math.sqrt(6.0 / refiner.filter_size)
+    bound = math.sqrt(6.0 / (rh * rh))
     violations = 0
     worst = -math.inf
     for _ in range(trials):

@@ -372,7 +372,7 @@ def test_criterion_09_training_sanity():
     _, grads = scnn_value_and_grad(enc, dec, thr, True, inputs, targets)
     worst_s = fd_worst(lambda: scnn_value_and_grad(enc, dec, thr, True, inputs,
                                                    targets)[0],
-                       {"enc": enc, "dec": dec, "thr": thr}, grads)
+                       {"enc_filters": enc, "dec_filters": dec, "log_thresholds": thr}, grads)
     assert worst_s <= 1e-4
 
     first = rng.uniform(-0.4, 0.4, (3, 3, 3))
@@ -381,7 +381,7 @@ def test_criterion_09_training_sanity():
     _, grads = dcnn_value_and_grad(first, mid, last, inputs, targets)
     worst_d = fd_worst(lambda: dcnn_value_and_grad(first, mid, last, inputs,
                                                    targets)[0],
-                       {"first": first, "mid": mid, "last": last}, grads)
+                       {"first_filters": first, "mid_filters": mid, "last_filters": last}, grads)
     assert worst_d <= 1e-4
 
     # (b) full-batch fixed-seed training is bit-reproducible

@@ -609,6 +609,20 @@ class TestCmdReconstruct:
 
 
 class TestCmdCompare:
+    def test_diverging_refiner_names_label_and_iteration(self, blur_workspace, capsys):
+        t = blur_workspace
+        bad = t / "badrefs"
+        bad.mkdir()
+        huge = np.full((1, 3, 3), 1e200)
+        mn.save_refiner(bad / "refiner_000.rfn",
+                        mn.ScnnRefiner(huge, huge, np.zeros(1), residual=False))
+        capsys.readouterr()
+        assert main(["compare", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(bad), "--input", str(t / "sim"),
+                     "--out", str(t / "cmpx")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: blur: non-finite iterate at iteration 1\n"
+
     def test_two_configs_summary(self, blur_workspace):
         t = blur_workspace
         noext = (t / "blur.yaml").read_text().replace("kind: momentum",

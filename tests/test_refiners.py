@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -372,34 +373,35 @@ class TestFlip:
 
 
 class TestSerialization:
-    def test_scnn_round_trip_bit_exact(self, tmp_path, rng):
-        ref = mn.ScnnRefiner.init_random(3, 9, rng)
-        path = tmp_path / "r.rfn"
+    @pytest.mark.parametrize("make", [
+        lambda rng: mn.ScnnRefiner.init_random(3, 9, rng),
+        lambda rng: mn.ScnnRefiner.init_random(3, 9, rng, residual=False),
+        lambda rng: mn.DcnnRefiner.init_random(2, 9, 2, rng),
+        lambda rng: mn.DcnnRefiner.init_random(2, 9, 4, rng),
+        lambda rng: mn.TiedCaolRefiner(mn.make_tf_filterbank(4), np.array([0.0, 0.1, 0.2, 0.3])),
+        lambda rng: mn.TiedCaolRefiner(rng.standard_normal((3, 2, 2)), np.array([0.1, 0.2, 0.3]),
+                                       tight_frame=False),
+    ], ids=["scnn", "scnn-nonresidual", "dcnn-L2", "dcnn-L4", "tied", "tied-not-tight"])
+    def test_round_trip_bit_exact(self, tmp_path, rng, make):
+        ref = make(rng)
+        path, again = tmp_path / "r.rfn", tmp_path / "again.rfn"
         mn.save_refiner(path, ref)
         back = mn.load_refiner(path)
-        assert isinstance(back, mn.ScnnRefiner)
-        assert np.array_equal(back.enc_filters, ref.enc_filters)
-        assert np.array_equal(back.dec_filters, ref.dec_filters)
-        assert np.array_equal(back.log_thresholds, ref.log_thresholds)
-        assert back.residual == ref.residual
+        assert type(back) is type(ref)
+        for field in dataclasses.fields(ref):
+            want, got = getattr(ref, field.name), getattr(back, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
+        mn.save_refiner(again, back)
+        assert again.read_bytes() == path.read_bytes()
 
-    def test_dcnn_round_trip_bit_exact(self, tmp_path, rng):
-        ref = mn.DcnnRefiner.init_random(2, 9, 4, rng)
+    def test_unsaveable_type_leaves_no_file(self, tmp_path):
         path = tmp_path / "r.rfn"
-        mn.save_refiner(path, ref)
-        back = mn.load_refiner(path)
-        assert np.array_equal(back.first_filters, ref.first_filters)
-        assert np.array_equal(back.mid_filters, ref.mid_filters)
-        assert np.array_equal(back.last_filters, ref.last_filters)
-
-    def test_tied_round_trip_bit_exact(self, tmp_path, tf_bank4):
-        ref = mn.TiedCaolRefiner(tf_bank4, np.array([0.0, 0.1, 0.2, 0.3]))
-        path = tmp_path / "r.rfn"
-        mn.save_refiner(path, ref)
-        back = mn.load_refiner(path)
-        assert np.array_equal(back.filters, ref.filters)
-        assert np.array_equal(back.thresholds, ref.thresholds)
-        assert back.tight_frame
+        with pytest.raises(TypeError):
+            mn.save_refiner(path, mn.IdentityRefiner())
+        assert not path.exists()
 
     @pytest.mark.parametrize("kind", ["scnn", "dcnn", "tied"])
     def test_non_square_bank_rejected(self, kind):
@@ -448,4 +450,29 @@ class TestSerialization:
         path, data = self._saved(tmp_path, rng)
         path.write_bytes(data + b"\0" * 8)
         with pytest.raises(ValueError, match="r.rfn.*payload"):
+            mn.load_refiner(path)
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("scnn", "2"), ("scnn", "-3"), ("tied", "2"), ("tied", "-1"), ("dcnn", "1"),
+    ])
+    def test_header_flag_out_of_range_rejected(self, tmp_path, rng, tf_bank4, kind, flag):
+        # a boolean flag is 0 or 1, and a dCNN has at least 2 layers
+        ref = {"scnn": mn.ScnnRefiner.init_random(2, 9, rng),
+               "tied": mn.TiedCaolRefiner(tf_bank4, np.zeros(4)),
+               "dcnn": mn.DcnnRefiner.init_random(2, 9, 2, rng)}[kind]
+        path = tmp_path / "r.rfn"
+        mn.save_refiner(path, ref)
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        tag, k, r, _ = header.split()
+        path.write_bytes(b"\n".join([magic, b" ".join([tag, k, r, flag.encode()]), payload]))
+        with pytest.raises(ValueError, match=f"r.rfn: invalid {kind} header"):
+            mn.load_refiner(path)
+
+    @pytest.mark.parametrize("k, r", [("0", "9"), ("2", "10"), ("2", "0")])
+    def test_header_filter_bank_names_both_settings(self, tmp_path, rng, k, r):
+        path, data = self._saved(tmp_path, rng)
+        magic, _, payload = data.split(b"\n", 2)
+        path.write_bytes(magic + f"\nscnn {k} {r} 1\n".encode() + payload)
+        with pytest.raises(ValueError,
+                           match=f"r.rfn: .*n_filters={k}, filter_size={r}$"):
             mn.load_refiner(path)

@@ -103,7 +103,7 @@ def _reference_scnn_value_and_grad(enc, dec, log_thr, residual, inputs, targets)
     g_code_hat = np.fft.rfft2(np.where(hidden != 0.0, g_hidden, 0.0), axes=(-2, -1))
     g_enc = _extract_taps(
         np.fft.irfft2(np.conj(uhat)[None] * g_code_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
-    return loss, {"enc": g_enc, "dec": g_dec, "thr": g_thr}
+    return loss, {"enc_filters": g_enc, "dec_filters": g_dec, "log_thresholds": g_thr}
 
 
 class TestScnnSpatialBackward:
@@ -131,13 +131,13 @@ class TestScnnSpatialBackward:
         ref_loss, ref = _reference_scnn_value_and_grad(enc, dec, log_thr, residual,
                                                        inputs, targets)
         assert loss == ref_loss  # one forward for both
-        for name in ("enc", "dec", "thr"):
+        for name in ("enc_filters", "dec_filters", "log_thresholds"):
             assert grads[name].shape == ref[name].shape
             scale = np.max(np.abs(ref[name]))
             assert scale > 0
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
         if pinned:
-            assert np.all(grads["thr"][::2] == 0.0)
+            assert np.all(grads["log_thresholds"][::2] == 0.0)
 
     def test_runs_without_numpy_fft(self, rng, monkeypatch):
         def no_fft(*args, **kwargs):
@@ -175,7 +175,7 @@ class TestScnnWorkspace:
             ref_loss, ref = scnn_value_and_grad(enc, dec, log_thr, residual,
                                                 inputs[:b], targets[:b])
             assert loss == ref_loss
-            for name in ("enc", "dec", "thr"):
+            for name in ("enc_filters", "dec_filters", "log_thresholds"):
                 assert grads[name].tobytes() == ref[name].tobytes(), (b, name)
 
     def test_too_small_workspace_rejected(self, rng):
@@ -294,7 +294,7 @@ def _reference_dcnn_value_and_grad(first, mid, last, inputs, targets):
     g_pre_hat = np.fft.rfft2(np.where(feats[0] > 0, g_feat, 0.0), axes=(-2, -1))
     g_first = _extract_taps(
         np.fft.irfft2(np.conj(uhat)[None] * g_pre_hat, s=shape, axes=(-2, -1)).sum(axis=1), rh, rw)
-    return loss, {"first": g_first, "mid": g_mid, "last": g_last}
+    return loss, {"first_filters": g_first, "mid_filters": g_mid, "last_filters": g_last}
 
 
 class TestDcnnShiftStack:
@@ -317,7 +317,7 @@ class TestDcnnShiftStack:
         loss, grads = dcnn_value_and_grad(first, mid, last, inputs, targets)
         ref_loss, expect = _reference_dcnn_value_and_grad(first, mid, last, inputs, targets)
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
-        for name in ("first", "mid", "last"):
+        for name in ("first_filters", "mid_filters", "last_filters"):
             assert grads[name].shape == expect[name].shape
             if expect[name].size == 0:
                 continue
@@ -349,7 +349,7 @@ class TestAnalyticGradients:
         loss, grads = scnn_value_and_grad(enc, dec, thr, True, inputs, targets)
         worst = _fd_gradcheck(
             lambda: scnn_value_and_grad(enc, dec, thr, True, inputs, targets)[0],
-            {"enc": enc, "dec": dec, "thr": thr}, grads)
+            {"enc_filters": enc, "dec_filters": dec, "log_thresholds": thr}, grads)
         assert worst <= 1e-4
 
     def test_dcnn_matches_finite_differences(self, rng):
@@ -361,7 +361,7 @@ class TestAnalyticGradients:
         loss, grads = dcnn_value_and_grad(first, mid, last, inputs, targets)
         worst = _fd_gradcheck(
             lambda: dcnn_value_and_grad(first, mid, last, inputs, targets)[0],
-            {"first": first, "mid": mid, "last": last}, grads)
+            {"first_filters": first, "mid_filters": mid, "last_filters": last}, grads)
         assert worst <= 1e-4
 
     @staticmethod
