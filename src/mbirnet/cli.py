@@ -206,15 +206,10 @@ def _load_datafit(base: Path, operator: str, measurements: str, weights: str,
                                        expected_cols=pixels)
     w = read_vector_csv(base / weights)
     try:
-        datafit = QuadraticDataFit(operators[key], w, y)
-    except ValueError as exc:  # negative weights, or a data fit that overflows
-        raise ValueError(f"{base / measurements} with {base / weights}: {exc}") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        finite = np.all(np.isfinite(datafit._majorizer_diag))  # formed once per data fit
-    if not finite:
+        return QuadraticDataFit(operators[key], w, y)
+    except ValueError as exc:  # negative weights, or a data fit or majorizer that overflows
         raise ValueError(f"{base / operator} with {base / measurements} and {base / weights}: "
-                         "the data-fit majorizer diagonal overflows")
-    return datafit
+                         f"{exc}") from None
 
 
 def _load_refiners(refiner_dir: Path):

@@ -2,7 +2,7 @@
 
 Configs are YAML with an explicit schema version.  Unknown keys are errors,
 not warnings: silent config drift is the main reproducibility hazard, so every
-key must be declared below.
+key must be declared below and written once in its mapping.
 """
 
 from __future__ import annotations
@@ -158,11 +158,26 @@ def _validate(data: Any, keys: dict, where: str) -> dict:
     return out
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """The safe loader, rejecting a key written twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = []  # a list, since a key need not be hashable
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":  # a `<<` merge may be overridden
+                key = self.construct_object(key_node, deep=True)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found key {key!r} written twice", key_node.start_mark)
+                seen.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def _read(path, keys: dict) -> dict:
     """YAML file validated against `keys`, at the supported schema version."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_StrictLoader)
     except yaml.YAMLError as exc:  # its message spans lines; the CLI prints one
         raise ConfigError(f"{path}: invalid YAML ({' '.join(str(exc).split())})") from exc
     cfg = _validate(data, keys, str(path))

@@ -9,11 +9,10 @@ solver loop wakes none of OpenBLAS's worker threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -243,11 +242,12 @@ class SparseMatrixOperator:
 
 @dataclass(frozen=True)
 class QuadraticDataFit:
-    """Weighted least-squares data fit  f(x) = 1/2 ||y - Ax||^2_W."""
+    """Weighted least-squares data fit  f(x) = 1/2 ||y - Ax||^2_W, and its `diag_majorizer`."""
 
     op: SparseMatrixOperator
     weights: np.ndarray
     measurements: np.ndarray
+    majorizer: DiagonalMajorizer = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _frozen(np.ravel(self.weights)))
@@ -265,6 +265,18 @@ class QuadraticDataFit:
         if not math.isfinite(norm):
             raise ValueError("measurements too large: 1/2 ||y||^2_W overflows, so the "
                              "data fit would too")
+        ones = np.ones(self.op.in_dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            if self.op._has_negative:
+                a = abs(self.op.matrix)
+                d = a.T @ (self.weights * (a @ ones))
+            else:
+                d = _product(self.op._adj_blocks, self.weights * _product(self.op._blocks, ones))
+        if not np.all(np.isfinite(d)):
+            raise ValueError("the data-fit majorizer diagonal overflows")
+        dmax = float(np.max(d)) if d.size else 0.0
+        floor = 1e-8 * dmax if dmax > 0 else 1e-8
+        object.__setattr__(self, "majorizer", DiagonalMajorizer(np.maximum(d, floor)))
 
     def value(self, x) -> float:
         r = self.op.forward(_flat(x)) - self.measurements
@@ -273,20 +285,6 @@ class QuadraticDataFit:
     @property
     def n(self) -> int:
         return self.op.in_dim
-
-    @functools.cached_property
-    def _majorizer_diag(self) -> np.ndarray:
-        """The floored diagonal of `diag_majorizer`, formed once per data fit."""
-        op = self.op
-        ones = np.ones(op.in_dim)
-        if op._has_negative:
-            a = abs(op.matrix)
-            d = a.T @ (self.weights * (a @ ones))
-        else:
-            d = _product(op._adj_blocks, self.weights * _product(op._blocks, ones))
-        dmax = float(np.max(d)) if d.size else 0.0
-        floor = 1e-8 * dmax if dmax > 0 else 1e-8
-        return _frozen(np.maximum(d, floor))
 
 
 @dataclass(frozen=True)
@@ -384,15 +382,15 @@ def diag_majorizer(f: QuadraticDataFit) -> DiagonalMajorizer:
     identically-zero operator falls back to an absolute 1e-8 floor.
 
     The diagonal depends only on the data fit, which is frozen, so it is
-    formed on the first call for `f` and kept, read-only, on `f`; every later
-    call only wraps it.  A matrix with no negative entry is its own |A|, so the
-    product runs on the operator's matrix and stored transpose without a copy;
-    it sums in the same order as the transpose view of a copy would.  Like the
-    operator's own products, it is split over one thread per usable CPU when
-    the operator is large enough, with the same bits.  A matrix with a negative
-    entry forms |A| and runs single-threaded.
+    formed, and an overflowing one rejected, when `f` is constructed; every
+    call returns that `f.majorizer`.  A matrix with no negative entry is its
+    own |A|, so the product runs on the operator's matrix and stored transpose
+    without a copy; it sums in the same order as the transpose view of a copy
+    would.  Like the operator's own products, it is split over one thread per
+    usable CPU when the operator is large enough, with the same bits.  A matrix
+    with a negative entry forms |A| and runs single-threaded.
     """
-    return DiagonalMajorizer(f._majorizer_diag)
+    return f.majorizer
 
 
 def mbir_gradient(obj: MbirObjective, x):

@@ -47,13 +47,24 @@ THRESHOLD_FLOOR = 1e-12
 # circular convolution helpers
 # ---------------------------------------------------------------------------
 
+def _bank_shape(filters: np.ndarray) -> tuple[int, int, int]:
+    """(K, rh, rw) of a filter stack; an array of any other rank is a ShapeError."""
+    if np.ndim(filters) != 3:
+        raise ShapeError(f"filters must be a (K, rh, rw) stack, got shape {np.shape(filters)}")
+    return np.shape(filters)
+
+
+def _fit(rh: int, rw: int, shape: tuple[int, int]) -> tuple[int, int]:
+    """(h, w) of an image that rh x rw taps fit: the rule of every convolution here."""
+    if rh > shape[0] or rw > shape[1]:
+        raise ShapeError(f"filters ({rh}, {rw}) larger than image {tuple(shape)}")
+    return shape
+
+
 def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Embed a (K, r, r) filter stack at centered offsets modulo `shape`."""
-    filters = np.atleast_3d(filters)
-    k, rh, rw = filters.shape
-    h, w = shape
-    if rh > h or rw > w:
-        raise ShapeError(f"filters {filters.shape[1:]} larger than image {shape}")
+    k, rh, rw = _bank_shape(filters)
+    h, w = _fit(rh, rw, shape)
     out = np.zeros((k, h, w))
     rows = (np.arange(rh) - rh // 2) % h
     cols = (np.arange(rw) - rw // 2) % w
@@ -81,11 +92,8 @@ def filter_fft(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     (or two rows), so that BLAS keeps it on the calling thread; every output
     entry is the same rh-term sum as in one matmul, with the same bits.
     """
-    filters = np.atleast_3d(filters)
-    k, rh, rw = filters.shape
-    h, w = shape
-    if rh > h or rw > w:
-        raise ShapeError(f"filters {filters.shape[1:]} larger than image {shape}")
+    k, rh, rw = _bank_shape(filters)
+    h, w = _fit(rh, rw, shape)
     band = np.zeros((k, rh, w))
     band[:, :, (np.arange(rw) - rw // 2) % w] = filters
     rows = (np.arange(rh) - rh // 2) % h
@@ -108,10 +116,8 @@ def tf_defect(filters: np.ndarray) -> float:
     Zero defect is equivalent to the tight-frame identity
     sum_k ||h_k conv u||^2 = ||u||^2 under circular convolution.
     """
-    filters = np.atleast_3d(filters)
-    k = filters.shape[0]
-    r = filters.shape[1] * filters.shape[2]
-    v = filters.reshape(k, r)
+    v = np.reshape(filters, (_bank_shape(filters)[0], -1))
+    r = v.shape[1]
     gram = v.T @ v
     return float(np.max(np.abs(gram - np.eye(r) / r)))
 
@@ -141,12 +147,6 @@ def make_tf_filterbank(R: int) -> np.ndarray:
     return filters / np.sqrt(R)
 
 
-def _square_side(filters: np.ndarray) -> int:
-    if filters.shape[1] != filters.shape[2]:  # the refiner container stores one side
-        raise ShapeError(f"filters must be square, got {filters.shape[1]}x{filters.shape[2]}")
-    return filter_side(filters.shape[0], filters.shape[1] * filters.shape[2])
-
-
 def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
                  out: np.ndarray | None = None) -> np.ndarray:
     """(rh*rw, B*h*w) stack of the circular shifts of a (B, h, w) image stack.
@@ -158,6 +158,7 @@ def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
     (C-contiguous float64 of that shape) when one is given.
     """
     b, h, w = images.shape
+    _fit(rh, rw, (h, w))
     if out is None:
         out = np.empty((rh * rw, b * h * w))
     elif (out.shape != (rh * rw, b * h * w) or out.dtype != np.float64
@@ -264,17 +265,7 @@ class ScnnRefiner:
     residual: bool = True
 
     def __post_init__(self):
-        enc = _frozen(np.atleast_3d(self.enc_filters))
-        dec = _frozen(np.atleast_3d(self.dec_filters))
-        thr = _frozen(np.ravel(self.log_thresholds))
-        object.__setattr__(self, "enc_filters", enc)
-        object.__setattr__(self, "dec_filters", dec)
-        object.__setattr__(self, "log_thresholds", thr)
-        if enc.shape != dec.shape:
-            raise ShapeError("encoder and decoder banks must share (K, r, r)")
-        if thr.size != enc.shape[0]:
-            raise ShapeError("one threshold per filter pair required")
-        _square_side(enc)
+        _freeze_payload(self)
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -311,24 +302,11 @@ class DcnnRefiner:
     last_filters: np.ndarray   # (K, r, r)
 
     def __post_init__(self):
-        first = _frozen(np.atleast_3d(self.first_filters))
-        last = _frozen(np.atleast_3d(self.last_filters))
-        k, r = first.shape[0], _square_side(first)
-        mid = as_f64(self.mid_filters)
-        if mid.size == 0:
-            mid = np.zeros((0, k, k, r, r))
-        mid = _frozen(mid)
-        object.__setattr__(self, "first_filters", first)
-        object.__setattr__(self, "mid_filters", mid)
-        object.__setattr__(self, "last_filters", last)
-        if last.shape != first.shape:
-            raise ShapeError("first and last layers must share (K, r, r)")
-        if mid.shape[1:] != (k, k, r, r):
-            raise ShapeError("middle layers must have shape (L-2, K, K, r, r)")
+        _freeze_payload(self)
 
     @property
     def n_layers(self) -> int:
-        return self.mid_filters.shape[0] + 2
+        return len(self.mid_filters) + 2
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
@@ -363,16 +341,10 @@ class TiedCaolRefiner:
     tight_frame: bool = True
 
     def __post_init__(self):
-        filters = _frozen(np.atleast_3d(self.filters))
-        thr = _frozen(np.ravel(self.thresholds))
-        object.__setattr__(self, "filters", filters)
-        object.__setattr__(self, "thresholds", thr)
-        if thr.size != filters.shape[0]:
-            raise ShapeError("one threshold per filter required")
-        _square_side(filters)
-        if np.any(thr < 0):
+        _freeze_payload(self)
+        if np.any(self.thresholds < 0):
             raise ValueError("thresholds must be nonnegative")
-        if self.tight_frame and tf_defect(filters) > 1e-10:
+        if self.tight_frame and tf_defect(self.filters) > 1e-10:
             raise ValueError("filter bank violates the tight-frame identity")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -452,7 +424,7 @@ def scnn_nonexpansive_sufficient(refiner: ScnnRefiner) -> NonexpansiveReport:
     (delta = Kronecker-delta filter) and compares the top eigenvalue of each
     Gram matrix against 1/R.
     """
-    r = _square_side(refiner.enc_filters)
+    r = refiner.enc_filters.shape[1]
     R = r * r
     delta_col = np.zeros(R)
     delta_col[(r // 2) * r + (r // 2)] = 1.0
@@ -480,13 +452,31 @@ def parameters(refiner) -> dict[str, np.ndarray]:
             if isinstance(getattr(refiner, f.name), np.ndarray)}
 
 
-# container tag -> (class, header flag, shapes of `parameters` from the header's K, r, flag)
+# tag -> (class, header flag, shapes of `parameters` from K, r, flag), which each class checks
 _CONTAINER = {
     "scnn": (ScnnRefiner, "residual", lambda k, r, flag: [(k, r, r), (k, r, r), (k,)]),
     "dcnn": (DcnnRefiner, "n_layers",
              lambda k, r, flag: [(k, r, r), (flag - 2, k, k, r, r), (k, r, r)]),
     "tied": (TiedCaolRefiner, "tight_frame", lambda k, r, flag: [(k, r, r), (k,)]),
 }
+
+
+def _freeze_payload(refiner) -> None:
+    """Check each field of a refiner other than its header flag against `_CONTAINER`'s
+    shapes for the first field's (K, r, r) bank and the flag, and freeze it."""
+    _, flag_name, payload_shapes = next(v for v in _CONTAINER.values() if type(refiner) is v[0])
+    names = [f.name for f in dataclasses.fields(refiner) if f.name != flag_name]
+    k, rh, rw = _bank_shape(getattr(refiner, names[0]))
+    if rh != rw:  # the container stores one side
+        raise ShapeError(f"filters must be square, got {rh}x{rw}")
+    shapes = payload_shapes(k, filter_side(k, rh * rw), getattr(refiner, flag_name))
+    for name, shape in zip(names, shapes):
+        a = as_f64(getattr(refiner, name))
+        if a.size == 0 == math.prod(shape):  # an empty mid_filters: a two-layer dCNN
+            a = np.zeros(shape)
+        if a.shape != shape:
+            raise ShapeError(f"{name} must have shape {shape}, got {a.shape}")
+        object.__setattr__(refiner, name, _frozen(a))
 
 
 def save_refiner(path, refiner) -> None:
@@ -518,8 +508,10 @@ def load_refiner(path):
         cls, flag_name, payload_shapes = _CONTAINER[tag]
         try:
             K, R, flag = (int(tok) for tok in header[1:])
+            if [str(K), str(R), str(flag)] != header[1:]:  # the only form save_refiner writes
+                raise ValueError
         except ValueError:
-            raise ValueError(f"{tag} header needs three integers, "
+            raise ValueError(f"{tag} header needs three plain integers, "
                              f"got {' '.join(header[1:])!r}") from None
         r = filter_side(K, R)
         names = [f.name for f in dataclasses.fields(cls)]

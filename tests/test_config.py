@@ -75,6 +75,26 @@ class TestMalformedYaml:
             load_config(cfg)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("loader, text", [
+        (load_config, "schema: 1\nproblem: {kind: ct, n: 16}\nsolver:\n  chi: 10.0\n  chi: 5.0\n"),
+        (load_training_manifest, yaml.safe_dump(MANIFEST) + "chi: 5.0\n"),
+    ], ids=["config", "manifest"])
+    def test_key_written_twice_names_file_and_line(self, tmp_path, loader, text):
+        # the second chi, on the last line, would silently win; the error names that line
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        line = len(text.splitlines())
+        with pytest.raises(ConfigError, match=rf"c.yaml: invalid YAML .*'chi' written twice "
+                                              rf".*c.yaml\", line {line}") as info:
+            loader(cfg)
+        assert "\n" not in str(info.value)
+
+    def test_merge_key_may_be_overridden(self, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("schema: 1\nproblem: {kind: ct, n: 16}\n"
+                       "solver:\n  <<: {chi: 10.0, rho: 0.5}\n  chi: 5.0\n")
+        assert load_config(cfg)["solver"]["chi"] == 5.0
+
 
 class TestProximityWeightKeys:
     @pytest.mark.parametrize("weights", [{}, {"chi": 10.0, "gamma": 1.0}],

@@ -545,6 +545,24 @@ class TestCmdReconstruct:
         assert "refiner_000.rfn" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["scnn", "dcnn"])
+    def test_filters_wider_than_the_image_are_config_error(self, blur_workspace, capsys, kind):
+        # one rule for every refiner kind: 25x25 taps do not fit the 24x24 image
+        t = blur_workspace
+        big = t / "bigrefs"
+        big.mkdir()
+        rng = np.random.default_rng(0)
+        refiner = (mn.ScnnRefiner.init_random(1, 625, rng) if kind == "scnn"
+                   else mn.DcnnRefiner.init_random(1, 625, 2, rng))
+        mn.save_refiner(big / "refiner_000.rfn", refiner)
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(big), "--input", str(t / "sim"),
+                     "--out", str(t / "recx")]) == 2
+        err = capsys.readouterr().err
+        assert "filters (25, 25) larger than image (24, 24)" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_malformed_operator_is_config_error(self, blur_workspace, capsys):
         t = blur_workspace
         shutil.copytree(t / "sim", t / "badsim")

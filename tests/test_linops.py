@@ -198,7 +198,15 @@ class TestDiagMajorizer:
         with pytest.raises(ValueError, match="read-only"):
             first.diag[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            f._majorizer_diag[0] = 1.0
+            f.majorizer.diag[0] = 1.0
+
+    @pytest.mark.parametrize("entry", [1e200, -1e200])
+    def test_overflowing_majorizer_rejected(self, entry):
+        # 1/2 ||y||^2_W is finite, but |A|^T W |A| 1 overflows: rejected at
+        # construction, not later as a non-finite metric
+        op = mn.SparseMatrixOperator(np.array([[entry, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="majorizer diagonal overflows"):
+            mn.QuadraticDataFit(op, np.ones(2), np.zeros(2))
 
     def test_negative_entries_cached_too(self):
         f = mn.QuadraticDataFit(dense([[1, -2], [-3, 4]]), np.ones(2), np.zeros(2))

@@ -52,6 +52,38 @@ class TestScnnForward:
             mn.ScnnRefiner(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), np.zeros(2))
 
 
+class TestFilterBankRank:
+    # a 2-D (r, r) array is one filter without its K axis, never r filters of r x 1
+    @pytest.mark.parametrize("kind", ["scnn", "dcnn", "tied"])
+    def test_refiner_rejects_a_2d_bank(self, kind):
+        f = np.ones((3, 3))
+        with pytest.raises(mn.ShapeError, match=r"\(K, rh, rw\) stack, got shape \(3, 3\)"):
+            if kind == "scnn":
+                mn.ScnnRefiner(f, f, np.zeros(3))
+            elif kind == "dcnn":
+                mn.DcnnRefiner(f, np.zeros(0), f)
+            else:
+                mn.TiedCaolRefiner(f, np.zeros(3), tight_frame=False)
+
+    @pytest.mark.parametrize("call", [
+        lambda f: mbirnet.refiners.embed_filters(f, (8, 8)),
+        lambda f: filter_fft(f, (8, 8)),
+        tf_defect,
+    ], ids=["embed_filters", "filter_fft", "tf_defect"])
+    def test_bank_function_rejects_a_2d_bank(self, call):
+        with pytest.raises(mn.ShapeError, match=r"\(K, rh, rw\) stack, got shape \(3, 3\)"):
+            call(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("kind", ["scnn", "dcnn", "tied"])
+    def test_every_kind_rejects_taps_wider_than_the_image(self, rng, kind):
+        refiner = {"scnn": mn.ScnnRefiner.init_random(1, 25, rng),
+                   "dcnn": mn.DcnnRefiner.init_random(1, 25, 3, rng),
+                   "tied": mn.TiedCaolRefiner(rng.standard_normal((1, 5, 5)), np.zeros(1),
+                                              tight_frame=False)}[kind]
+        with pytest.raises(mn.ShapeError, match=r"filters \(5, 5\) larger than image \(4, 6\)"):
+            refiner(np.zeros((4, 6)))
+
+
 class TestFilterFft:
     # (K, rh, rw, image shape): even 2x2 filters (criterion 5), filters as tall
     # as the image, 1x1 filters, an odd non-square image and a 256x256 one
@@ -414,6 +446,17 @@ class TestSerialization:
                 mn.DcnnRefiner(bank, np.zeros((0, 2, 2, 3, 5)), bank)
             else:
                 mn.TiedCaolRefiner(bank, np.zeros(2), tight_frame=False)
+
+    @pytest.mark.parametrize("header", ["scnn 04 9 1", "scnn +4 9 1", "scnn 4 9 0_1",
+                                        "scnn 4 9 +1"])
+    def test_header_integers_only_in_the_saved_form(self, tmp_path, rng, header):
+        # int() takes these too, but the file would re-save to other bytes
+        path = tmp_path / "r.rfn"
+        mn.save_refiner(path, mn.ScnnRefiner.init_random(4, 9, rng))
+        magic, _, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, header.encode(), payload]))
+        with pytest.raises(ValueError, match="r.rfn: scnn header needs three plain integers"):
+            mn.load_refiner(path)
 
     def test_save_twice_byte_identical(self, tmp_path, rng):
         ref = mn.ScnnRefiner.init_random(2, 9, rng)
