@@ -266,17 +266,15 @@ class QuadraticDataFit:
             raise ValueError("measurements too large: 1/2 ||y||^2_W overflows, so the "
                              "data fit would too")
         ones = np.ones(self.op.in_dim)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        with np.errstate(over="ignore", invalid="ignore"):  # DiagonalMajorizer rejects inf
             if self.op._has_negative:
                 a = abs(self.op.matrix)
                 d = a.T @ (self.weights * (a @ ones))
             else:
                 d = _product(self.op._adj_blocks, self.weights * _product(self.op._blocks, ones))
-        if not np.all(np.isfinite(d)):
-            raise ValueError("the data-fit majorizer diagonal overflows")
-        dmax = float(np.max(d)) if d.size else 0.0
-        floor = 1e-8 * dmax if dmax > 0 else 1e-8
-        object.__setattr__(self, "majorizer", DiagonalMajorizer(np.maximum(d, floor)))
+            dmax = float(np.max(d)) if d.size else 0.0
+            floor = 1e-8 * dmax if dmax > 0 else 1e-8
+            object.__setattr__(self, "majorizer", DiagonalMajorizer(np.maximum(d, floor)))
 
     def value(self, x) -> float:
         r = self.op.forward(_flat(x)) - self.measurements

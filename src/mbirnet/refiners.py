@@ -265,7 +265,7 @@ class ScnnRefiner:
     residual: bool = True
 
     def __post_init__(self):
-        _freeze_payload(self)
+        _freeze_payload(self, "scnn")
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -302,7 +302,7 @@ class DcnnRefiner:
     last_filters: np.ndarray   # (K, r, r)
 
     def __post_init__(self):
-        _freeze_payload(self)
+        _freeze_payload(self, "dcnn")
 
     @property
     def n_layers(self) -> int:
@@ -341,7 +341,7 @@ class TiedCaolRefiner:
     tight_frame: bool = True
 
     def __post_init__(self):
-        _freeze_payload(self)
+        _freeze_payload(self, "tied")
         if np.any(self.thresholds < 0):
             raise ValueError("thresholds must be nonnegative")
         if self.tight_frame and tf_defect(self.filters) > 1e-10:
@@ -461,10 +461,10 @@ _CONTAINER = {
 }
 
 
-def _freeze_payload(refiner) -> None:
-    """Check each field of a refiner other than its header flag against `_CONTAINER`'s
+def _freeze_payload(refiner, tag: str) -> None:
+    """Check each field of a refiner other than its header flag against `_CONTAINER[tag]`'s
     shapes for the first field's (K, r, r) bank and the flag, and freeze it."""
-    _, flag_name, payload_shapes = next(v for v in _CONTAINER.values() if type(refiner) is v[0])
+    _, flag_name, payload_shapes = _CONTAINER[tag]
     names = [f.name for f in dataclasses.fields(refiner) if f.name != flag_name]
     k, rh, rw = _bank_shape(getattr(refiner, names[0]))
     if rh != rw:  # the container stores one side
@@ -472,6 +472,7 @@ def _freeze_payload(refiner) -> None:
     shapes = payload_shapes(k, filter_side(k, rh * rw), getattr(refiner, flag_name))
     for name, shape in zip(names, shapes):
         a = as_f64(getattr(refiner, name))
+        a = np.ravel(a) if len(shape) == 1 else a  # thresholds: also (K, 1), as a view
         if a.size == 0 == math.prod(shape):  # an empty mid_filters: a two-layer dCNN
             a = np.zeros(shape)
         if a.shape != shape:

@@ -382,7 +382,7 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         raise ValueError("refusing to run oracle: filter bank is not a tight frame")
     beta_vec = np.ravel(as_f64(beta))
     if beta_vec.size == 1:
-        beta_vec = np.full(np.atleast_3d(tf_filters).shape[0], float(beta_vec[0]))
+        beta_vec = np.full(len(tf_filters), float(beta_vec[0]))
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
 

@@ -83,6 +83,21 @@ class TestFilterBankRank:
         with pytest.raises(mn.ShapeError, match=r"filters \(5, 5\) larger than image \(4, 6\)"):
             refiner(np.zeros((4, 6)))
 
+    @pytest.mark.parametrize("kind", ["scnn", "tied"])
+    @pytest.mark.parametrize("thr_shape", [(2, 1), (2,)], ids=["column", "flat"])
+    def test_thresholds_are_raveled_and_the_callers_array_stays_writable(self, rng, kind,
+                                                                         thr_shape):
+        bank, thr = rng.standard_normal((2, 3, 3)), np.full(thr_shape, 0.5)
+        refiner = (mn.ScnnRefiner(bank, bank, thr) if kind == "scnn"
+                   else mn.TiedCaolRefiner(bank, thr, tight_frame=False))
+        stored = refiner.log_thresholds if kind == "scnn" else refiner.thresholds
+        assert stored.shape == (2,) and not stored.flags.writeable
+        thr[0] = 1.0  # the caller's array is not frozen with the stored view
+
+    def test_one_filter_takes_a_scalar_threshold(self, rng):
+        refiner = mn.TiedCaolRefiner(rng.standard_normal((1, 3, 3)), 0.5, tight_frame=False)
+        assert refiner.thresholds.shape == (1,)
+
 
 class TestFilterFft:
     # (K, rh, rw, image shape): even 2x2 filters (criterion 5), filters as tall
