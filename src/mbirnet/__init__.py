@@ -10,12 +10,12 @@ from .refiners import (DcnnRefiner, IdentityRefiner, NonexpansiveReport, ScnnRef
                        load_refiner, make_tf_filterbank, paired_epsilon, save_refiner,
                        scnn_nonexpansive_sufficient, tf_defect)
 from .solver import (IterateRecord, IterateTrace, MomentumNetConfig, MomentumState,
-                     NumericFailure, apg_solve, check_extrapolation_condition,
-                     extrapolation_matrix, fixed_point_residual, mbir_step,
-                     momentum_update, run_bcd_net, run_caol_bpegm, run_momentum_net)
+                     NumericFailure, apg_solve, backprojection_init,
+                     check_extrapolation_condition, extrapolation_matrix,
+                     fixed_point_residual, mbir_step, momentum_update, run_bcd_net,
+                     run_caol_bpegm, run_momentum_net)
 from .training import (PatchBoundReport, RefinerArch, TrainConfig, TrainingAborted,
-                       TrainingSample, backprojection_init, greedy_train,
-                       patch_loss_bound_check, train_refiner)
+                       TrainingSample, greedy_train, patch_loss_bound_check, train_refiner)
 from .imaging import (CtGeometry, binomial_kernel, build_blur, build_radon, psnr,
                       random_ellipse_phantom, rmse, shepp_logan, simulate_ct)
 from .diagnostics import DiagnosticsResult, run_diagnostics

@@ -36,8 +36,8 @@ from .fileio import (read_operator, read_pgm, read_vector_csv, write_operator,
 from .imaging import simulate_ct, shepp_logan
 from .linops import QuadraticDataFit, usable_cpus
 from .refiners import load_refiner, save_refiner
-from .solver import NumericFailure, run_bcd_net, run_momentum_net
-from .training import TrainingSample, backprojection_init, greedy_train
+from .solver import NumericFailure, backprojection_init, run_bcd_net, run_momentum_net
+from .training import TrainingSample, greedy_train
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +86,14 @@ def _environment() -> dict:
 
 
 class RunManifest:
-    """Reproduction record for one command invocation."""
+    """Reproduction record for one command invocation, parsed from `argv`."""
 
-    def __init__(self, command: str, args: argparse.Namespace, out_dir: Path):
+    def __init__(self, argv: list[str], args: argparse.Namespace, out_dir: Path):
         self.out_dir = out_dir
         self.info = {
             "schema": 1,
-            "command": command,
-            "argv": sys.argv[1:],
+            "command": args.command,
+            "argv": argv,
             "config": getattr(args, "config", None),
             "seed": getattr(args, "seed", None),
             "started": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -408,12 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return int(exc.code or 0)
-    manifest = RunManifest(args.command, args, Path(args.out))
+    manifest = RunManifest(argv, args, Path(args.out))
     try:
         for path in args.func(args):
             manifest.add(path)

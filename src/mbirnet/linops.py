@@ -288,7 +288,7 @@ class QuadraticDataFit:
 @dataclass(frozen=True)
 class DiagonalMajorizer:
     """Positive diagonal metric M, stored as its diagonal with any scale in it
-    (the MBIR metric lam * (M_f + gamma I) is one: `MomentumNetConfig.metric`)."""
+    (the MBIR step metric lam * (M_f + gamma I) is one: `MbirObjective.metric`)."""
 
     diag: np.ndarray
 
@@ -338,24 +338,25 @@ class FeasibleSet:
 
 @dataclass(frozen=True)
 class MbirObjective:
-    """F(x; y, z) = f(x; y) + (gamma/2) ||x - z||^2 over a feasible set."""
+    """F(x; y, z) = f(x; y) + (gamma/2) ||x - z||^2 over a feasible set, for every
+    refined image z; its step metric lam * (M_f + gamma I) is formed at construction."""
 
     datafit: QuadraticDataFit
     gamma: float
-    anchor: np.ndarray
     feasible: FeasibleSet
+    lam: float = 1.0
+    metric: DiagonalMajorizer = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", _frozen(np.ravel(_flat(self.anchor))))
         object.__setattr__(self, "gamma", float(self.gamma))
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
-        if self.anchor.size != self.datafit.n:
-            raise ShapeError("anchor length must equal operator input dim")
+        object.__setattr__(self, "metric", DiagonalMajorizer(
+            self.lam * (self.datafit.majorizer.diag + self.gamma)))
 
-    def value(self, x) -> float:
+    def value(self, x, z) -> float:
         x = _flat(x)
-        d = x - self.anchor
+        d = x - _flat(z).reshape(x.shape)  # a z of another length cannot reshape
         return self.datafit.value(x) + 0.5 * self.gamma * _dot(d, d)
 
 
@@ -381,7 +382,8 @@ def diag_majorizer(f: QuadraticDataFit) -> DiagonalMajorizer:
 
     The diagonal depends only on the data fit, which is frozen, so it is
     formed, and an overflowing one rejected, when `f` is constructed; every
-    call returns that `f.majorizer`.  A matrix with no negative entry is its
+    call returns that `f.majorizer`, and an `MbirObjective` forms its step
+    metric from it once, when the objective is built.  A matrix with no negative entry is its
     own |A|, so the product runs on the operator's matrix and stored transpose
     without a copy; it sums in the same order as the transpose view of a copy
     would.  Like the operator's own products, it is split over one thread per
@@ -391,10 +393,10 @@ def diag_majorizer(f: QuadraticDataFit) -> DiagonalMajorizer:
     return f.majorizer
 
 
-def mbir_gradient(obj: MbirObjective, x):
+def mbir_gradient(obj: MbirObjective, x, z):
     """Gradient of F(x; y, z): data-fit gradient plus gamma * (x - z)."""
     xf = _flat(x)
-    return datafit_gradient(obj.datafit, xf) + obj.gamma * (xf - obj.anchor)
+    return datafit_gradient(obj.datafit, xf) + obj.gamma * (xf - _flat(z).reshape(xf.shape))
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,13 @@ from .prox import soft_threshold
 THRESHOLD_FLOOR = 1e-12
 
 
+def _thresholds(log_thr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(log_thr), and the shrinkage thresholds: exp(log_thr) floored at
+    THRESHOLD_FLOOR."""
+    raw = np.exp(log_thr)
+    return raw, np.maximum(raw, THRESHOLD_FLOOR)
+
+
 # ---------------------------------------------------------------------------
 # circular convolution helpers
 # ---------------------------------------------------------------------------
@@ -269,7 +276,7 @@ class ScnnRefiner:
 
     @property
     def thresholds(self) -> np.ndarray:
-        return np.maximum(np.exp(self.log_thresholds), THRESHOLD_FLOOR)
+        return _thresholds(self.log_thresholds)[1]
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)

@@ -6,6 +6,10 @@ lam * (M_f + gamma I), then a clamp); `run_bcd_net` is the inner-solver baseline
 `run_caol_bpegm` is an independently-coded two-block majorized solver for the
 convolutional sparse prior, used as an equivalence oracle for the tied
 autoencoder configuration.
+
+A data fit's MBIR objective is built once (`MomentumNetConfig.objective`) and
+each iteration passes it the refined image z; `_advance` steps the stack of
+training or diagnostics samples, each with its own objective.
 """
 
 from __future__ import annotations
@@ -128,12 +132,11 @@ class MomentumNetConfig:
         if not (math.isfinite(self.lam) and self.lam >= 1.0):
             raise ValueError(f"lam must be finite and >= 1, got {self.lam}")
 
-    def metric(self, datafit: QuadraticDataFit) -> tuple[float, DiagonalMajorizer]:
-        """The proximity weight gamma for this data fit and the MBIR metric
-        lam * (M_f + gamma I), one diagonal, built from its diagonal majorizer M_f."""
-        m_f = diag_majorizer(datafit)
-        gamma = select_gamma(m_f, self.chi) if self.gamma is None else self.gamma
-        return gamma, DiagonalMajorizer(self.lam * (m_f.diag + gamma))
+    def objective(self, datafit: QuadraticDataFit, feasible: FeasibleSet) -> MbirObjective:
+        """The MBIR objective of this data fit over `feasible`, with gamma chosen
+        from its diagonal majorizer M_f when chi is set."""
+        gamma = select_gamma(diag_majorizer(datafit), self.chi) if self.gamma is None else self.gamma
+        return MbirObjective(datafit, gamma, feasible, self.lam)
 
 
 @dataclass
@@ -198,18 +201,17 @@ class IterateTrace:
 # core steps
 # ---------------------------------------------------------------------------
 
-def mbir_step(x_acute, obj: MbirObjective, m_tilde: DiagonalMajorizer):
+def mbir_step(x_acute, z, obj: MbirObjective):
     """Noniterative majorized MBIR update: gradient step in the M-metric, then projection."""
     xa = _flat(x_acute)
-    step = xa - mbir_gradient(obj, xa) / m_tilde.diag
+    step = xa - mbir_gradient(obj, xa, z) / obj.metric.diag
     # the sets are separable boxes and M is diagonal, so the M-metric
     # projection argmin_{u in set} 1/2||u - step||^2_M is the entrywise clamp
     return obj.feasible.project(step)
 
 
 def fixed_point_residual(x: ImageVector, refiner: Refiner, config: MomentumNetConfig,
-                         datafit: QuadraticDataFit, feasible: FeasibleSet,
-                         m_tilde: DiagonalMajorizer, gamma: float) -> float:
+                         obj: MbirObjective) -> float:
     """Normalized distance of x from its own zero-momentum full iteration.
 
     Zero exactly when x reproduces itself through refine -> MBIR with no
@@ -217,8 +219,7 @@ def fixed_point_residual(x: ImageVector, refiner: Refiner, config: MomentumNetCo
     """
     xf = x.data
     z_bar = (1.0 - config.rho) * xf + config.rho * refiner(x.as_2d()).ravel()
-    obj = MbirObjective(datafit, gamma, z_bar, feasible)
-    x_next = mbir_step(xf, obj, m_tilde)
+    x_next = mbir_step(xf, z_bar, obj)
     return _norm(xf - x_next) / max(1.0, _norm(xf))
 
 
@@ -228,9 +229,7 @@ def _refiner_at(refiners: Sequence[Refiner], i: int) -> Refiner:
 
 
 def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
-                      refined: np.ndarray, datafit: QuadraticDataFit, gamma: float,
-                      feasible: FeasibleSet, m_big: DiagonalMajorizer,
-                      config: MomentumNetConfig):
+                      refined: np.ndarray, obj: MbirObjective, config: MomentumNetConfig):
     """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
     z = (1.0 - config.rho) * x + config.rho * refined.ravel()
     if config.extrapolate:
@@ -238,38 +237,64 @@ def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
         x_acute = x + _extrapolation_scale(state, config.delta, config.lam) * (x - x_prev)
     else:
         x_acute = x
-    obj = MbirObjective(datafit, gamma, z, feasible)
-    x_new = mbir_step(x_acute, obj, m_big)
-    return x_new, z, momentum_update(state)
+    return mbir_step(x_acute, z, obj), z, momentum_update(state)
 
 
-def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
-           gamma: float, feasible: FeasibleSet, x0: ImageVector, step,
-           fixed_point=None) -> IterateTrace:
+def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> ImageVector:
+    """Weighted back-projection A^T W y rescaled into [0, 1]."""
+    bp = datafit.op.adjoint(datafit.weights * datafit.measurements)
+    top = float(np.max(bp))
+    if top > 0:
+        bp = np.clip(bp / top, 0.0, 1.0)
+    else:
+        bp = np.zeros_like(bp)
+    return ImageVector(bp, shape)
+
+
+def _starts(objs: Sequence[MbirObjective], shape: tuple[int, int]) -> np.ndarray:
+    """The (B, h, w) stack of the back-projection starts of the objectives' data fits."""
+    return np.stack([backprojection_init(obj.datafit, shape).as_2d() for obj in objs])
+
+
+def _advance(objs: Sequence[MbirObjective], xs, xs_prev, state: MomentumState,
+             refiner: Refiner, config: MomentumNetConfig):
+    """One momentum iteration for the (B, h, w) stack of iterates: one refiner
+    call on the stack, then each sample's step, in order, with its own
+    objective.  Returns the stacks R(x), z and the new iterates, and the new
+    momentum state (the same for every sample)."""
+    outs = refiner(xs)
+    steps = [momentum_net_step(x.ravel(), x_prev.ravel(), state, out, obj, config)
+             for obj, x, x_prev, out in zip(objs, xs, xs_prev, outs)]
+    xs_new, zs, states = zip(*steps)
+    return outs, np.stack(zs).reshape(xs.shape), np.stack(xs_new).reshape(xs.shape), states[0]
+
+
+def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObjective,
+           x0: ImageVector, step, record_fixed_point: bool) -> IterateTrace:
     """Loop shared by the unrolled solvers.
 
     `step(refiner, x)` returns (x_new, z) for one iteration, as fresh arrays
     that nothing writes afterwards; the driver times it, records the MBIR
     objective F(x_new; y, z) and both images, uncopied, and aborts on a
-    non-finite iterate.  `fixed_point(refiner, x_new)`, when given, fills the
-    record's fixed-point residual.
+    non-finite iterate.  With `record_fixed_point` it also records x_new's
+    fixed-point residual.
     """
-    if n_iter > 0 and len(refiners) == 0:
+    if config.n_iter > 0 and len(refiners) == 0:
         raise ValueError("need at least one refiner")
     x = x0.data.copy()
     trace = IterateTrace(shape=x0.shape)
-    trace.append(IterateRecord(it=0, objective=datafit.value(x), step_residual=0.0,
+    trace.append(IterateRecord(it=0, objective=obj.datafit.value(x), step_residual=0.0,
                                x=x.copy(), z=x.copy()))
     # non-finite values are an abort signal here, not an IEEE event worth warning on
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_iter):
+        for i in range(config.n_iter):
             t0 = time.perf_counter()
             refiner = _refiner_at(refiners, i)
             x_new, z = step(refiner, x)
             wall = (time.perf_counter() - t0) * 1e3
             rec = IterateRecord(
                 it=i + 1,
-                objective=MbirObjective(datafit, gamma, z, feasible).value(x_new),
+                objective=obj.value(x_new, z),
                 step_residual=_norm(x_new - x),
                 wall_ms=wall,
                 x=x_new,
@@ -280,8 +305,9 @@ def _drive(n_iter: int, refiners: Sequence[Refiner], datafit: QuadraticDataFit,
                 trace.append(rec)
                 trace.abort_iteration = i + 1
                 return trace
-            if fixed_point is not None:
-                rec.fixed_point_residual = fixed_point(refiner, x_new)
+            if record_fixed_point:
+                rec.fixed_point_residual = fixed_point_residual(ImageVector(x_new, x0.shape),
+                                                                refiner, config, obj)
             trace.append(rec)
             x = x_new
     return trace
@@ -298,30 +324,25 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     """
     shape = x0.shape
     x_prev = x0.data.copy()
-    gamma, m_big = config.metric(datafit)
+    obj = config.objective(datafit, feasible)
     state = MomentumState()
 
     def step(refiner, x):
         nonlocal state, x_prev
         x_new, z, state = momentum_net_step(x, x_prev, state, refiner(x.reshape(shape)),
-                                            datafit, gamma, feasible, m_big, config)
+                                            obj, config)
         x_prev = x
         return x_new, z
 
-    def fixed_point(refiner, x_new):
-        return fixed_point_residual(ImageVector(x_new, shape), refiner, config, datafit,
-                                    feasible, m_big, gamma)
-
-    return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step,
-                  fixed_point if config.record_fixed_point else None)
+    return _drive(config, refiners, obj, x0, step, config.record_fixed_point)
 
 
 # ---------------------------------------------------------------------------
 # accelerated proximal gradient (inner solver)
 # ---------------------------------------------------------------------------
 
-def apg_solve(obj: MbirObjective, x0, iters: int):
-    """Accelerated projected gradient on F over the feasible set.
+def apg_solve(obj: MbirObjective, z, x0, iters: int):
+    """Accelerated projected gradient on F(.; y, z) over the feasible set.
 
     The step metric is the diagonal majorizer of grad F; no monotone restart.
     """
@@ -332,7 +353,7 @@ def apg_solve(obj: MbirObjective, x0, iters: int):
     v = x.copy()
     state = MomentumState()
     for _ in range(iters):
-        u = obj.feasible.project(v - mbir_gradient(obj, v) / md)
+        u = obj.feasible.project(v - mbir_gradient(obj, v, z) / md)
         state = momentum_update(state)
         v = u + state.m * (u - x)
         x = u
@@ -351,14 +372,13 @@ def run_bcd_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     if inner_iters < 1:
         raise ValueError("inner_iters must be >= 1")
     shape = x0.shape
-    gamma, _ = config.metric(datafit)
+    obj = config.objective(datafit, feasible)
 
     def step(refiner, x):
         z = refiner(x.reshape(shape)).ravel()
-        obj = MbirObjective(datafit, gamma, z, feasible)
-        return apg_solve(obj, x, inner_iters), z
+        return apg_solve(obj, z, x, inner_iters), z
 
-    return _drive(config.n_iter, refiners, datafit, gamma, feasible, x0, step)
+    return _drive(config, refiners, obj, x0, step, False)
 
 
 # ---------------------------------------------------------------------------

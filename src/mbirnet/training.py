@@ -3,8 +3,9 @@
 Each reconstruction iteration gets its own refiner, trained to map the current
 sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
-refiner (`_advance`, the one sample trajectory, which diagnostics follow too:
-each refiner runs once per iteration, on the stack of all samples).  Gradients
+refiner (`solver._advance`, the one sample trajectory, which diagnostics follow
+too: each refiner runs once per iteration, on the stack of all samples, and each
+sample's MBIR objective is built once, before the first stage).  Gradients
 through the networks are computed analytically (subgradient 0 at soft-threshold
 kinks and at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The
 forward half of each gradient is the refiner's own batched forward pass
@@ -31,9 +32,9 @@ import numpy as np
 
 from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
-from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward,
-                       _scnn_forward, _shift_stack, filter_fft, filter_side, parameters)
-from .solver import MomentumNetConfig, MomentumState, NumericFailure, Refiner, momentum_net_step
+from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward, _scnn_forward,
+                       _shift_stack, _thresholds, filter_fft, filter_side, parameters)
+from .solver import MomentumNetConfig, MomentumState, NumericFailure, _advance, _starts
 
 
 class TrainingAborted(NumericFailure):
@@ -80,8 +81,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainingSample:
     """One supervised sample: truth image and its data fit; it starts from its
-    back-projection.  The solver config derives the sample's gamma and metric
-    from the data fit (`MomentumNetConfig.metric`)."""
+    back-projection.  The solver config builds the sample's MBIR objective, with
+    its gamma and step metric, from the data fit (`MomentumNetConfig.objective`)."""
 
     truth: ImageVector
     datafit: QuadraticDataFit
@@ -127,9 +128,9 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
         work = _scnn_workspace(k, rh * rw, n)
     hidden, stack, g_hidden = (buf.reshape(-1)[:rows * n].reshape(rows, n)
                                for buf, rows in zip(work, (k, rh * rw, k)))
-    thr = np.maximum(np.exp(log_thr), THRESHOLD_FLOOR)
+    raw, thr = _thresholds(log_thr)
     # thresholds pinned at the floor no longer respond to their log-parameter
-    dthr = np.where(np.exp(log_thr) >= THRESHOLD_FLOOR, np.exp(log_thr), 0.0)
+    dthr = np.where(raw >= THRESHOLD_FLOOR, raw, 0.0)
 
     out = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inputs,
                         codes=hidden.reshape(k, b, h, w))
@@ -312,37 +313,6 @@ class RefinerArch:
         return DcnnRefiner.init_random(self.n_filters, self.filter_size, self.n_layers, rng)
 
 
-def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> ImageVector:
-    """Weighted back-projection A^T W y rescaled into [0, 1]."""
-    bp = datafit.op.adjoint(datafit.weights * datafit.measurements)
-    top = float(np.max(bp))
-    if top > 0:
-        bp = np.clip(bp / top, 0.0, 1.0)
-    else:
-        bp = np.zeros_like(bp)
-    return ImageVector(bp, shape)
-
-
-def _starts(samples: Sequence[TrainingSample]) -> np.ndarray:
-    """The (B, h, w) stack of the samples' back-projection starts."""
-    shape = samples[0].truth.shape
-    return np.stack([backprojection_init(s.datafit, shape).as_2d() for s in samples])
-
-
-def _advance(samples: Sequence[TrainingSample], metrics, xs, xs_prev, state: MomentumState,
-             refiner: Refiner, config: MomentumNetConfig, feasible):
-    """One momentum iteration for the (B, h, w) stack of iterates: one refiner
-    call on the stack, then each sample's step, in order, with its own (gamma,
-    metric) from `config.metric`.  Returns the stacks R(x), z and the new
-    iterates, and the new momentum state (the same for every sample)."""
-    outs = refiner(xs)
-    steps = [momentum_net_step(x.ravel(), x_prev.ravel(), state, out, s.datafit, gamma,
-                               feasible, m_big, config)
-             for s, (gamma, m_big), x, x_prev, out in zip(samples, metrics, xs, xs_prev, outs)]
-    xs_new, zs, states = zip(*steps)
-    return outs, np.stack(zs).reshape(xs.shape), np.stack(xs_new).reshape(xs.shape), states[0]
-
-
 def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
                  net_config: MomentumNetConfig, train_config: TrainConfig,
                  feasible=None):
@@ -361,8 +331,8 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         raise ValueError("need at least one training sample")
     rng = np.random.default_rng(train_config.seed)
 
-    xs = xs_prev = _starts(samples)
-    metrics = [net_config.metric(s.datafit) for s in samples]
+    objs = [net_config.objective(s.datafit, feasible) for s in samples]
+    xs = xs_prev = _starts(objs, samples[0].truth.shape)
     state = MomentumState()
 
     refiners = []
@@ -375,8 +345,7 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         refiners.append(current)
         histories.append(history)
         if stage + 1 < net_config.n_iter:  # after the last stage nothing trains on it
-            _, _, xs_new, state = _advance(samples, metrics, xs, xs_prev, state, current,
-                                           net_config, feasible)
+            _, _, xs_new, state = _advance(objs, xs, xs_prev, state, current, net_config)
             xs_prev, xs = xs, xs_new
     return refiners, histories
 

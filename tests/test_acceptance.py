@@ -228,14 +228,14 @@ def test_criterion_02_prox_oracles():
         gamma = rng.uniform(0.2, 2.0)
         z = rng.uniform(-1, 1, 2)
         obj = mn.MbirObjective(mn.QuadraticDataFit(mn.SparseMatrixOperator(a), w, y),
-                               gamma, z, mn.FeasibleSet.box(0.0, 1.0))
+                               gamma, mn.FeasibleSet.box(0.0, 1.0))
 
         def value(pts):
             r = pts @ a.T - y
             return (0.5 * np.sum(w * r * r, axis=1)
                     + 0.5 * gamma * np.sum((pts - z) ** 2, axis=1))
 
-        x_apg = np.asarray(mn.apg_solve(obj, np.full(2, 0.5), 500))
+        x_apg = np.asarray(mn.apg_solve(obj, z, np.full(2, 0.5), 500))
         x_grid = grid_min_2d(value, 0.0, 1.0)
         assert np.max(np.abs(x_apg - x_grid)) <= 1e-4 + 1e-10
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import shutil
+import sys
 import textwrap
 import tracemalloc
 import warnings
@@ -382,6 +383,14 @@ class TestCmdSimulate:
         m1 = json.loads((tmp_path / "s1" / "manifest.json").read_text())["outputs"]
         m2 = json.loads((tmp_path / "s2" / "manifest.json").read_text())["outputs"]
         assert m1 == m2
+
+    def test_manifest_records_the_parsed_argv(self, tmp_path, monkeypatch):
+        # an in-process call parses its own argv, not the host interpreter's
+        monkeypatch.setattr(sys, "argv", ["python", "extra-arg-from-the-host"])
+        argv = ["phantom", "--n", "16", "--out", str(tmp_path / "p")]
+        assert main(argv) == 0
+        info = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert info["argv"] == argv and info["command"] == "phantom"
 
     def test_manifest_records_peak_rss(self, tmp_path):
         cfg = tmp_path / "c.yaml"

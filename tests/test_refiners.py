@@ -83,6 +83,21 @@ class TestFilterBankRank:
         with pytest.raises(mn.ShapeError, match=r"filters \(5, 5\) larger than image \(4, 6\)"):
             refiner(np.zeros((4, 6)))
 
+    # taps that fit one side of a non-square image but not the other; the same
+    # taps fit the transposed image
+    @pytest.mark.parametrize("rh, rw, shape", [(3, 5, (8, 4)), (5, 3, (4, 8))],
+                             ids=["too wide", "too tall"])
+    @pytest.mark.parametrize("call", [
+        lambda f, shape: mbirnet.refiners._shift_stack(np.ones((1, *shape)), *f.shape[1:]),
+        lambda f, shape: mbirnet.refiners.embed_filters(f, shape),
+        lambda f, shape: filter_fft(f, shape),
+    ], ids=["_shift_stack", "embed_filters", "filter_fft"])
+    def test_taps_must_fit_each_side(self, call, rh, rw, shape):
+        bank = np.ones((2, rh, rw))
+        with pytest.raises(mn.ShapeError, match=rf"filters \({rh}, {rw}\) larger than image"):
+            call(bank, shape)
+        call(bank, shape[::-1])
+
     @pytest.mark.parametrize("kind", ["scnn", "tied"])
     @pytest.mark.parametrize("thr_shape", [(2, 1), (2,)], ids=["column", "flat"])
     def test_thresholds_are_raveled_and_the_callers_array_stays_writable(self, rng, kind,

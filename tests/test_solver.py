@@ -104,23 +104,22 @@ class TestMbirStep:
     def test_stationary_feasible_point(self):
         f = zero_datafit(2)
         z = np.array([0.5, 0.25])
-        obj = mn.MbirObjective(f, 1.0, z, mn.FeasibleSet.box(0, 1))
-        m = mn.DiagonalMajorizer(np.ones(2) * 1.0)
+        obj = mn.MbirObjective(f, 1.0, mn.FeasibleSet.box(0, 1))
         # gradient vanishes at x = z and z is feasible
-        assert np.allclose(mn.mbir_step(z, obj, m), z, atol=1e-14)
+        assert np.allclose(mn.mbir_step(z, z, obj), z, atol=1e-14)
 
     def test_exact_proximity_step(self):
         f = zero_datafit(2)
-        obj = mn.MbirObjective(f, 1.0, np.zeros(2), mn.FeasibleSet.all())
-        m = mn.DiagonalMajorizer(np.ones(2))
-        out = mn.mbir_step(np.array([2.0, -2.0]), obj, m)
+        # the metric is M_f + gamma, and the zero fit's M_f is its 1e-8 floor,
+        # which rounds away next to gamma = 2^27 (half an ulp is 1.5e-8)
+        obj = mn.MbirObjective(f, 2.0 ** 27, mn.FeasibleSet.all())
+        out = mn.mbir_step(np.array([2.0, -2.0]), np.zeros(2), obj)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_projection_clamps(self):
         f = zero_datafit(2)
-        obj = mn.MbirObjective(f, 1.0, np.array([-1.0, 3.0]), mn.FeasibleSet.nonneg())
-        m = mn.DiagonalMajorizer(np.ones(2))
-        out = mn.mbir_step(np.array([-1.0, 3.0]), obj, m)
+        obj = mn.MbirObjective(f, 1.0, mn.FeasibleSet.nonneg())
+        out = mn.mbir_step(np.array([-1.0, 3.0]), np.array([-1.0, 3.0]), obj)
         assert np.array_equal(out, [0.0, 3.0])
 
 
@@ -191,7 +190,8 @@ class TestMetric:
 
     def test_chi_wires_majorizer(self):
         cfg = mn.MomentumNetConfig(n_iter=1, chi=4.0, lam=1.5)
-        gamma, m_big = cfg.metric(self._identity_fit())
+        obj = cfg.objective(self._identity_fit(), mn.FeasibleSet.all())
+        gamma, m_big = obj.gamma, obj.metric
         # identity operator: majorizer = weights, zero spread, fallback max/chi
         assert gamma == pytest.approx(0.5)
         assert np.allclose(m_big.diag, 3.75)
@@ -200,7 +200,9 @@ class TestMetric:
         assert m_big.diag.tobytes() == (1.5 * (f_diag + gamma)).tobytes()
 
     def test_explicit_gamma_skips_selection(self):
-        gamma, m_big = mn.MomentumNetConfig(n_iter=1, gamma=0.25).metric(self._identity_fit())
+        obj = mn.MomentumNetConfig(n_iter=1, gamma=0.25).objective(self._identity_fit(),
+                                                                   mn.FeasibleSet.all())
+        gamma, m_big = obj.gamma, obj.metric
         assert gamma == 0.25
         assert np.array_equal(m_big.diag, np.full(4, 2.25))
 
@@ -215,9 +217,8 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x0 = mn.ImageVector(np.array([0.3, -0.1, 0.7, 0.2]), (2, 2))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=2.0)
-        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 2.0)
-        r = mn.fixed_point_residual(x0, mn.IdentityRefiner(), cfg, f,
-                                    mn.FeasibleSet.all(), m, gamma=2.0)
+        r = mn.fixed_point_residual(x0, mn.IdentityRefiner(), cfg,
+                                    cfg.objective(f, mn.FeasibleSet.all()))
         assert r <= 1e-14
 
     def test_infeasible_point_positive(self):
@@ -225,9 +226,8 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x = mn.ImageVector(np.array([-1.0, -1.0, -1.0, -1.0]), (2, 2))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=2.0)
-        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 2.0)
-        r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg, f,
-                                    mn.FeasibleSet.nonneg(), m, gamma=2.0)
+        r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg,
+                                    cfg.objective(f, mn.FeasibleSet.nonneg()))
         assert r > 0.0
 
     def test_identity_refiner_any_feasible_point(self, rng):
@@ -235,9 +235,8 @@ class TestFixedPointResidual:
         f = zero_datafit(n)
         x = mn.ImageVector(np.abs(rng.standard_normal(n)), (3, 3))
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.7, gamma=1.3)
-        m = mn.DiagonalMajorizer(mn.diag_majorizer(f).diag + 1.3)
-        r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg, f,
-                                    mn.FeasibleSet.nonneg(), m, gamma=1.3)
+        r = mn.fixed_point_residual(x, mn.IdentityRefiner(), cfg,
+                                    cfg.objective(f, mn.FeasibleSet.nonneg()))
         assert r <= 1e-14
 
 
@@ -245,23 +244,23 @@ class TestApgSolve:
     def test_average_of_two_anchors(self):
         n = 4
         f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(n)), np.ones(n), np.full(n, 2.0))
-        obj = mn.MbirObjective(f, 1.0, np.full(n, 2.0), mn.FeasibleSet.all())
-        out = mn.apg_solve(obj, np.zeros(n), 200)
+        obj = mn.MbirObjective(f, 1.0, mn.FeasibleSet.all())
+        out = mn.apg_solve(obj, np.full(n, 2.0), np.zeros(n), 200)
         assert np.allclose(out, 2.0, atol=1e-8)
 
     def test_fixed_point_stays(self):
         n = 3
         f = mn.QuadraticDataFit(mn.SparseMatrixOperator(np.eye(n)), np.ones(n), np.ones(n))
-        obj = mn.MbirObjective(f, 1.0, np.ones(n), mn.FeasibleSet.all())
-        out = mn.apg_solve(obj, np.ones(n), 1)
+        obj = mn.MbirObjective(f, 1.0, mn.FeasibleSet.all())
+        out = mn.apg_solve(obj, np.ones(n), np.ones(n), 1)
         assert np.allclose(out, 1.0, atol=1e-14)
 
     def test_iters_validation(self):
         n = 2
         f = zero_datafit(n)
-        obj = mn.MbirObjective(f, 1.0, np.zeros(n), mn.FeasibleSet.all())
+        obj = mn.MbirObjective(f, 1.0, mn.FeasibleSet.all())
         with pytest.raises(ValueError):
-            mn.apg_solve(obj, np.zeros(n), 0)
+            mn.apg_solve(obj, np.zeros(n), np.zeros(n), 0)
 
     def test_matches_hand_written_accelerated_loop(self, rng):
         # projected gradient steps in M_f + gamma with momentum from
@@ -269,31 +268,33 @@ class TestApgSolve:
         n = 16
         op = mn.build_blur(mn.binomial_kernel(0.3), (4, 4))
         f = mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 1.5, n))
-        obj = mn.MbirObjective(f, 0.3, rng.uniform(0, 1, n), mn.FeasibleSet.box(0, 1))
+        z = rng.uniform(0, 1, n)
+        obj = mn.MbirObjective(f, 0.3, mn.FeasibleSet.box(0, 1))
         x0 = rng.uniform(0, 1, n)
         md = mn.diag_majorizer(f).diag + 0.3
         x = x0.copy()
         v = x.copy()
         state = mn.MomentumState()
         for iters in range(1, 6):
-            u = obj.feasible.project(v - mn.mbir_gradient(obj, v) / md)
+            u = obj.feasible.project(v - mn.mbir_gradient(obj, v, z) / md)
             state = mn.momentum_update(state)
             v = u + state.m * (u - x)
             x = u
-            assert mn.apg_solve(obj, x0, iters).tobytes() == x.tobytes()
+            assert mn.apg_solve(obj, z, x0, iters).tobytes() == x.tobytes()
 
     def test_box_constrained_matches_grid(self, rng):
         # small version of the acceptance oracle
         a = mn.SparseMatrixOperator(rng.uniform(-1, 1, (3, 2)))
         f = mn.QuadraticDataFit(a, rng.uniform(0.1, 2.0, 3), rng.uniform(-1, 1, 3))
-        obj = mn.MbirObjective(f, 0.8, rng.uniform(-1, 1, 2), mn.FeasibleSet.box(0, 1))
-        xa = np.asarray(mn.apg_solve(obj, np.full(2, 0.5), 500))
+        z = rng.uniform(-1, 1, 2)
+        obj = mn.MbirObjective(f, 0.8, mn.FeasibleSet.box(0, 1))
+        xa = np.asarray(mn.apg_solve(obj, z, np.full(2, 0.5), 500))
         grid = np.linspace(0.0, 1.0, 401)
         gx, gy = np.meshgrid(grid, grid, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         residual = pts @ a.matrix.toarray().T - f.measurements
         vals = 0.5 * np.sum(f.weights * residual ** 2, axis=1) \
-            + 0.5 * obj.gamma * np.sum((pts - obj.anchor) ** 2, axis=1)
+            + 0.5 * obj.gamma * np.sum((pts - z) ** 2, axis=1)
         xg = pts[np.argmin(vals)]
         assert np.max(np.abs(xa - xg)) <= 1.0 / 400 + 1e-9
 
@@ -326,12 +327,12 @@ class TestRunBcdNet:
         f = mn.QuadraticDataFit(op, np.ones(n * n), y)
         gamma = 5.0
         z = rng.standard_normal(n * n)
-        obj = mn.MbirObjective(f, gamma, z, mn.FeasibleSet.all())
+        obj = mn.MbirObjective(f, gamma, mn.FeasibleSet.all())
         mat = op.matrix.toarray()
         h = mat.T @ mat + gamma * np.eye(n * n)
         x_star = np.linalg.solve(h, mat.T @ y + gamma * z)
-        x_apg = mn.apg_solve(obj, np.zeros(n * n), 10)
-        assert obj.value(x_apg) - obj.value(x_star) <= 1e-8
+        x_apg = mn.apg_solve(obj, z, np.zeros(n * n), 10)
+        assert obj.value(x_apg, z) - obj.value(x_star, z) <= 1e-8
 
     def test_inner_iters_validation(self, deblur_problem):
         cfg = mn.MomentumNetConfig(n_iter=1, gamma=1.0)
@@ -355,12 +356,11 @@ class TestNoExtrapolationBitwise:
                                    record_fixed_point=False)
         trace = mn.run_momentum_net(cfg, [refiner], datafit, feasible, x0)
 
-        m_tilde = mn.DiagonalMajorizer(mn.diag_majorizer(datafit).diag + gamma)
+        obj = mn.MbirObjective(datafit, gamma, feasible)
         x = x0.data.copy()
         for i in range(20):
             z = (1.0 - rho) * x + rho * refiner(x.reshape(shape)).ravel()
-            obj = mn.MbirObjective(datafit, gamma, z, feasible)
-            x = np.asarray(mn.mbir_step(x, obj, m_tilde))
+            x = np.asarray(mn.mbir_step(x, z, obj))
             assert np.array_equal(x, trace.records[i + 1].x)
 
 
@@ -368,7 +368,7 @@ class TestExtrapolationBitwise:
     @pytest.mark.parametrize("lam", [1.0, 1.5])
     def test_matches_direct_loop(self, deblur_problem, lam):
         """extrapolate=True must be bitwise equal to a plain refine, extrapolate
-        and step loop in the metric from `MomentumNetConfig.metric`."""
+        and step loop in the metric from `MomentumNetConfig.objective`."""
         datafit = deblur_problem["datafit"]
         feasible = deblur_problem["feasible"]
         x0 = deblur_problem["x0"]
@@ -381,15 +381,15 @@ class TestExtrapolationBitwise:
                                    record_fixed_point=False)
         trace = mn.run_momentum_net(cfg, [refiner], datafit, feasible, x0)
 
-        m = cfg.metric(datafit)[1]
+        obj = cfg.objective(datafit, feasible)
+        m = obj.metric
         state = mn.MomentumState()
         x = x0.data.copy()
         x_prev = x
         for i in range(n_iter):
             z = (1.0 - rho) * x + rho * refiner(x.reshape(shape)).ravel()
             x_acute = x + mn.extrapolation_matrix(m, m, state, cfg.delta, lam) * (x - x_prev)
-            obj = mn.MbirObjective(datafit, gamma, z, feasible)
-            x_prev, x = x, np.asarray(mn.mbir_step(x_acute, obj, m))
+            x_prev, x = x, np.asarray(mn.mbir_step(x_acute, z, obj))
             state = mn.momentum_update(state)
             assert trace.records[i + 1].x.tobytes() == x.tobytes()
             assert trace.records[i + 1].z.tobytes() == z.tobytes()
@@ -400,14 +400,14 @@ class TestExtrapolationBitwise:
         fit = mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, 6), rng.uniform(-1, 1, 6))
         feasible = mn.FeasibleSet.nonneg()
         cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=0.3, delta=0.5)
-        gamma, m = cfg.metric(fit)
+        obj = cfg.objective(fit, feasible)
         state = mn.momentum_update(mn.momentum_update(mn.MomentumState()))
         assert state.m > 0.28
         x, x_prev, refined = rng.uniform(0, 1, (3, 4))
-        x_new, z, _ = momentum_net_step(x, x_prev, state, refined, fit, gamma, feasible, m, cfg)
+        x_new, z, _ = momentum_net_step(x, x_prev, state, refined, obj, cfg)
         want_z = 0.5 * x + 0.5 * refined
         x_acute = x + 0.5 ** 2 * state.m * (x - x_prev)
-        want = mn.mbir_step(x_acute, mn.MbirObjective(fit, gamma, want_z, feasible), m)
+        want = mn.mbir_step(x_acute, want_z, obj)
         assert z.tobytes() == want_z.tobytes()
         assert x_new.tobytes() == want.tobytes()
 
@@ -425,12 +425,17 @@ class TestReductionsOffBlas:
         fit = mn.QuadraticDataFit(op, w, y)
         return fit, mn.backprojection_init(fit, (n, n))
 
-    @pytest.mark.parametrize("solver", ["momentum", "no extrapolation", "bcd"])
-    def test_trace_values_equal_a_blas_recomputation(self, monkeypatch, ct_problem, solver):
+    # at rho = 0.5 the fixed-point record cannot tell rho from 1 - rho; 0.3 can
+    @pytest.mark.parametrize("solver, rho", [
+        pytest.param(solver, rho, id=solver if rho == 0.5 else f"{solver}, rho {rho}")
+        for solver, rho in [("momentum", 0.5), ("no extrapolation", 0.5), ("bcd", 0.5),
+                            ("momentum", 0.3), ("no extrapolation", 0.3)]])
+    def test_trace_values_equal_a_blas_recomputation(self, monkeypatch, ct_problem, solver,
+                                                     rho):
         fit, x0 = ct_problem
         feasible = mn.FeasibleSet.nonneg()
         refiner = mn.TiedCaolRefiner(mn.make_tf_filterbank(9), np.full(9, 0.02))
-        cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=0.1,
+        cfg = mn.MomentumNetConfig(n_iter=4, rho=rho, chi=0.1,
                                    extrapolate=solver != "no extrapolation")
 
         def refuse(*args, **kwargs):
@@ -447,7 +452,8 @@ class TestReductionsOffBlas:
             relative = trace.relative_step_residuals()
         assert not trace.aborted and len(trace) == 5
 
-        gamma, m_big = cfg.metric(fit)
+        obj = cfg.objective(fit, feasible)
+        gamma = obj.gamma
 
         def objective(x, z):
             r = fit.op.forward(x) - fit.measurements
@@ -464,7 +470,7 @@ class TestReductionsOffBlas:
                 assert math.isnan(rec.fixed_point_residual)
                 continue
             z_bar = (1 - cfg.rho) * rec.x + cfg.rho * refiner(rec.x.reshape(x0.shape)).ravel()
-            x_next = mn.mbir_step(rec.x, mn.MbirObjective(fit, gamma, z_bar, feasible), m_big)
+            x_next = mn.mbir_step(rec.x, z_bar, obj)
             fp = np.linalg.norm(rec.x - x_next) / max(1.0, np.linalg.norm(rec.x))
             assert rec.fixed_point_residual == pytest.approx(fp, rel=1e-13)
 

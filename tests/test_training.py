@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 
 import mbirnet as mn
+import mbirnet.solver
 import mbirnet.training
 from mbirnet.prox import soft_threshold
 from mbirnet.refiners import THRESHOLD_FLOOR, _shift_stack, filter_fft
@@ -478,6 +479,71 @@ def _toy_samples(rng, count=3, n=12):
     return samples
 
 
+class TestAdam:
+    def test_steps_equal_a_hand_written_update(self, rng):
+        params = {"a": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)}
+        lrs = {"a": 1e-2, "b": 0.3}
+        want = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros_like(p) for k, p in params.items()}
+        v = {k: np.zeros_like(p) for k, p in params.items()}
+        opt = mbirnet.training.Adam(params)
+        for t in (1, 2, 3):
+            grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
+            opt.step(params, grads, lrs)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1.0 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1.0 - 0.999) * (g * g)
+                m_hat = m[k] / (1.0 - 0.9 ** t)
+                v_hat = v[k] / (1.0 - 0.999 ** t)
+                want[k] -= lrs[k] * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if t != 2:  # one step, then three
+                for k in params:
+                    assert params[k].tobytes() == want[k].tobytes(), (t, k)
+
+
+class TestOneObjectivePerDataFit:
+    """A run builds its data fit's MBIR objective once; training and
+    diagnostics build each sample's once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        post_init = mn.MbirObjective.__post_init__
+
+        def counting(obj):
+            built.append(obj)
+            post_init(obj)
+        monkeypatch.setattr(mn.MbirObjective, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize("n_iter", [2, 5])
+    @pytest.mark.parametrize("solver", ["momentum", "bcd"])
+    def test_once_per_solver_run(self, rng, built, solver, n_iter):
+        s = _toy_samples(rng, count=1)[0]
+        cfg = mn.MomentumNetConfig(n_iter=n_iter, rho=0.5, chi=10.0)  # fixed-point record on
+        x0 = mn.backprojection_init(s.datafit, s.truth.shape)
+        if solver == "bcd":
+            trace = mn.run_bcd_net(cfg, [mn.IdentityRefiner()], s.datafit,
+                                   mn.FeasibleSet.nonneg(), x0, inner_iters=3)
+        else:
+            trace = mn.run_momentum_net(cfg, [mn.IdentityRefiner()], s.datafit,
+                                        mn.FeasibleSet.nonneg(), x0)
+            assert all(np.isfinite(r.fixed_point_residual) for r in trace.records[1:])
+        assert len(trace) == n_iter + 1 and not trace.aborted
+        assert len(built) == 1 and built[0].datafit is s.datafit
+
+    def test_once_per_sample_in_training_and_diagnostics(self, rng, built):
+        samples = _toy_samples(rng)
+        arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
+        net_cfg = mn.MomentumNetConfig(n_iter=3, rho=0.5, chi=10.0)
+        refiners, _ = mn.greedy_train(samples, arch, net_cfg,
+                                      mn.TrainConfig(batch_size=3, epochs=1, seed=9))
+        assert [id(obj.datafit) for obj in built] == [id(s.datafit) for s in samples]
+        built.clear()
+        mn.run_diagnostics(refiners, samples, net_cfg, mn.FeasibleSet.nonneg(), n_pairs=3)
+        assert [id(obj.datafit) for obj in built] == [id(s.datafit) for s in samples]
+
+
 class TestGreedyTrain:
     def test_single_stage_reduces_to_train_refiner(self, rng):
         samples = _toy_samples(rng)
@@ -502,13 +568,13 @@ class TestGreedyTrain:
     @pytest.mark.parametrize("stages, steps", [(1, 0), (2, 3)])
     def test_no_advance_after_the_last_stage(self, rng, monkeypatch, stages, steps):
         # an advance steps each of the 3 samples once; the last stage's would feed nothing
-        step = mbirnet.training.momentum_net_step
+        step = mbirnet.solver.momentum_net_step
         calls = []
 
         def counting_step(*args, **kwargs):
             calls.append(1)
             return step(*args, **kwargs)
-        monkeypatch.setattr(mbirnet.training, "momentum_net_step", counting_step)
+        monkeypatch.setattr(mbirnet.solver, "momentum_net_step", counting_step)
         samples = _toy_samples(rng)
         arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
         net_cfg = mn.MomentumNetConfig(n_iter=stages, rho=0.5, chi=10.0,
