@@ -15,11 +15,12 @@ sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.  Both
 backward passes work in the spatial domain, as GEMMs on stacks of the circular
 shifts of the images over the filter taps (`refiners._shift_stack`, one
 overlapping patch per column).  `train_refiner` gives the sCNN gradient one
-workspace per stage (`_scnn_workspace`: the codes, one shift stack and the code
-gradient, sized for the largest batch), which the gradient fills in place
-instead of allocating and page-faulting them in again on every call.  Training
-fits every array field of a refiner (`refiners.parameters`), `log_thresholds`
-at `lr_thresholds` and every other array at `lr_filters`.
+workspace per stage (`_scnn_workspace`: the codes, which the code gradient
+overwrites, and one shift stack, sized for the largest batch), which the
+gradient fills in place instead of allocating and page-faulting them in again
+on every call.  Training fits every array field of a refiner
+(`refiners.parameters`), `log_thresholds` at `lr_thresholds` and every other
+array at `lr_filters`.
 """
 
 from __future__ import annotations
@@ -98,9 +99,9 @@ class TrainingSample:
 
 def _scnn_workspace(k: int, r: int, n: int):
     """Buffers for `scnn_value_and_grad` on batches of up to n = B*h*w pixels,
-    with K filters of R taps: the codes (K, n), one shift stack (R, n) and the
-    code gradient (K, n)."""
-    return np.empty((k, n)), np.empty((r, n)), np.empty((k, n))
+    with K filters of R taps: the codes (K, n), which the code gradient
+    overwrites, and one shift stack (R, n)."""
+    return np.empty((k, n)), np.empty((r, n))
 
 
 def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
@@ -114,11 +115,13 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     P[o, n] = u[n - o] of the inputs and Q[o, n] = g[n + o] of the loss
     gradient g over the R filter taps o, each parameter gradient is one GEMM.
 
-    The codes, the shift stack (Q first, then P: Q is dead before P is built)
-    and the code gradient are written into the leading rows*B*h*w entries of
-    the three buffers of `work` (`_scnn_workspace`, sized for the largest
-    batch), so a training stage does not allocate them per call; without
-    `work` they are allocated here.
+    The codes and the shift stack (Q first, then P: Q is dead before P is
+    built) are written into the leading rows*B*h*w entries of the two buffers
+    of `work` (`_scnn_workspace`, sized for the largest batch), so a training
+    stage does not allocate them per call; without `work` they are allocated
+    here.  Once the decoder gradient is formed, the backward reads the codes
+    only through their signs, so it keeps those as int8 and writes the code
+    gradient over the codes.
     """
     b, h, w = inputs.shape
     n = b * h * w
@@ -126,8 +129,8 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     k, rh, rw = enc.shape
     if work is None:
         work = _scnn_workspace(k, rh * rw, n)
-    hidden, stack, g_hidden = (buf.reshape(-1)[:rows * n].reshape(rows, n)
-                               for buf, rows in zip(work, (k, rh * rw, k)))
+    hidden, stack = (buf.reshape(-1)[:rows * n].reshape(rows, n)
+                     for buf, rows in zip(work, (k, rh * rw)))
     raw, thr = _thresholds(log_thr)
     # thresholds pinned at the floor no longer respond to their log-parameter
     dthr = np.where(raw >= THRESHOLD_FLOOR, raw, 0.0)
@@ -141,13 +144,17 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
 
     q = _shift_stack(resid / b, rh, rw, sign=-1, out=stack)
     g_dec = (hidden @ q.T).reshape(dec.shape)
-    np.matmul(dec.reshape(k, -1), q, out=g_hidden)
     # a code passed its threshold exactly where it is nonzero, with the sign it
-    # had; row by row, each row reduces as the axis-1 sum does, bit for bit
+    # had; soft_threshold writes no -0.0 and no NaN, so int8 holds each sign
+    # exactly, and the code gradient then goes over the codes
+    signs = np.empty((k, n), np.int8)
+    np.sign(hidden, out=signs, casting="unsafe")
+    g_hidden = np.matmul(dec.reshape(k, -1), q, out=hidden)
+    # row by row, each row reduces as the axis-1 sum does, bit for bit
     row = np.empty(n)
     g_thr = np.empty(k)
     for i in range(k):
-        np.sign(hidden[i], out=row)
+        np.copyto(row, signs[i])
         row *= g_hidden[i]
         g_thr[i] = np.sum(row)
     g_thr *= -dthr
@@ -155,7 +162,7 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     # 0/1 mask gives +0.0 there and keeps every other entry's bits, inf and NaN
     # included (a `copyto(..., where=)` takes about five times as long)
     g_bits = g_hidden.view(np.int64)
-    g_bits *= hidden != 0.0
+    g_bits *= signs != 0
     g_enc = (g_hidden @ _shift_stack(inputs, rh, rw, out=stack).T).reshape(enc.shape)
     return loss, {"enc_filters": g_enc, "dec_filters": g_dec, "log_thresholds": g_thr}
 

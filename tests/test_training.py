@@ -186,7 +186,7 @@ class TestScnnWorkspace:
             scnn_value_and_grad(enc, dec, log_thr, True, u, u, _scnn_workspace(4, 9, 2 * 64))
 
     def test_gradient_peak_in_a_workspace(self, rng):
-        # K = R = 25, B = 10, 64x64: the three (25, 40960) buffers are 8.2 MB
+        # K = R = 25, B = 10, 64x64: the two (25, 40960) buffers are 8.2 MB
         # each; what the gradient allocates beside them stays below one
         enc, dec, log_thr = _scnn_params(rng, 25, 5)
         inputs = rng.standard_normal((10, 64, 64))
@@ -199,6 +199,21 @@ class TestScnnWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_workspace_and_gradient_peak(self, rng):
+        # K = R = 25, B = 10, 64x64: the workspace holds two 8.2 MB buffers (the
+        # code gradient goes over the codes), and the call adds less than one
+        enc, dec, log_thr = _scnn_params(rng, 25, 5)
+        inputs = rng.standard_normal((10, 64, 64))
+        targets = rng.standard_normal((10, 64, 64))
+        tracemalloc.start()
+        try:
+            work = _scnn_workspace(25, 25, 10 * 64 * 64)
+            scnn_value_and_grad(enc, dec, log_thr, True, inputs, targets, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
 
 
 @pytest.mark.parametrize("k, n", [(25, 40960), (3, 1000), (7, 5), (1, 1), (4, 0)])
@@ -235,6 +250,29 @@ def test_code_gradient_mask_by_bits_is_copyto(rng):
     got = grad.view(np.int64)
     got *= hidden != 0.0
     assert grad.tobytes() == want.tobytes()
+
+
+def test_code_signs_in_int8_are_the_float_signs(rng):
+    # scnn_value_and_grad keeps the codes' signs as int8 and copies them back
+    # into float64 rows; soft_threshold writes no -0.0 and no NaN, so that
+    # round trip must give np.sign of every code, byte for byte, ties, signed
+    # zeros, infinities and NaNs in its inputs included
+    alpha = np.array([0.0, 0.5, 1.0, np.inf, 1e-300, 2.0])[:, None]
+    u = rng.standard_normal((alpha.size, 400)) * 2.0
+    for value, share in [(0.0, 0.1), (-0.0, 0.1), (np.inf, 0.05), (-np.inf, 0.05),
+                         (np.nan, 0.05), (-np.nan, 0.05)]:
+        u[rng.random(u.shape) < share] = value
+    ties = rng.random(u.shape) < 0.1
+    u[ties] = np.broadcast_to(alpha, u.shape)[ties] * rng.choice([-1.0, 1.0], u.shape)[ties]
+    with np.errstate(invalid="ignore"):  # inf - inf at infinite ties
+        codes = soft_threshold(u, alpha)
+    signs = np.empty(codes.shape, np.int8)
+    np.sign(codes, out=signs, casting="unsafe")
+    row = np.empty(codes.shape[1])
+    for i in range(codes.shape[0]):  # the reused row buffer of scnn_value_and_grad
+        np.copyto(row, signs[i])
+        assert row.tobytes() == np.sign(codes[i]).tobytes(), i
+    assert np.array_equal(signs != 0, codes != 0)
 
 
 @pytest.mark.parametrize("k, b, h, w", [(25, 10, 64, 33), (3, 2, 9, 7), (4, 1, 5, 3)])
