@@ -16,12 +16,14 @@ written once, on stacks (`_scnn_forward`, `_dcnn_forward`), and the training
 gradients reuse it, so the trained network is the one that reconstructs.  The
 dCNN forward and every training gradient are GEMMs on shift stacks
 (`_shift_stack`); the sCNN and tied forward multiply spectra, with `scipy.fft`
-transforms on the calling thread, in blocks of filters whose code spectra fit
-in `_BLOCK_BYTES`, and write the codes into a caller's buffer when the training
-gradient asks for them.  The filter spectra (`filter_fft`) are built from the
-filters' r nonzero rows, never from a (K, h, w) embedded stack, with GEMMs
-small enough that OpenBLAS runs them on the calling thread, so an sCNN or tied
-refiner wakes none of its workers; the shift-stack GEMMs use them.
+transforms on the calling thread, and write the codes into a caller's buffer
+when the training gradient asks for them.  It takes the filter banks and forms
+their spectra (`filter_fft`) one bank block at a time: the filters whose
+spectra fit in `_BLOCK_BYTES`, which run in code blocks of the filters whose
+code spectra fit in it.  `filter_fft` builds them from the filters' r nonzero
+rows, never from a (K, h, w) embedded stack, with GEMMs small enough that
+OpenBLAS runs them on the calling thread, so an sCNN or tied refiner wakes
+none of its workers; the shift-stack GEMMs use them.
 `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` of the
 embedded filters (`embed_filters`) on purpose: it is the independent oracle.
 """
@@ -193,48 +195,65 @@ def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return out.reshape(kout, *feats.shape[1:])
 
 
-# The sCNN forward takes its filters in blocks whose code spectra fit in this
-# many bytes.  All 25 filters of a 64x64, B = 1 image (845 KB) fit in one
-# block, so the momentum path keeps 6 FFTs and 2 `filter_fft` calls per
-# refiner call; a (25, 10, 64, 64) training batch runs 3 filters per block.
+# The sCNN forward forms its filter spectra in bank blocks of the filters whose
+# spectra fit in this many bytes, and runs each bank block in code blocks of the
+# filters whose code spectra fit in it.  All 25 filters of a 64x64 image (845 KB
+# of spectra) are one bank block, so the momentum path keeps 6 FFTs and 2
+# `filter_fft` calls per refiner call, and a (25, 10, 64, 64) training batch
+# runs 3 filters per code block; at 256x256 each filter (528 KB) is its own.
 _BLOCK_BYTES = 1 << 20
 
 
-def _scnn_forward(ehat: np.ndarray, dhat: np.ndarray, thresholds: np.ndarray,
+def _scnn_forward(enc: np.ndarray, dec: np.ndarray | None, thresholds: np.ndarray,
                   u: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
     """sum_k d_k conv T_thr(e_k conv u) on an image or a (B, h, w) stack, without residual.
 
-    The filters come as spectra, so a tied decoder can pass conj(ehat).  They
-    run in blocks of at most `_BLOCK_BYTES` of code spectra, in filter order,
-    and the decoded spectra are summed sequentially over the filters, so the
-    bits do not depend on the block size.  The thresholded codes (K, B, h, w)
-    go to `codes` when a buffer is given; a code is nonzero exactly where it
-    passed its threshold.
+    The encoder and decoder come as (K, rh, rw) banks.  Without a decoder bank
+    the decoder is the tied one, which correlates with the encoder bank: its
+    spectra are conj of the encoder's.  The filter spectra are formed one bank
+    block at a time, and each bank block runs in code blocks, in filter order;
+    `_BLOCK_BYTES` bounds both.  `filter_fft` of a slice of a bank is that
+    slice of the bank's spectra, bit for bit, and the decoded spectra are
+    summed sequentially over the filters, so the bits depend on neither block
+    size.  Every code block writes its code-spectra product into one buffer of
+    the call, and then its codes over the product, unless the caller gives a
+    (K, B, h, w) buffer for the thresholded codes; a code is nonzero exactly
+    where it passed its threshold.
     """
     shape = u.shape[-2:]
     uhat = scipy.fft.rfft2(u.reshape(-1, *shape), axes=(-2, -1))
+    bank_step = max(1, _BLOCK_BYTES // uhat[0].nbytes)
     step = max(1, _BLOCK_BYTES // uhat.nbytes)
+    buf = np.empty((min(step, len(enc)), *uhat.shape), dtype=uhat.dtype)
     acc = None
-    for start in range(0, ehat.shape[0], step):
-        ks = slice(start, start + step)
-        code = scipy.fft.irfft2(ehat[ks, None] * uhat[None], s=shape, axes=(-2, -1),
-                                overwrite_x=True)
-        hidden = soft_threshold(code, thresholds[ks, None, None, None],
-                                out=None if codes is None else codes[ks])
-        del code
-        hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
-        del hidden
-        # complex products are not bitwise commutative; codes-first is the order
-        # single-image reconstruction has always used
-        hhat *= dhat[ks, None]
-        if acc is None:
-            # numpy sums axis 0 one filter after another whenever a filter has
-            # more than one spectrum entry, as the row-by-row adds below do
-            acc = np.sum(hhat, axis=0)
-        else:
-            for row in hhat:
-                acc += row
-        del hhat
+    for first in range(0, len(enc), bank_step):
+        bank = slice(first, first + bank_step)
+        ehat = filter_fft(enc[bank], shape)
+        # correlation with h in the spatial domain is conj(H) in Fourier
+        dhat = np.conj(ehat) if dec is None else filter_fft(dec[bank], shape)
+        for start in range(0, len(ehat), step):
+            n = min(step, len(ehat) - start)
+            ks = slice(start, start + n)  # in the bank block
+            at = slice(first + start, first + start + n)  # in the whole bank
+            code = scipy.fft.irfft2(np.multiply(ehat[ks, None], uhat[None], out=buf[:n]),
+                                    s=shape, axes=(-2, -1), overwrite_x=True)
+            # the product is spent: its buffer's leading float64 entries take the codes
+            out = (buf.reshape(-1).view(np.float64)[:code.size].reshape(code.shape)
+                   if codes is None else codes[at])
+            hidden = soft_threshold(code, thresholds[at, None, None, None], out=out)
+            del code
+            hhat = scipy.fft.rfft2(hidden, axes=(-2, -1))
+            # complex products are not bitwise commutative; codes-first is the
+            # order single-image reconstruction has always used
+            hhat *= dhat[ks, None]
+            if acc is None:
+                # numpy sums axis 0 one filter after another whenever a filter
+                # has more than one spectrum entry, as the row-by-row adds below do
+                acc = np.sum(hhat, axis=0)
+            else:
+                for row in hhat:
+                    acc += row
+            del hhat
     return scipy.fft.irfft2(acc, s=shape, axes=(-2, -1), overwrite_x=True).reshape(u.shape)
 
 
@@ -280,8 +299,7 @@ class ScnnRefiner:
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         u = as_f64(u)
-        out = _scnn_forward(filter_fft(self.enc_filters, u.shape[-2:]),
-                            filter_fft(self.dec_filters, u.shape[-2:]), self.thresholds, u)
+        out = _scnn_forward(self.enc_filters, self.dec_filters, self.thresholds, u)
         return out + u if self.residual else out
 
     @classmethod
@@ -355,10 +373,7 @@ class TiedCaolRefiner:
             raise ValueError("filter bank violates the tight-frame identity")
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        u = as_f64(u)
-        hhat = filter_fft(self.filters, u.shape[-2:])
-        # correlation with h in the spatial domain is conj(H) in Fourier
-        return _scnn_forward(hhat, np.conj(hhat), self.thresholds, u)
+        return _scnn_forward(self.filters, None, self.thresholds, as_f64(u))
 
 
 class IdentityRefiner:

@@ -11,7 +11,8 @@ kinks and at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The
 forward half of each gradient is the refiner's own batched forward pass
 (`refiners._scnn_forward`, `refiners._dcnn_forward`), so training fits exactly
 the map that reconstruction runs; only the backward half is written here.  The
-sCNN forward's FFTs are `scipy.fft` transforms, as in reconstruction.  Both
+sCNN forward takes the filter banks and forms their spectra itself, one bank
+block at a time, with `scipy.fft` transforms, as in reconstruction.  Both
 backward passes work in the spatial domain, as GEMMs on stacks of the circular
 shifts of the images over the filter taps (`refiners._shift_stack`, one
 overlapping patch per column).  `train_refiner` gives the sCNN gradient one
@@ -34,7 +35,7 @@ import numpy as np
 from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f64
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward, _scnn_forward,
-                       _shift_stack, _thresholds, filter_fft, filter_side, parameters)
+                       _shift_stack, _thresholds, filter_side, parameters)
 from .solver import MomentumNetConfig, MomentumState, NumericFailure, _advance, _starts
 
 
@@ -125,7 +126,6 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     """
     b, h, w = inputs.shape
     n = b * h * w
-    shape = (h, w)
     k, rh, rw = enc.shape
     if work is None:
         work = _scnn_workspace(k, rh * rw, n)
@@ -135,8 +135,7 @@ def scnn_value_and_grad(enc: np.ndarray, dec: np.ndarray, log_thr: np.ndarray,
     # thresholds pinned at the floor no longer respond to their log-parameter
     dthr = np.where(raw >= THRESHOLD_FLOOR, raw, 0.0)
 
-    out = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inputs,
-                        codes=hidden.reshape(k, b, h, w))
+    out = _scnn_forward(enc, dec, thr, inputs, codes=hidden.reshape(k, b, h, w))
     if residual:
         out += inputs
     resid = out - targets
@@ -382,8 +381,7 @@ def _patch_bound_sides(conv_loss_pairs, enc, dec, thr):
     left = 0.0
     right = 0.0
     for residual_img, inp in conv_loss_pairs:
-        shape = inp.shape
-        recon = _scnn_forward(filter_fft(enc, shape), filter_fft(dec, shape), thr, inp)
+        recon = _scnn_forward(enc, dec, thr, inp)
         left += float(np.sum((residual_img - recon / r) ** 2))
 
         # every overlapping rh x rh patch (circular, stride 1), one per column

@@ -8,6 +8,7 @@ import scipy.fft
 
 import mbirnet as mn
 import mbirnet.refiners
+import mbirnet.training
 from mbirnet.prox import soft_threshold
 from mbirnet.refiners import _scnn_forward, filter_fft, tf_defect
 
@@ -137,7 +138,8 @@ class TestFilterFft:
     # block has two or three rows
     @pytest.mark.parametrize("k, rh, rw, shape", CASES)
     @pytest.mark.parametrize("bound", ["default", "two rows per block"])
-    def test_bits_equal_one_matmul(self, rng, monkeypatch, k, rh, rw, shape, bound):
+    @pytest.mark.parametrize("bank", ["whole", "slices"])
+    def test_bits_equal_one_matmul(self, rng, monkeypatch, k, rh, rw, shape, bound, bank):
         if bound == "two rows per block":
             monkeypatch.setattr(mbirnet.refiners, "_GEMM_MADDS", 1)
         filters = rng.standard_normal((k, rh, rw))
@@ -148,7 +150,13 @@ class TestFilterFft:
         twiddle = np.exp((-2j * np.pi / h) * (np.arange(h)[:, None] * rows % h))
         # the row-blocked product's reference: the one matmul it replaced
         want = np.matmul(twiddle, scipy.fft.rfft(band, axis=-1))
-        assert filter_fft(filters, shape).tobytes() == want.tobytes()
+        got = filter_fft(filters, shape)
+        assert got.tobytes() == want.tobytes()
+        if bank == "slices":
+            # the sCNN forward's bank blocks: a slice of the bank has that
+            # slice of the bank's spectra, bit for bit
+            for a, b in [(0, 1), (k // 2, k), (1, k - 1)]:
+                assert filter_fft(filters[a:b], shape).tobytes() == got[a:b].tobytes(), (a, b)
 
     def test_each_matmul_stays_within_the_block_bound(self, rng, monkeypatch):
         filters = rng.standard_normal((25, 5, 5))
@@ -214,17 +222,18 @@ class TestBlockedScnnForward:
         if blocks == "one filter each":
             monkeypatch.setattr(mbirnet.refiners, "_BLOCK_BYTES", 1)
         r = 5 if k == 25 else 3
-        ehat = filter_fft(rng.uniform(-0.3, 0.3, (k, r, r)), (h, w))
-        dhat = (filter_fft(rng.uniform(-0.3, 0.3, (k, r, r)), (h, w)) if decoder == "scnn"
-                else np.conj(ehat))
+        enc = rng.uniform(-0.3, 0.3, (k, r, r))
+        dec = rng.uniform(-0.3, 0.3, (k, r, r)) if decoder == "scnn" else None
+        ehat = filter_fft(enc, (h, w))
+        dhat = filter_fft(dec, (h, w)) if decoder == "scnn" else np.conj(ehat)
         thr = np.exp(rng.normal(-1.5, 0.5, k))
         u = rng.standard_normal((b, h, w))
         want, want_codes = _reference_scnn_forward(ehat, dhat, thr, u)
         codes = np.full((k, b, h, w), np.nan)
-        got = _scnn_forward(ehat, dhat, thr, u, codes=codes)
+        got = _scnn_forward(enc, dec, thr, u, codes=codes)
         assert got.tobytes() == want.tobytes()
         assert codes.tobytes() == want_codes.tobytes()
-        assert _scnn_forward(ehat, dhat, thr, u).tobytes() == want.tobytes()
+        assert _scnn_forward(enc, dec, thr, u).tobytes() == want.tobytes()
 
     def test_refiner_call_peaks_no_higher_than_the_single_shot(self, rng):
         # at 64x64, B = 1 all 25 filters are one block
@@ -239,6 +248,38 @@ class TestBlockedScnnForward:
 
         assert refiner(u).tobytes() == reference().tobytes()
         assert _peak_bytes(lambda: refiner(u)) <= _peak_bytes(reference)
+
+    @pytest.mark.parametrize("kind", ["scnn", "tied"])
+    def test_256_refiner_call_holds_no_whole_bank_spectra(self, rng, kind):
+        # at 256x256 the spectra of the whole 25-filter bank are 13.2 MB, and
+        # each filter's (528 KB) is its own bank block
+        refiner = (mn.ScnnRefiner.init_random(25, 25, rng) if kind == "scnn"
+                   else mn.TiedCaolRefiner(mn.make_tf_filterbank(25), np.full(25, 0.05)))
+        u = rng.standard_normal((256, 256))
+        assert _peak_bytes(lambda: refiner(u)) < 8e6
+
+    # a bank block holds the filters whose spectra fit in _BLOCK_BYTES: the
+    # whole 25-filter bank at 64x64, whatever the batch, and one filter at 256x256
+    @pytest.mark.parametrize("call, b, side, calls", [
+        ("scnn", 1, 64, 2), ("gradient", 10, 64, 2), ("tied", 1, 64, 1), ("scnn", 1, 256, 50)])
+    def test_filter_fft_calls_per_bank_block(self, rng, monkeypatch, call, b, side, calls):
+        enc, dec = rng.uniform(-0.3, 0.3, (2, 25, 5, 5))
+        u = rng.standard_normal((b, side, side))
+        filter_fft_calls = []
+
+        def counted(*args, **kwargs):
+            filter_fft_calls.append(args[0].shape[0])
+            return filter_fft(*args, **kwargs)
+
+        monkeypatch.setattr(mbirnet.refiners, "filter_fft", counted)
+        if call == "scnn":
+            mn.ScnnRefiner(enc, dec, np.full(25, -3.0))(u[0])
+        elif call == "tied":
+            mn.TiedCaolRefiner(mn.make_tf_filterbank(25), np.full(25, 0.05))(u[0])
+        else:
+            mbirnet.training.scnn_value_and_grad(enc, dec, np.full(25, -3.0), True, u, u)
+        assert len(filter_fft_calls) == calls
+        assert sum(filter_fft_calls) == (25 if call == "tied" else 50)
 
 
 class TestDcnnForward:
