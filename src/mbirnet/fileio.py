@@ -2,9 +2,10 @@
 and the plain-text sparse-operator format (header `rows cols nnz`, then triples).
 
 The text writers print each value as `%.17g` (indices as `%d`), the same bytes
-as formatting value by value.  They work in blocks of `_BLOCK` entries and
-format each distinct value of a block once, so no per-entry Python object and
-no text of the whole file is ever built.
+as formatting value by value.  They work in blocks of `_BLOCK` entries, so no
+per-entry Python object and no text of the whole file is ever built.  A block's
+floats are formatted once per distinct value; its indices are written as
+digits by numpy arithmetic, with no formatting call at all.
 """
 
 from __future__ import annotations
@@ -59,26 +60,50 @@ def read_pgm(path) -> ImageVector:
 
 
 def _text_table(values: np.ndarray, text: bytes) -> np.ndarray:
-    """`text % v` for each of `values`, as the rows of a NUL-padded byte table."""
+    """`text % v` for each of `values`, as the rows of a NUL-padded byte table:
+    each row's text, then NULs to the table's width."""
     table = np.concatenate([
         np.array([text % v for v in values[i:i + _FORMAT_BATCH].tolist()], dtype=np.bytes_)
         for i in range(0, values.size, _FORMAT_BATCH)])
     return table.view(np.uint8).reshape(values.size, table.itemsize)
 
 
+def _digit_table(values: np.ndarray, suffix: bytes) -> np.ndarray:
+    """`b"%d" + suffix` for each of the non-negative integers `values`, as the
+    rows of a byte table laid out like `_text_table`'s but built by arithmetic:
+    the digits right-aligned to the width of the largest value, NULs before
+    them, then the suffix."""
+    width = len(str(int(values.max())))
+    table = np.zeros((values.size, width + len(suffix)), dtype=np.uint8)
+    table[:, width:] = np.frombuffer(suffix, dtype=np.uint8)
+    rest = values
+    for col in range(width - 1, -1, -1):
+        quot = rest // 10
+        digit = rest - quot * 10
+        digit += ord("0")
+        if col < width - 1:  # a leading zero stays NUL; the units digit always shows
+            digit *= rest > 0
+        table[:, col] = digit
+        rest = quot
+    return table
+
+
 def _write_lines(fh, columns) -> None:
     """For each entry i, write `text % column[i]` of every (column, text) pair,
-    one after another.  Float64 columns are keyed by their bits, so -0.0 keeps
-    its sign and NaNs with different bits stay apart."""
+    one after another.  An integer column's text is `%d` and a suffix, and its
+    values are non-negative (indices, by construction): each block of it is a
+    `_digit_table`.  A float64 column's block is a `_text_table` of its distinct
+    values, keyed by their bits, so -0.0 keeps its sign and NaNs with different
+    bits stay apart."""
     for start in range(0, len(columns[0][0]), _BLOCK):
         parts = []
         for column, text in columns:
             block = column[start:start + _BLOCK]
-            floats = block.dtype == np.float64
-            distinct, inverse = np.unique(block.view(np.uint64) if floats else block,
-                                          return_inverse=True)
-            table = _text_table(distinct.view(np.float64) if floats else distinct, text)
-            parts.append(table[inverse])
+            if np.issubdtype(block.dtype, np.integer):
+                parts.append(_digit_table(block, text.removeprefix(b"%d")))
+            else:
+                distinct, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+                parts.append(_text_table(distinct.view(np.float64), text)[inverse])
         lines = np.concatenate(parts, axis=1).ravel()
         fh.write(lines[lines != 0])  # the text holds no NUL, so only the padding goes
 

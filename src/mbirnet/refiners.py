@@ -23,7 +23,9 @@ spectra fit in `_BLOCK_BYTES`, which run in code blocks of the filters whose
 code spectra fit in it.  `filter_fft` builds them from the filters' r nonzero
 rows, never from a (K, h, w) embedded stack, with GEMMs small enough that
 OpenBLAS runs them on the calling thread, so an sCNN or tied refiner wakes
-none of its workers; the shift-stack GEMMs use them.
+none of its workers.  Neither does a dCNN refiner: its forward runs each
+shift-stack GEMM in column blocks on the calling thread (`_caller_gemm`).  The
+training gradients' own shift-stack GEMMs use the workers.
 `solver.run_caol_bpegm` keeps its own tied forward on `numpy.fft` of the
 embedded filters (`embed_filters`) on purpose: it is the independent oracle.
 """
@@ -82,10 +84,11 @@ def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 # The most multiply-adds (rows x rh x spectrum columns) one complex GEMM of
-# `filter_fft` may take.  OpenBLAS 0.3.31 ran (100, 5) @ (5, 129), 64,500 of
-# them, on the calling thread but woke its worker pool from (104, 5) @ (5, 129)
-# on, and a woken worker spins for about 0.1 s on another CPU, where it slows
-# the solver's split products.  2^15 stays a factor of two below that switch.
+# `filter_fft` may take; `_caller_gemm` counts real ones against it.  OpenBLAS
+# 0.3.31 ran (100, 5) @ (5, 129), 64,500 of them, on the calling thread but
+# woke its worker pool from (104, 5) @ (5, 129) on, and a woken worker spins
+# for about 0.1 s on another CPU, where it slows the solver's split products.
+# 2^15 stays a factor of two below that switch.
 _GEMM_MADDS = 1 << 15
 
 
@@ -185,13 +188,45 @@ def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
     return out
 
 
+# `_caller_gemm`'s column blocks are multiples of this many columns.  OpenBLAS
+# 0.3.31 (Haswell kernels) computes a GEMM's columns in tiles of 8, and a column
+# that falls in a narrower tile of a block than of the one GEMM may get other
+# last bits: (25, 25) @ (25, 4096) differed in blocks of 50 columns, and
+# (1, 9) @ (9, 40960) in blocks of 3,641.
+_GEMM_COLUMNS = 8
+
+
+def _caller_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D float64 a (m, k) and b (k, n), in column blocks small
+    enough that OpenBLAS runs each on the calling thread.
+
+    A complex multiply-add is four real ones, so a block takes the columns that
+    4 * `_GEMM_MADDS` real multiply-adds allow, rounded down to a multiple of
+    `_GEMM_COLUMNS` but no fewer (so never one column, which numpy runs as a
+    gemv), and the last block also takes the rest.  OpenBLAS 0.3.31 ran
+    (8, 9) @ (9, 7300), 525,600 multiply-adds, on the calling thread, and woke
+    its pool for (8, 9) @ (9, 16000).  Every output entry is the same k-term
+    sum as in one GEMM, with the same bits.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    step = max(1, 4 * _GEMM_MADDS // (m * k * _GEMM_COLUMNS)) * _GEMM_COLUMNS
+    blocks = max(1, n // step)
+    out = np.empty((m, n))
+    for i in range(blocks):
+        cols = slice(i * step, n if i == blocks - 1 else (i + 1) * step)
+        np.matmul(a, b[:, cols], out=out[:, cols])
+    return out
+
+
 def _apply_bank(bank: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """sum_c bank[:, c] conv feats[c]: a (Kout, Kin, r, r) bank on (Kin, B, h, w)
-    maps, one (R, B*h*w) shift stack per input channel."""
+    maps, one (R, B*h*w) shift stack per input channel, each GEMM on the
+    calling thread (`_caller_gemm`)."""
     kout, kin, rh, rw = bank.shape
-    out = bank[:, 0].reshape(kout, -1) @ _shift_stack(feats[0], rh, rw)
+    out = _caller_gemm(bank[:, 0].reshape(kout, -1), _shift_stack(feats[0], rh, rw))
     for c in range(1, kin):
-        out += bank[:, c].reshape(kout, -1) @ _shift_stack(feats[c], rh, rw)
+        out += _caller_gemm(bank[:, c].reshape(kout, -1), _shift_stack(feats[c], rh, rw))
     return out.reshape(kout, *feats.shape[1:])
 
 

@@ -6,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -222,12 +223,28 @@ def _special_values_operator():
     return mn.SparseMatrixOperator(sp.csr_matrix((data, indices, indptr), shape=(3, 4)))
 
 
-def _multi_block_operator():
-    # distinct random values over more than two blocks
+def _multi_block_operator(nnz=2 * fileio._BLOCK + 3):
+    # distinct random values, over more than two blocks by default
     rng = np.random.default_rng(5)
-    at = rng.choice(700 * 500, 2 * fileio._BLOCK + 3, replace=False)
+    at = rng.choice(700 * 500, nnz, replace=False)
     return mn.SparseMatrixOperator(sp.csr_matrix(
         (rng.standard_normal(at.size), (at // 500, at % 500)), shape=(700, 500)))
+
+
+def _triples_operator(rows, cols, dtype):
+    """A stand-in operator whose COO triples keep index arrays of `dtype`
+    (scipy picks its own from the shape): `write_operator` and its reference
+    read only these fields."""
+    row, col = np.asarray(rows, dtype=dtype), np.asarray(cols, dtype=dtype)
+    coo = SimpleNamespace(row=row, col=col, data=np.linspace(-1.0, 1.0, row.size),
+                          nnz=row.size, shape=(int(row.max()) + 1, int(col.max()) + 1))
+    coo.tocoo = lambda: coo
+    return SimpleNamespace(matrix=coo)
+
+
+# both sides of every change of width of a 32-bit index: 0, 9 and 10, 99 and
+# 100, ..., 10^9 - 1 and 10^9, and the largest, 2^31 - 1
+_WIDTH_BOUNDARIES = [0, *(v for p in range(1, 10) for v in (10**p - 1, 10**p)), 2**31 - 1]
 
 
 class TestTextWritersMatchReference:
@@ -238,12 +255,53 @@ class TestTextWritersMatchReference:
         _special_values_operator,
         lambda: mn.SparseMatrixOperator(sp.csr_matrix((6, 5))),
         _multi_block_operator,
-    ], ids=["ct64-23", "blur", "special-values", "empty", "multi-block"])
+        lambda: _multi_block_operator(fileio._BLOCK),
+        lambda: _multi_block_operator(fileio._BLOCK + 1),
+    ], ids=["ct64-23", "blur", "special-values", "empty", "multi-block", "nnz-block",
+            "nnz-block+1"])
     def test_operator_bytes(self, tmp_path, make):
         op = make()
         write_operator(tmp_path / "new.txt", op)
         _reference_write_operator(tmp_path / "old.txt", op)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("order", ["rows-ascending", "rows-descending"])
+    def test_indices_at_every_width_boundary(self, tmp_path, dtype, order):
+        values = _WIDTH_BOUNDARIES if order == "rows-ascending" else _WIDTH_BOUNDARIES[::-1]
+        op = _triples_operator(values, values[::-1], dtype)
+        write_operator(tmp_path / "new.txt", op)
+        _reference_write_operator(tmp_path / "old.txt", op)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    # a whole block of indices of one width: every digit column is filled
+    @pytest.mark.parametrize("width", [1, 2, 4, 10])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_block_of_one_width(self, tmp_path, width, dtype):
+        rng = np.random.default_rng(width)
+        low = 0 if width == 1 else 10 ** (width - 1)
+        rows, cols = rng.integers(low, min(10**width, 2**31), (2, fileio._BLOCK))
+        op = _triples_operator(rows, cols, dtype)
+        write_operator(tmp_path / "new.txt", op)
+        _reference_write_operator(tmp_path / "old.txt", op)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    def test_only_the_float_column_is_formatted(self, tmp_path, monkeypatch):
+        # three blocks: the index columns are digit tables, so `_text_table`
+        # runs once per block, for the values; the vector writer's one column too
+        calls = []
+        text_table = fileio._text_table
+
+        def counted(values, text):
+            calls.append(text)
+            return text_table(values, text)
+
+        monkeypatch.setattr(fileio, "_text_table", counted)
+        write_operator(tmp_path / "A.txt", _multi_block_operator())
+        assert calls == [b"%.17g\n"] * 3
+        calls.clear()
+        write_vector_csv(tmp_path / "v.csv", np.arange(2 * fileio._BLOCK + 3.0))
+        assert calls == [b"%.17g\n"] * 3
 
     @pytest.mark.parametrize("vec", [
         np.array([]),

@@ -10,7 +10,7 @@ import mbirnet as mn
 import mbirnet.refiners
 import mbirnet.training
 from mbirnet.prox import soft_threshold
-from mbirnet.refiners import _scnn_forward, filter_fft, tf_defect
+from mbirnet.refiners import _caller_gemm, _scnn_forward, filter_fft, tf_defect
 
 
 def delta_filter(r):
@@ -304,6 +304,47 @@ class TestDcnnForward:
     def test_layer_count(self):
         r = mn.DcnnRefiner(np.zeros((2, 3, 3)), np.zeros((2, 2, 2, 3, 3)), np.zeros((2, 3, 3)))
         assert r.n_layers == 4
+
+
+class TestCallerGemm:
+    # (bank rows, taps, B*h*w) of every dCNN GEMM the tests run, and of a
+    # 256x256 dCNN forward with 8 filters
+    SHAPES = [(1, 1, 2), (1, 25, 24), (1, 9, 36), (1, 25, 50), (1, 9, 64), (1, 1, 72),
+              (1, 4, 84), (1, 9, 128), (1, 9, 140), (1, 9, 144), (1, 9, 192), (1, 9, 216),
+              (1, 9, 256), (1, 625, 576), (1, 9, 640), (1, 9, 768), (1, 25, 4096),
+              (1, 9, 4096), (1, 9, 4480), (1, 9, 40960), (2, 9, 36), (2, 9, 64), (2, 1, 72),
+              (2, 9, 144), (2, 9, 192), (3, 25, 50), (3, 9, 64), (3, 4, 84), (3, 9, 128),
+              (3, 9, 140), (3, 9, 216), (4, 9, 64), (4, 9, 256), (4, 9, 640), (4, 9, 768),
+              (4, 9, 4096), (4, 9, 4480), (4, 9, 40960), (25, 25, 4096), (1, 9, 65536),
+              (8, 9, 65536)]
+
+    @pytest.mark.parametrize("m, k, n", SHAPES)
+    def test_bits_equal_one_gemm(self, rng, m, k, n):
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        assert _caller_gemm(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_256_forward_runs_in_blocks_below_the_switch(self, rng, monkeypatch):
+        refiner = mn.DcnnRefiner.init_random(8, 9, 3, rng)
+        u = rng.standard_normal((256, 256))
+        monkeypatch.setattr(mbirnet.refiners, "_caller_gemm", lambda a, b: a @ b)
+        want = refiner(u)
+        monkeypatch.undo()
+        matmul = np.matmul
+        sizes = []
+
+        def counted(a, b, *args, **kwargs):
+            sizes.append((a.shape[0], a.shape[1], b.shape[1]))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        assert refiner(u).tobytes() == want.tobytes()
+        # 1 + 8 + 8 channel GEMMs of 65,536 columns, none in one piece
+        assert sum(n for _, _, n in sizes) == 17 * 256 * 256 and len(sizes) > 17 * 8
+        columns = mbirnet.refiners._GEMM_COLUMNS
+        assert all(n >= columns and m * k * n <= 8 * mbirnet.refiners._GEMM_MADDS
+                   for m, k, n in sizes)
+        assert sum(n % columns != 0 for _, _, n in sizes) <= 17
 
 
 class TestTiedCaolForward:
