@@ -84,11 +84,10 @@ def embed_filters(filters: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 # The most multiply-adds (rows x rh x spectrum columns) one complex GEMM of
-# `filter_fft` may take; `_caller_gemm` counts real ones against it.  OpenBLAS
-# 0.3.31 ran (100, 5) @ (5, 129), 64,500 of them, on the calling thread but
-# woke its worker pool from (104, 5) @ (5, 129) on, and a woken worker spins
-# for about 0.1 s on another CPU, where it slows the solver's split products.
-# 2^15 stays a factor of two below that switch.
+# `filter_fft` may take.  OpenBLAS 0.3.31 ran (100, 5) @ (5, 129), 64,500 of
+# them, on the calling thread but woke its worker pool from (104, 5) @ (5, 129)
+# on, and a woken worker spins for about 0.1 s on another CPU, where it slows
+# the solver's split products.  2^15 stays a factor of two below that switch.
 _GEMM_MADDS = 1 << 15
 
 
@@ -188,11 +187,19 @@ def _shift_stack(images: np.ndarray, rh: int, rw: int, sign: int = 1,
     return out
 
 
-# `_caller_gemm`'s column blocks are multiples of this many columns.  OpenBLAS
-# 0.3.31 (Haswell kernels) computes a GEMM's columns in tiles of 8, and a column
-# that falls in a narrower tile of a block than of the one GEMM may get other
-# last bits: (25, 25) @ (25, 4096) differed in blocks of 50 columns, and
-# (1, 9) @ (9, 40960) in blocks of 3,641.
+# The most real multiply-adds (m x k x n) `_caller_gemm` runs in one call.
+# OpenBLAS 0.3.31 ran (8, 9) @ (9, 13000), 936,000 of them, on the calling
+# thread and woke its pool for (8, 9) @ (9, 14000).  numpy runs a one-row
+# product as a gemv, whose switch is lower: (1, 9) @ (9, 50000), 450,000, ran on
+# the calling thread and (1, 25) @ (25, 20000), 500,000, woke the pool.  2^19
+# and half of it stay near a factor of two below the two switches, and keep
+# every 64x64 dCNN GEMM (at most (8, 9) @ (9, 4096)) one call.
+_DGEMM_MADDS = 1 << 19
+
+# `_caller_gemm`'s column blocks start on multiples of this many columns.  On
+# OpenBLAS 0.3.31 (SkylakeX core) such blocks gave every entry the bits of one
+# GEMM for all the dCNN shapes the tests run; blocks of 50 columns changed last
+# bits of (25, 25) @ (25, 4096), and blocks of 3,641 those of (1, 9) @ (9, 40960).
 _GEMM_COLUMNS = 8
 
 
@@ -200,22 +207,24 @@ def _caller_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a 2-D float64 a (m, k) and b (k, n), in column blocks small
     enough that OpenBLAS runs each on the calling thread.
 
-    A complex multiply-add is four real ones, so a block takes the columns that
-    4 * `_GEMM_MADDS` real multiply-adds allow, rounded down to a multiple of
-    `_GEMM_COLUMNS` but no fewer (so never one column, which numpy runs as a
-    gemv), and the last block also takes the rest.  OpenBLAS 0.3.31 ran
-    (8, 9) @ (9, 7300), 525,600 multiply-adds, on the calling thread, and woke
-    its pool for (8, 9) @ (9, 16000).  Every output entry is the same k-term
-    sum as in one GEMM, with the same bits.
+    A block takes the columns that `_DGEMM_MADDS` multiply-adds allow (half of
+    them for one row), rounded down to a multiple of `_GEMM_COLUMNS` but no
+    fewer; a rest narrower than `_GEMM_COLUMNS` joins the last block, so no
+    block is one column, which numpy runs as a gemv.  A product within the
+    budget is one `np.matmul`.
     """
     m, k = a.shape
     n = b.shape[1]
-    step = max(1, 4 * _GEMM_MADDS // (m * k * _GEMM_COLUMNS)) * _GEMM_COLUMNS
-    blocks = max(1, n // step)
+    budget = _DGEMM_MADDS if m > 1 else _DGEMM_MADDS // 2
+    step = max(1, budget // (m * k * _GEMM_COLUMNS)) * _GEMM_COLUMNS
+    if n < step + _GEMM_COLUMNS:
+        return np.matmul(a, b)
     out = np.empty((m, n))
-    for i in range(blocks):
-        cols = slice(i * step, n if i == blocks - 1 else (i + 1) * step)
-        np.matmul(a, b[:, cols], out=out[:, cols])
+    start = 0
+    while start < n:
+        stop = n if n - start < step + _GEMM_COLUMNS else start + step
+        np.matmul(a, b[:, start:stop], out=out[:, start:stop])
+        start = stop
     return out
 
 
