@@ -233,7 +233,7 @@ def _run_solver(cfg: dict, refiners, datafit: QuadraticDataFit, label: str = "")
         trace = run_momentum_net(net_config, refiners, datafit, feasible, x0)
     if trace.aborted:
         raise NumericFailure(f"{label + ': ' if label else ''}non-finite iterate at "
-                             f"iteration {trace.abort_iteration}")
+                             f"iteration {len(trace) - 1}")
     return trace
 
 

@@ -217,13 +217,15 @@ def load_training_manifest(path) -> dict:
 # ---------------------------------------------------------------------------
 
 def build_feasible(solver: dict) -> FeasibleSet:
-    kind = solver["feasible"]
+    kind, lo, hi = solver["feasible"], solver["box_lo"], solver["box_hi"]
     if kind == "all":
         return FeasibleSet.all()
     if kind == "nonneg":
         return FeasibleSet.nonneg()
+    if kind == "box" and lo <= hi:  # a NaN bound fails this
+        return FeasibleSet.box(lo, hi)
     if kind == "box":
-        return FeasibleSet.box(solver["box_lo"], solver["box_hi"])
+        raise ConfigError(f"solver.box_lo = {lo} must be <= solver.box_hi = {hi}")
     raise ConfigError(f"solver.feasible must be all|nonneg|box, got {kind!r}")
 
 
@@ -239,15 +241,9 @@ def build_solver_config(solver: dict) -> MomentumNetConfig:
     chi, gamma = solver["chi"], solver["gamma"]
     if chi is None and gamma is None:
         chi = 30.0
-    return MomentumNetConfig(
-        n_iter=solver["n_iter"],
-        rho=solver["rho"],
-        gamma=gamma,
-        chi=chi,
-        delta=solver["delta"],
-        lam=solver["lam"],
-        extrapolate=(kind != "momentum-noextrap"),
-    )
+    return MomentumNetConfig(n_iter=solver["n_iter"], rho=solver["rho"], gamma=gamma, chi=chi,
+                             delta=solver["delta"], lam=solver["lam"],
+                             extrapolate=(kind != "momentum-noextrap"))
 
 
 def build_arch(train: dict) -> RefinerArch:

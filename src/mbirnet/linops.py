@@ -1,4 +1,5 @@
-"""The sparse forward operator, quadratic data-fit terms, and diagonal majorizers.
+"""The sparse forward operator, quadratic data-fit terms, diagonal majorizers,
+and the feasible set, a box given by its two bounds.
 
 Everything downstream (proximal steps, solvers, training) consumes the types
 defined here.  All numerics are double precision; the types are value objects
@@ -242,7 +243,20 @@ class SparseMatrixOperator:
 
 @dataclass(frozen=True)
 class QuadraticDataFit:
-    """Weighted least-squares data fit  f(x) = 1/2 ||y - Ax||^2_W, and its `diag_majorizer`."""
+    """Weighted least-squares data fit  f(x) = 1/2 ||y - Ax||^2_W, and its
+    diagonal majorizer M_f = diag(|A^T| W |A| 1) >= A^T W A.
+
+    The majorizer depends only on the data fit, which is frozen, so it is
+    formed, and an overflowing one rejected, at construction, as `majorizer`.
+    Zero diagonal entries (all-zero rows/columns of A) are floored at
+    1e-8 * max-entry so it stays strictly positive definite; an identically-zero
+    operator falls back to an absolute 1e-8 floor.  A matrix with no negative
+    entry is its own |A|, so the product runs on the operator's matrix and
+    stored transpose without a copy; it sums in the same order as the transpose
+    view of a copy would.  Like the operator's own products, it is split over one
+    thread per usable CPU when the operator is large enough, with the same bits.
+    A matrix with a negative entry forms |A| and runs single-threaded.
+    """
 
     op: SparseMatrixOperator
     weights: np.ndarray
@@ -302,38 +316,34 @@ class DiagonalMajorizer:
 
 @dataclass(frozen=True)
 class FeasibleSet:
-    """Convex closed constraint set: all of R^N, the nonnegative orthant, or a box."""
+    """Convex closed box {lo <= x_i <= hi}: all of R^N and the nonnegative
+    orthant are the boxes with infinite bounds."""
 
-    kind: str
     lo: float = -np.inf
     hi: float = np.inf
 
-    _KINDS = ("all", "nonneg", "box")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown feasible set kind {self.kind!r}")
-        if self.kind == "box" and not self.lo <= self.hi:
-            raise ValueError("box requires lo <= hi")
+        if not self.lo <= self.hi:  # a NaN bound fails too
+            raise ValueError(f"box requires lo <= hi, got lo={self.lo}, hi={self.hi}")
 
     @classmethod
     def all(cls) -> "FeasibleSet":
-        return cls("all")
+        return cls()
 
     @classmethod
     def nonneg(cls) -> "FeasibleSet":
-        return cls("nonneg", lo=0.0)
+        return cls(lo=0.0)
 
     @classmethod
     def box(cls, lo: float, hi: float) -> "FeasibleSet":
-        return cls("box", lo=float(lo), hi=float(hi))
+        return cls(float(lo), float(hi))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "all":
-            return np.array(v, dtype=np.float64, copy=True)
-        if self.kind == "nonneg":
-            return np.maximum(v, 0.0)
-        return np.clip(v, self.lo, self.hi)
+        """Entrywise clamp into a new array; an infinite bound leaves every value,
+        -0.0 and NaN payloads included, as it was."""
+        out = np.maximum(v, self.lo)
+        np.minimum(out, self.hi, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -374,22 +384,8 @@ def datafit_gradient(f: QuadraticDataFit, x):
 
 
 def diag_majorizer(f: QuadraticDataFit) -> DiagonalMajorizer:
-    """Diagonal curvature bound diag(|A^T| W |A| 1) >= A^T W A.
-
-    Zero diagonal entries (all-zero rows/columns of A) are floored at
-    1e-8 * max-entry so the majorizer stays strictly positive definite; an
-    identically-zero operator falls back to an absolute 1e-8 floor.
-
-    The diagonal depends only on the data fit, which is frozen, so it is
-    formed, and an overflowing one rejected, when `f` is constructed; every
-    call returns that `f.majorizer`, and an `MbirObjective` forms its step
-    metric from it once, when the objective is built.  A matrix with no negative entry is its
-    own |A|, so the product runs on the operator's matrix and stored transpose
-    without a copy; it sums in the same order as the transpose view of a copy
-    would.  Like the operator's own products, it is split over one thread per
-    usable CPU when the operator is large enough, with the same bits.  A matrix
-    with a negative entry forms |A| and runs single-threaded.
-    """
+    """The data fit's diagonal majorizer M_f, `f.majorizer`.  `apg_solve` calls it
+    once per BCD outer iteration, a count the benchmark's span trace pins."""
     return f.majorizer
 
 

@@ -9,7 +9,9 @@ autoencoder configuration.
 
 A data fit's MBIR objective is built once (`MomentumNetConfig.objective`) and
 each iteration passes it the refined image z; `_advance` steps the stack of
-training or diagnostics samples, each with its own objective.
+training or diagnostics samples, each with its own objective.  A run returns an
+`IterateTrace` whose record i is iteration i; a non-finite iterate ends the run
+with that record last and `aborted` set.
 """
 
 from __future__ import annotations
@@ -141,7 +143,6 @@ class MomentumNetConfig:
 
 @dataclass
 class IterateRecord:
-    it: int
     objective: float
     step_residual: float
     x: np.ndarray
@@ -155,21 +156,15 @@ TRACE_COLUMNS = ("iter", "objective", "step_residual", "fixed_point_residual", "
 
 @dataclass
 class IterateTrace:
-    """Per-iteration record of a solver run (record 0 holds the start point)."""
+    """Per-iteration record of a solver run: record i holds iteration i, record 0
+    the start point.  `aborted` marks a run whose final record is non-finite."""
 
     shape: tuple[int, int]
     records: list[IterateRecord] = field(default_factory=list)
-    abort_iteration: Optional[int] = None
-
-    def append(self, rec: IterateRecord) -> None:
-        self.records.append(rec)
+    aborted: bool = False
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @property
-    def aborted(self) -> bool:
-        return self.abort_iteration is not None
 
     @property
     def final(self) -> IterateRecord:
@@ -193,8 +188,8 @@ class IterateTrace:
 
     def to_csv(self, path) -> None:
         write_table(path, TRACE_COLUMNS, (
-            (r.it, r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)
-            for r in self.records))
+            (i, r.objective, r.step_residual, r.fixed_point_residual, r.wall_ms)
+            for i, r in enumerate(self.records)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +278,8 @@ def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObje
         raise ValueError("need at least one refiner")
     x = x0.data.copy()
     trace = IterateTrace(shape=x0.shape)
-    trace.append(IterateRecord(it=0, objective=obj.datafit.value(x), step_residual=0.0,
-                               x=x.copy(), z=x.copy()))
+    trace.records.append(IterateRecord(objective=obj.datafit.value(x), step_residual=0.0,
+                                       x=x.copy(), z=x.copy()))
     # non-finite values are an abort signal here, not an IEEE event worth warning on
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(config.n_iter):
@@ -293,7 +288,6 @@ def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObje
             x_new, z = step(refiner, x)
             wall = (time.perf_counter() - t0) * 1e3
             rec = IterateRecord(
-                it=i + 1,
                 objective=obj.value(x_new, z),
                 step_residual=_norm(x_new - x),
                 wall_ms=wall,
@@ -302,13 +296,13 @@ def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObje
             )
             if not np.all(np.isfinite(x_new)):
                 rec.objective = math.nan
-                trace.append(rec)
-                trace.abort_iteration = i + 1
+                trace.records.append(rec)
+                trace.aborted = True
                 return trace
             if record_fixed_point:
                 rec.fixed_point_residual = fixed_point_residual(ImageVector(x_new, x0.shape),
                                                                 refiner, config, obj)
-            trace.append(rec)
+            trace.records.append(rec)
             x = x_new
     return trace
 
@@ -422,8 +416,8 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         return datafit.value(xv) + gamma * (quad + l1)
 
     trace = IterateTrace(shape=shape)
-    trace.append(IterateRecord(it=0, objective=datafit.value(x), step_residual=0.0,
-                               x=x.copy(), z=x.copy()))
+    trace.records.append(IterateRecord(objective=datafit.value(x), step_residual=0.0,
+                                       x=x.copy(), z=x.copy()))
 
     for i in range(n_iter):
         t0 = time.perf_counter()
@@ -442,14 +436,14 @@ def run_caol_bpegm(datafit: QuadraticDataFit, tf_filters: np.ndarray, beta,
         theta = theta_next
         wall = (time.perf_counter() - t0) * 1e3
 
-        rec = IterateRecord(it=i + 1, objective=caol_objective(x_new, codes),
+        rec = IterateRecord(objective=caol_objective(x_new, codes),
                             step_residual=float(np.linalg.norm(x_new - x)), wall_ms=wall,
                             x=x_new.copy(), z=z.copy())
         if not np.all(np.isfinite(x_new)):
             rec.objective = math.nan
-            trace.append(rec)
-            trace.abort_iteration = i + 1
+            trace.records.append(rec)
+            trace.aborted = True
             return trace
-        trace.append(rec)
+        trace.records.append(rec)
         x_prev, x = x, x_new
     return trace

@@ -902,6 +902,32 @@ class TestProximityWeightSettings:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert setting in err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "train"])
+    @pytest.mark.parametrize("lo, hi, named", [
+        (".nan", "1.0", "solver.box_lo = nan must be <= solver.box_hi = 1.0"),
+        ("0.0", ".nan", "solver.box_lo = 0.0 must be <= solver.box_hi = nan"),
+        ("2.0", "1.0", "solver.box_lo = 2.0 must be <= solver.box_hi = 1.0"),
+    ], ids=["nan-lo", "nan-hi", "lo-above-hi"])
+    def test_bad_box_bounds_name_both_keys(self, blur_workspace, capsys, command, lo, hi,
+                                           named):
+        t = blur_workspace
+        box = f"feasible: box\n  box_lo: {lo}\n  box_hi: {hi}"
+        if command == "reconstruct":
+            cfg = t / "blur.yaml"
+            cfg.write_text(cfg.read_text().replace(
+                "feasible: box\n  box_lo: 0.0\n  box_hi: 1.0", box))
+            extra = ["--refiners", str(t / "refs"), "--input", str(t / "sim")]
+        else:
+            cfg = _write_ct_training_set(t, stages=1, epochs=1)
+            cfg.write_text(cfg.read_text().replace("feasible: nonneg", box))
+            extra = []
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(t / "out")] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == f"config error: {named}\n"
+        assert not (t / "out" / "manifest.json").exists()
+
     @pytest.mark.parametrize("key, value", [("chi", "0.001"), ("gamma", "1000.0")])
     def test_manifest_solver_block_takes_no_weight(self, tmp_path, capsys, key, value):
         # a manifest sets chi or gamma at its top level only
@@ -1070,9 +1096,9 @@ def _summary_table(t, monkeypatch):
     header, and the rows it must hold."""
     def trace(objectives, walls):
         out = mn.IterateTrace((1, 1))
-        for i, (objective, wall) in enumerate(zip(objectives, walls)):
-            out.append(mn.IterateRecord(it=i, objective=objective, step_residual=0.0,
-                                        x=np.zeros(1), z=np.zeros(1), wall_ms=wall))
+        for objective, wall in zip(objectives, walls):
+            out.records.append(mn.IterateRecord(objective=objective, step_residual=0.0,
+                                                x=np.zeros(1), z=np.zeros(1), wall_ms=wall))
         return out
 
     traces = {"blur": trace([1.0 / 3.0, -0.0], [0.0, 1.0 / 3.0]),

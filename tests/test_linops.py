@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -462,10 +464,51 @@ class TestDiagonalMajorizerType:
             mn.DiagonalMajorizer(np.array([1.0, 0.0]))
 
 
+def _nan_with_payload(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# signed zeros, NaNs of two payloads, infinities, and values on, inside and
+# beyond each bound of box(0, 1)
+_EDGES = np.array([0.0, -0.0, _nan_with_payload(0x7FF8000000000001),
+                   _nan_with_payload(0xFFF80000000ABC00), np.inf, -np.inf, 1.0, -1.0, 0.5,
+                   2.0, 1.0 + 2.0 ** -52, 5e-324, -5e-324])
+
+
 class TestFeasibleSet:
-    def test_box_validation(self):
+    @pytest.mark.parametrize("lo, hi", [(2.0, 1.0), (1.0, 0.0), (np.nan, 1.0), (0.0, np.nan)],
+                             ids=["2-1", "1-0", "nan-lo", "nan-hi"])
+    def test_box_validation(self, lo, hi):
         with pytest.raises(ValueError):
-            mn.FeasibleSet.box(2.0, 1.0)
+            mn.FeasibleSet.box(lo, hi)
+
+    def test_fields_are_the_two_bounds(self):
+        assert [f.name for f in dataclasses.fields(mn.FeasibleSet)] == ["lo", "hi"]
+        assert mn.FeasibleSet.all() == mn.FeasibleSet(-np.inf, np.inf)
+        assert mn.FeasibleSet.nonneg() == mn.FeasibleSet(0.0, np.inf)
+
+    def test_all_copies_the_bits(self):
+        out = mn.FeasibleSet.all().project(_EDGES)
+        assert out.tobytes() == np.array(_EDGES, copy=True).tobytes()
+
+    def test_nonneg_bits_are_maximum_with_zero(self):
+        # np.clip(v, 0, inf) keeps the sign of -0.0, which this does not
+        out = mn.FeasibleSet.nonneg().project(_EDGES)
+        assert out.tobytes() == np.maximum(_EDGES, 0.0).tobytes()
+
+    def test_box_values_are_clip(self):
+        out = mn.FeasibleSet.box(0, 1).project(_EDGES)
+        assert np.array_equal(out, np.clip(_EDGES, 0.0, 1.0), equal_nan=True)
+        assert np.all(np.isnan(out) | ((out >= 0.0) & (out <= 1.0)))
+
+    @pytest.mark.parametrize("fset", [mn.FeasibleSet.all(), mn.FeasibleSet.nonneg(),
+                                      mn.FeasibleSet.box(0, 1)], ids=["all", "nonneg", "box"])
+    def test_result_never_shares_memory(self, fset):
+        v = _EDGES.copy()
+        out = fset.project(v)
+        assert not np.shares_memory(out, v)
+        out[:] = 7.0
+        assert v.tobytes() == _EDGES.tobytes()
 
     def test_projection_variants(self):
         v = np.array([-1.0, 0.5, 2.0])

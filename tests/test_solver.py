@@ -154,8 +154,10 @@ class TestRunMomentumNet:
         cfg = mn.MomentumNetConfig(n_iter=10, rho=0.5, gamma=1.0)
         trace = mn.run_momentum_net(cfg, [explode], zero_datafit(n), mn.FeasibleSet.all(), x0)
         assert trace.aborted
-        assert trace.abort_iteration is not None
-        assert len(trace) == trace.abort_iteration + 1
+        assert 1 < len(trace) < cfg.n_iter + 1
+        # the final record, and only it, holds the non-finite iterate
+        assert not np.all(np.isfinite(trace.final.x)) and math.isnan(trace.final.objective)
+        assert all(np.all(np.isfinite(rec.x)) for rec in trace.records[:-1])
 
     def test_refiner_list_repeats_last(self, deblur_problem):
         cfg = mn.MomentumNetConfig(n_iter=4, gamma=0.1, record_fixed_point=False)
@@ -561,9 +563,9 @@ class TestTraceExport:
         if table == "trace":
             trace = mn.IterateTrace((1, 1))
             for i, v in enumerate(values):
-                trace.append(mn.IterateRecord(it=i, objective=v, step_residual=values[-1 - i],
-                                              x=np.zeros(1), z=np.zeros(1),
-                                              fixed_point_residual=v, wall_ms=1.0 / 3.0))
+                trace.records.append(mn.IterateRecord(
+                    objective=v, step_residual=values[-1 - i], x=np.zeros(1), z=np.zeros(1),
+                    fixed_point_residual=v, wall_ms=1.0 / 3.0))
             path = tmp_path / "trace.csv"
             trace.to_csv(path)
             wanted = [(rec.objective, rec.step_residual, rec.fixed_point_residual, rec.wall_ms)

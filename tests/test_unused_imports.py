@@ -1,9 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-module-level name a package module defines is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level name a package module defines is used somewhere in the package,
+and every method, property and class constant of a package class is read
+somewhere in `src/`, `tests/` or `perfbench/`.
 
 The scans read each `src/mbirnet/*.py` with the standard `ast` module.  The
-package `__init__` is left out of both as a module that imports or defines:
-its imports are the public re-exports, and a re-export counts as a use.
+package `__init__` is left out of the first two as a module that imports or
+defines: its imports are the public re-exports, and a re-export counts as a use.
+A member counts as read wherever an attribute or a name of its name is, so a
+member that shares its name with another one read somewhere (a wrapper named
+`append`, say) escapes the scan.
 """
 
 import ast
@@ -11,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mbirnet"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mbirnet"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -112,3 +118,61 @@ def test_scan_catches_a_dead_name():
         "b": "from . import a\nSIZE = a.LIMIT\nprint(SIZE)\n",
     }
     assert dead_names(sources) == ["a:2: _UNUSED", "a:7: _dead", "a:9: Spare"]
+
+
+def class_members(tree: ast.Module) -> dict[str, int]:
+    """`Class.member` -> its line for each method, property and class constant
+    that a class body defines, dunders left out."""
+    members = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            members.update((f"{cls.name}.{name}", node.lineno) for name in names
+                           if not name.startswith("__"))
+    return members
+
+
+def dead_members(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """`module:line: Class.member` for each member that a module of `defining`
+    defines and that no source of `reading` uses."""
+    used = set().union(*(referenced_names(ast.parse(source)) for source in reading))
+    return [f"{module}:{line}: {member}" for module, source in defining.items()
+            for member, line in class_members(ast.parse(source)).items()
+            if member.split(".")[1] not in used]
+
+
+def test_no_dead_members():
+    defining = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    reading = [p.read_text() for folder in ("src", "tests", "perfbench")
+               for p in (ROOT / folder).rglob("*.py")]
+    assert dead_members(defining, reading) == []
+
+
+def test_scan_catches_a_dead_member():
+    defining = {"a": ("class Trace:\n"
+                      "    LIMIT = 3\n"
+                      "    _KINDS = ('all', 'box')\n"
+                      "    def __len__(self):\n"
+                      "        return 0\n"
+                      "    @property\n"
+                      "    def final(self):\n"
+                      "        return self.records[-1]\n"
+                      "    @property\n"
+                      "    def aborted(self):\n"
+                      "        return self.mark is not None\n"
+                      "    @classmethod\n"
+                      "    def empty(cls):\n"
+                      "        return cls()\n"
+                      "    def rows(self):\n"
+                      "        return list(self.records)\n")}
+    reading = [defining["a"],
+               "from a import Trace\nt = Trace.empty()\nprint(t.final, Trace.LIMIT)\n",
+               "def rows(t):\n    return t\nprint(rows(1))\n"]  # a name read counts too
+    assert dead_members(defining, reading) == ["a:3: Trace._KINDS", "a:10: Trace.aborted"]
