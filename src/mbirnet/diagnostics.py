@@ -1,12 +1,12 @@
 """Empirical convergence diagnostics over a trained refiner sequence.
 
-Advances the samples along the one trajectory shared with training
-(`solver._advance`, each sample's MBIR objective built once per run), running
-each refiner once per iteration on the stack of all samples, and estimates from
-those outputs kappa (Lipschitz constant of the refiner on its actual inputs),
-epsilon (paired-nonexpansiveness slack across adjacent refiners), and delta
-(block-coordinate-minimizer slack of the refined images).  All three are
-clipped maxima over randomly selected sample pairs.
+Advances the samples along the one trajectory that training and reconstruction
+follow (`solver.Trajectory`, each sample's MBIR objective built once per run),
+running each refiner once per iteration on the stack of all samples, and
+estimates from those outputs kappa (Lipschitz constant of the refiner on its
+actual inputs), epsilon (paired-nonexpansiveness slack across adjacent
+refiners), and delta (block-coordinate-minimizer slack of the refined images).
+All three are clipped maxima over randomly selected sample pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .fileio import write_table
 from .linops import FeasibleSet
 from .refiners import delta_measure, lipschitz_estimate, paired_epsilon
-from .solver import MomentumNetConfig, MomentumState, Refiner, _advance, _refiner_at, _starts
+from .solver import MomentumNetConfig, Refiner, Trajectory, _refiner_at
 from .training import TrainingSample
 
 
@@ -65,15 +65,14 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
     idx_pairs = _pair_indices(len(samples), n_pairs, rng)
     has_pairs = len(refiners) >= 2
 
-    objs = [config.objective(s.datafit, feasible) for s in samples]
-    xs = xs_prev = _starts(objs, samples[0].truth.shape)
-    state = MomentumState()
+    path = Trajectory.from_starts(config, [s.datafit for s in samples], feasible,
+                                  samples[0].truth.shape)
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate ends the run
         for k in range(1, config.n_iter + 1):
             # refiner k (1-based) consumes x^{(k-1)}; io pairs each input with its output
-            outs, zs, xs_new, state = _advance(objs, xs, xs_prev, state,
-                                               _refiner_at(refiners, k - 1), config)
+            xs = path.x
+            outs, zs, xs_new = path.advance(_refiner_at(refiners, k - 1))
             io = list(zip(xs, outs))
             lip_pairs = [(io[a], io[b]) for a, b in idx_pairs if a != b]
             kappa = lipschitz_estimate(lip_pairs) if lip_pairs else math.nan
@@ -84,6 +83,6 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
             rows.append((kappa, epsilon, delta))
             if not np.all(np.isfinite(xs_new)):
                 break
-            xs_prev, xs, io_prev, zs_prev = xs, xs_new, io, zs
+            io_prev, zs_prev = io, zs
     kappa, epsilon, delta = np.array(rows, dtype=float).reshape(-1, 3).T
     return DiagnosticsResult(kappa, epsilon, delta, has_pairs)

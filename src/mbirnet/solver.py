@@ -8,8 +8,8 @@ convolutional sparse prior, used as an equivalence oracle for the tied
 autoencoder configuration.
 
 A data fit's MBIR objective is built once (`MomentumNetConfig.objective`) and
-each iteration passes it the refined image z; `_advance` steps the stack of
-training or diagnostics samples, each with its own objective.  A run returns an
+each iteration passes it the refined image z; reconstruction (a stack of one),
+training and diagnostics advance one `Trajectory` of samples.  A run returns an
 `IterateTrace` whose record i is iteration i; a non-finite iterate ends the run
 with that record last and `aborted` set.
 """
@@ -181,10 +181,8 @@ class IterateTrace:
 
     def relative_step_residuals(self) -> np.ndarray:
         """Step residuals scaled by max(1, ||x||) of the previous iterate."""
-        out = []
-        for prev, rec in zip(self.records, self.records[1:]):
-            out.append(rec.step_residual / max(1.0, _norm(prev.x)))
-        return np.array(out)
+        return np.array([rec.step_residual / max(1.0, _norm(prev.x))
+                         for prev, rec in zip(self.records, self.records[1:])])
 
     def to_csv(self, path) -> None:
         write_table(path, TRACE_COLUMNS, (
@@ -246,22 +244,29 @@ def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> Im
     return ImageVector(bp, shape)
 
 
-def _starts(objs: Sequence[MbirObjective], shape: tuple[int, int]) -> np.ndarray:
-    """The (B, h, w) stack of the back-projection starts of the objectives' data fits."""
-    return np.stack([backprojection_init(obj.datafit, shape).as_2d() for obj in objs])
+class Trajectory:
+    """Samples on one momentum trajectory, each with its own MBIR objective: the
+    (B, h, w) stacks x and x_prev, and the momentum state, the same for all."""
 
+    def __init__(self, config: MomentumNetConfig, objs: Sequence[MbirObjective], x: np.ndarray):
+        self.config, self.objs, self.x, self.x_prev = config, objs, x, x
+        self.state = MomentumState()
 
-def _advance(objs: Sequence[MbirObjective], xs, xs_prev, state: MomentumState,
-             refiner: Refiner, config: MomentumNetConfig):
-    """One momentum iteration for the (B, h, w) stack of iterates: one refiner
-    call on the stack, then each sample's step, in order, with its own
-    objective.  Returns the stacks R(x), z and the new iterates, and the new
-    momentum state (the same for every sample)."""
-    outs = refiner(xs)
-    steps = [momentum_net_step(x.ravel(), x_prev.ravel(), state, out, obj, config)
-             for obj, x, x_prev, out in zip(objs, xs, xs_prev, outs)]
-    xs_new, zs, states = zip(*steps)
-    return outs, np.stack(zs).reshape(xs.shape), np.stack(xs_new).reshape(xs.shape), states[0]
+    @classmethod
+    def from_starts(cls, config: MomentumNetConfig, datafits: Sequence[QuadraticDataFit],
+                    feasible: FeasibleSet, shape: tuple[int, int]) -> "Trajectory":
+        """The data fits' samples at their back-projection starts."""
+        return cls(config, [config.objective(f, feasible) for f in datafits],
+                   np.stack([backprojection_init(f, shape).as_2d() for f in datafits]))
+
+    def advance(self, refiner: Refiner):
+        """One refiner call on the stack, then each sample's step; returns R(x), z and x."""
+        outs = refiner(self.x)
+        steps = [momentum_net_step(x.ravel(), x_prev.ravel(), self.state, out, obj, self.config)
+                 for obj, x, x_prev, out in zip(self.objs, self.x, self.x_prev, outs)]
+        x_new, zs, states = zip(*steps)
+        self.x_prev, self.x, self.state = self.x, np.stack(x_new).reshape(self.x.shape), states[0]
+        return outs, np.stack(zs).reshape(self.x.shape), self.x
 
 
 def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObjective,
@@ -316,17 +321,12 @@ def run_momentum_net(config: MomentumNetConfig, refiners: Sequence[Refiner],
     last entry repeats.  A non-finite iterate aborts the run, leaving the
     offending iteration flagged on the trace.
     """
-    shape = x0.shape
-    x_prev = x0.data.copy()
     obj = config.objective(datafit, feasible)
-    state = MomentumState()
+    path = Trajectory(config, [obj], x0.data.reshape(1, *x0.shape))
 
     def step(refiner, x):
-        nonlocal state, x_prev
-        x_new, z, state = momentum_net_step(x, x_prev, state, refiner(x.reshape(shape)),
-                                            obj, config)
-        x_prev = x
-        return x_new, z
+        _, z, x_new = path.advance(refiner)
+        return x_new.ravel(), z.ravel()
 
     return _drive(config, refiners, obj, x0, step, config.record_fixed_point)
 

@@ -3,9 +3,9 @@
 Each reconstruction iteration gets its own refiner, trained to map the current
 sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
-refiner (`solver._advance`, the one sample trajectory, which diagnostics follow
-too: each refiner runs once per iteration, on the stack of all samples, and each
-sample's MBIR objective is built once, before the first stage).  Gradients
+refiner (`solver.Trajectory`, the one trajectory, which reconstruction and
+diagnostics follow too: each refiner runs once per iteration, on the stack of
+all samples, and each sample's MBIR objective is built once).  Gradients
 through the networks are computed analytically (subgradient 0 at soft-threshold
 kinks and at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The
 forward half of each gradient is the refiner's own batched forward pass
@@ -36,7 +36,7 @@ from .linops import FeasibleSet, ImageVector, QuadraticDataFit, ShapeError, as_f
 from .prox import soft_threshold
 from .refiners import (THRESHOLD_FLOOR, DcnnRefiner, ScnnRefiner, _dcnn_forward, _scnn_forward,
                        _shift_stack, _thresholds, filter_side, parameters)
-from .solver import MomentumNetConfig, MomentumState, NumericFailure, _advance, _starts
+from .solver import MomentumNetConfig, NumericFailure, Trajectory
 
 
 class TrainingAborted(NumericFailure):
@@ -337,22 +337,19 @@ def greedy_train(samples: Sequence[TrainingSample], arch: RefinerArch,
         raise ValueError("need at least one training sample")
     rng = np.random.default_rng(train_config.seed)
 
-    objs = [net_config.objective(s.datafit, feasible) for s in samples]
-    xs = xs_prev = _starts(objs, samples[0].truth.shape)
-    state = MomentumState()
-
+    path = Trajectory.from_starts(net_config, [s.datafit for s in samples], feasible,
+                                  samples[0].truth.shape)
     refiners = []
     histories = []
     current = arch.build(rng)
     for stage in range(net_config.n_iter):
-        pairs = [(s.truth.as_2d(), x) for s, x in zip(samples, xs)]
+        pairs = [(s.truth.as_2d(), x) for s, x in zip(samples, path.x)]
         stage_rng = np.random.default_rng(rng.integers(0, 2**63 - 1))
         current, history = train_refiner(current, pairs, train_config, rng=stage_rng)
         refiners.append(current)
         histories.append(history)
         if stage + 1 < net_config.n_iter:  # after the last stage nothing trains on it
-            _, _, xs_new, state = _advance(objs, xs, xs_prev, state, current, net_config)
-            xs_prev, xs = xs, xs_new
+            path.advance(current)
     return refiners, histories
 
 

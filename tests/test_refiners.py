@@ -386,6 +386,28 @@ class TestCallerGemm:
                    for m, k, n in sizes)
         assert sum(n % columns != 0 for _, _, n in sizes) <= 17
 
+    @pytest.mark.parametrize("m, k", [(1, 9), (8, 9)])
+    def test_a_narrow_rest_joins_the_last_block(self, rng, monkeypatch, m, k):
+        # on any BLAS: when 1 to 7 columns are left past the last full block,
+        # they join it, so no block is narrower than the grid
+        columns = mbirnet.refiners._GEMM_COLUMNS
+        matmul = np.matmul
+        widths = []
+
+        def counted(x, y, *args, **kwargs):
+            widths.append(y.shape[1])
+            return matmul(x, y, *args, **kwargs)
+
+        a = rng.standard_normal((m, k))
+        monkeypatch.setattr(np, "matmul", counted)
+        _caller_gemm(a, np.ones((k, 1 << 17)))
+        step = widths[0]
+        assert 1 < len(widths) and 2 * step + columns <= 1 << 17
+        for rest in range(1, columns):
+            widths.clear()
+            _caller_gemm(a, np.ones((k, 2 * step + rest)))
+            assert widths == [step, step + rest]
+
     def test_64_forward_runs_one_gemm_per_channel(self, rng, monkeypatch):
         refiner = mn.DcnnRefiner.init_random(8, 9, 3, rng)
         _, sizes = self.forward_gemms(refiner, rng.standard_normal((64, 64)), monkeypatch)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import mbirnet.solver
 import mbirnet.training
 from mbirnet.prox import soft_threshold
 from mbirnet.refiners import THRESHOLD_FLOOR, _shift_stack, filter_fft
+from mbirnet.solver import momentum_net_step
 from mbirnet.training import _scnn_workspace, dcnn_value_and_grad, scnn_value_and_grad
 
 
@@ -139,6 +142,17 @@ class TestScnnSpatialBackward:
             assert np.max(np.abs(grads[name] - ref[name])) <= 1e-12 * scale, name
         if pinned:
             assert np.all(grads["log_thresholds"][::2] == 0.0)
+
+    def test_a_threshold_below_the_floor_gets_no_gradient(self, rng):
+        # exp(log(floor) - 1), about 3.7e-13, is positive but below the floor, so
+        # the floor is the threshold; -800 cannot tell, since its exp is 0
+        enc, dec, log_thr = _scnn_params(rng, 3, 3)
+        log_thr[1] = math.log(THRESHOLD_FLOOR) - 1.0
+        assert 0.0 < math.exp(log_thr[1]) < THRESHOLD_FLOOR
+        _, grads = scnn_value_and_grad(enc, dec, log_thr, True, rng.standard_normal((2, 8, 8)),
+                                       rng.standard_normal((2, 8, 8)))
+        assert grads["log_thresholds"][1] == 0.0
+        assert np.all(grads["log_thresholds"][[0, 2]] != 0.0)
 
     def test_runs_without_numpy_fft(self, rng, monkeypatch):
         def no_fft(*args, **kwargs):
@@ -621,6 +635,39 @@ class TestGreedyTrain:
                                       mn.TrainConfig(batch_size=3, epochs=2, seed=9))
         assert len(refiners) == stages
         assert len(calls) == steps
+
+    def test_stage_inputs_are_the_momentum_iterates(self, rng, monkeypatch):
+        """Stage i trains on each sample's iterate x_i of `run_momentum_net` with
+        the trained refiners, bit for bit, and both equal a loop that keeps x_prev
+        and the momentum state here.  The momentum weight is 0 in iterations 0
+        and 1, so x_prev first counts in x_3: four stages are the fewest that
+        can tell."""
+        inputs = []
+        train = mbirnet.training.train_refiner
+
+        def recording(init, pairs, config, rng):
+            inputs.append([u for _, u in pairs])
+            return train(init, pairs, config, rng=rng)
+        monkeypatch.setattr(mbirnet.training, "train_refiner", recording)
+        samples = _toy_samples(rng)
+        cfg = mn.MomentumNetConfig(n_iter=4, rho=0.5, chi=10.0)  # extrapolation on
+        feasible = mn.FeasibleSet.nonneg()
+        refiners, _ = mn.greedy_train(samples, mn.RefinerArch("scnn", n_filters=2, filter_size=9),
+                                      cfg, mn.TrainConfig(batch_size=3, epochs=2, seed=9))
+        assert len(inputs) == 4
+        for j, s in enumerate(samples):
+            shape = s.truth.shape
+            x0 = mn.backprojection_init(s.datafit, shape)
+            trace = mn.run_momentum_net(dataclasses.replace(cfg, n_iter=3), refiners,
+                                        s.datafit, feasible, x0)
+            obj = cfg.objective(s.datafit, feasible)
+            x = x_prev = x0.data
+            state = mn.MomentumState()
+            for i, refiner in enumerate(refiners):
+                assert inputs[i][j].tobytes() == trace.records[i].x.tobytes() == x.tobytes()
+                x_new, _, state = momentum_net_step(x, x_prev, state, refiner(x.reshape(shape)),
+                                                    obj, cfg)
+                x_prev, x = x, x_new
 
     def test_requires_stage(self, rng):
         samples = _toy_samples(rng)
