@@ -1,10 +1,10 @@
 """Empirical convergence diagnostics over a trained refiner sequence.
 
 Advances the samples along the one trajectory that training and reconstruction
-follow (`solver.Trajectory`, each sample's MBIR objective built once per run),
-running each refiner once per iteration on the stack of all samples, and
-estimates from those outputs kappa (Lipschitz constant of the refiner on its
-actual inputs), epsilon (paired-nonexpansiveness slack across adjacent
+follow (`solver.Trajectory`: one refiner call and one momentum step per
+iteration on the stack of all samples, only the MBIR step per sample), and
+estimates from the refiner outputs kappa (Lipschitz constant of the refiner on
+its actual inputs), epsilon (paired-nonexpansiveness slack across adjacent
 refiners), and delta (block-coordinate-minimizer slack of the refined images).
 All three are clipped maxima over randomly selected sample pairs.
 """
@@ -59,6 +59,8 @@ def run_diagnostics(refiners: Sequence[Refiner], samples: Sequence[TrainingSampl
     stopping after the first iteration with a non-finite iterate (its row is kept)."""
     if len(refiners) == 0:
         raise ValueError("need at least one refiner")
+    if len(samples) == 0:
+        raise ValueError("need at least one sample, got an empty sample list")
     if n_pairs < 1:
         raise ValueError(f"need at least one sample pair, got {n_pairs}")
     rng = np.random.default_rng(seed)

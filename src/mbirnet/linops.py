@@ -252,10 +252,10 @@ class QuadraticDataFit:
     1e-8 * max-entry so it stays strictly positive definite; an identically-zero
     operator falls back to an absolute 1e-8 floor.  A matrix with no negative
     entry is its own |A|, so the product runs on the operator's matrix and
-    stored transpose without a copy; it sums in the same order as the transpose
-    view of a copy would.  Like the operator's own products, it is split over one
+    stored transpose without a copy; a matrix with a negative entry runs it on
+    an operator of |A|.  Either sums in the same order as the transpose view of
+    a copy of |A| would.  Like the operator's own products, it is split over one
     thread per usable CPU when the operator is large enough, with the same bits.
-    A matrix with a negative entry forms |A| and runs single-threaded.
     """
 
     op: SparseMatrixOperator
@@ -281,11 +281,8 @@ class QuadraticDataFit:
                              "data fit would too")
         ones = np.ones(self.op.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):  # DiagonalMajorizer rejects inf
-            if self.op._has_negative:
-                a = abs(self.op.matrix)
-                d = a.T @ (self.weights * (a @ ones))
-            else:
-                d = _product(self.op._adj_blocks, self.weights * _product(self.op._blocks, ones))
+            a = SparseMatrixOperator(abs(self.op.matrix)) if self.op._has_negative else self.op
+            d = _product(a._adj_blocks, self.weights * _product(a._blocks, ones))
             dmax = float(np.max(d)) if d.size else 0.0
             floor = 1e-8 * dmax if dmax > 0 else 1e-8
             object.__setattr__(self, "majorizer", DiagonalMajorizer(np.maximum(d, floor)))

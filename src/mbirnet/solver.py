@@ -7,11 +7,12 @@ lam * (M_f + gamma I), then a clamp); `run_bcd_net` is the inner-solver baseline
 convolutional sparse prior, used as an equivalence oracle for the tied
 autoencoder configuration.
 
-A data fit's MBIR objective is built once (`MomentumNetConfig.objective`) and
-each iteration passes it the refined image z; reconstruction (a stack of one),
-training and diagnostics advance one `Trajectory` of samples.  A run returns an
-`IterateTrace` whose record i is iteration i; a non-finite iterate ends the run
-with that record last and `aborted` set.
+A data fit's MBIR objective is built once (`MomentumNetConfig.objective`).
+Reconstruction (a stack of one), training and diagnostics advance one
+`Trajectory` with one momentum state: each iteration refines and extrapolates
+its (B, h, w) stack at once, then takes each sample's MBIR step.  A run returns
+an `IterateTrace` whose record i is iteration i; a non-finite iterate ends the
+run with that record last and `aborted` set.
 """
 
 from __future__ import annotations
@@ -221,16 +222,17 @@ def _refiner_at(refiners: Sequence[Refiner], i: int) -> Refiner:
     return refiners[min(i, len(refiners) - 1)]
 
 
-def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState,
-                      refined: np.ndarray, obj: MbirObjective, config: MomentumNetConfig):
-    """One full iteration from the refiner output R(x); returns (x_new, z, new state)."""
-    z = (1.0 - config.rho) * x + config.rho * refined.ravel()
+def momentum_net_step(x: np.ndarray, x_prev: np.ndarray, state: MomentumState, refined: np.ndarray,
+                      objs: Sequence[MbirObjective], config: MomentumNetConfig):
+    """One iteration of a (B, ...) stack from R(x), one MBIR step per sample; returns (x_new, z)."""
+    z = (1.0 - config.rho) * x + config.rho * refined
     if config.extrapolate:
         # the metric is fixed per data fit, so the M-ratio of E is 1
         x_acute = x + _extrapolation_scale(state, config.delta, config.lam) * (x - x_prev)
     else:
         x_acute = x
-    return mbir_step(x_acute, z, obj), z, momentum_update(state)
+    x_new = np.stack([mbir_step(xa, zi, obj) for xa, zi, obj in zip(x_acute, z, objs)])
+    return x_new.reshape(x.shape), z
 
 
 def backprojection_init(datafit: QuadraticDataFit, shape: tuple[int, int]) -> ImageVector:
@@ -260,13 +262,11 @@ class Trajectory:
                    np.stack([backprojection_init(f, shape).as_2d() for f in datafits]))
 
     def advance(self, refiner: Refiner):
-        """One refiner call on the stack, then each sample's step; returns R(x), z and x."""
+        """One refiner call and one momentum step on the stack; returns R(x), z and x."""
         outs = refiner(self.x)
-        steps = [momentum_net_step(x.ravel(), x_prev.ravel(), self.state, out, obj, self.config)
-                 for obj, x, x_prev, out in zip(self.objs, self.x, self.x_prev, outs)]
-        x_new, zs, states = zip(*steps)
-        self.x_prev, self.x, self.state = self.x, np.stack(x_new).reshape(self.x.shape), states[0]
-        return outs, np.stack(zs).reshape(self.x.shape), self.x
+        x_new, z = momentum_net_step(self.x, self.x_prev, self.state, outs, self.objs, self.config)
+        self.x_prev, self.x, self.state = self.x, x_new, momentum_update(self.state)
+        return outs, z, self.x
 
 
 def _drive(config: MomentumNetConfig, refiners: Sequence[Refiner], obj: MbirObjective,

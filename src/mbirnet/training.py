@@ -3,9 +3,9 @@
 Each reconstruction iteration gets its own refiner, trained to map the current
 sample states to the ground-truth images (mean squared residual loss), after
 which every sample advances one solver iteration with the freshly trained
-refiner (`solver.Trajectory`, the one trajectory, which reconstruction and
-diagnostics follow too: each refiner runs once per iteration, on the stack of
-all samples, and each sample's MBIR objective is built once).  Gradients
+refiner (`solver.Trajectory`, which reconstruction and diagnostics follow too:
+the refiner and the momentum step run once per iteration on the stack of all
+samples, and only the MBIR step runs per sample, with its own objective).  Gradients
 through the networks are computed analytically (subgradient 0 at soft-threshold
 kinks and at ReLU(0)) and fed to a built-in adaptive-moment optimizer.  The
 forward half of each gradient is the refiner's own batched forward pass

@@ -42,8 +42,7 @@ class Mutant(NamedTuple):
 
 
 # the one update of a trajectory's x_prev, x and momentum state
-ADVANCE = ("self.x_prev, self.x, self.state = "
-           "self.x, np.stack(x_new).reshape(self.x.shape), states[0]")
+ADVANCE = "self.x_prev, self.x, self.state = self.x, x_new, momentum_update(self.state)"
 
 MUTANTS = (
     # a rest of 1 to 7 columns becomes its own block (a gemv for one column)
@@ -56,10 +55,10 @@ MUTANTS = (
            "dthr = np.where(raw >= 0.0 * THRESHOLD_FLOOR, raw, 0.0)"),
     # every iteration extrapolates from the start image
     Mutant("trajectory-x-prev", "solver.py", ADVANCE,
-           "self.x, self.state = np.stack(x_new).reshape(self.x.shape), states[0]"),
+           "self.x, self.state = x_new, momentum_update(self.state)"),
     # the momentum weight stays 0, so nothing extrapolates
     Mutant("trajectory-state", "solver.py", ADVANCE,
-           "self.x_prev, self.x = self.x, np.stack(x_new).reshape(self.x.shape)"),
+           "self.x_prev, self.x = self.x, x_new"),
     # training advances every stage with the first stage's refiner
     Mutant("train-advance-refiner", "training.py",
            "path.advance(current)",
@@ -72,6 +71,67 @@ MUTANTS = (
     Mutant("diagnose-refiner-index", "diagnostics.py",
            "outs, zs, xs_new = path.advance(_refiner_at(refiners, k - 1))",
            "outs, zs, xs_new = path.advance(_refiner_at(refiners, k))"),
+    # the stacked relaxation weighs x by rho and R(x) by 1 - rho
+    Mutant("relaxation-rho", "solver.py",
+           "z = (1.0 - config.rho) * x + config.rho * refined",
+           "z = config.rho * x + (1.0 - config.rho) * refined"),
+    # each sample's MBIR step takes another sample's refined image
+    Mutant("mbir-step-pairing", "solver.py",
+           "x_new = np.stack([mbir_step(xa, zi, obj) for xa, zi, obj in zip(x_acute, z, objs)])",
+           "x_new = np.stack([mbir_step(xa, zi, obj) "
+           "for xa, zi, obj in zip(x_acute, z[::-1], objs)])"),
+    # a signed matrix's majorizer runs on A, not on |A|
+    Mutant("majorizer-absolute", "linops.py",
+           "a = SparseMatrixOperator(abs(self.op.matrix)) if self.op._has_negative else self.op",
+           "a = self.op"),
+    # code-gradient signs from hidden >= 0, so a zero code passes the mask
+    Mutant("code-signs", "training.py",
+           'np.sign(hidden, out=signs, casting="unsafe")',
+           'np.greater_equal(hidden, 0.0, out=signs, casting="unsafe")'),
+    # the code gradient is masked by the positive codes only
+    Mutant("code-mask", "training.py",
+           "g_bits *= signs != 0",
+           "g_bits *= signs > 0"),
+    # thresholds sliced without the bank block's offset
+    Mutant("bank-thresholds", "refiners.py",
+           "hidden = soft_threshold(code, thresholds[at, None, None, None], out=out)",
+           "hidden = soft_threshold(code, thresholds[ks, None, None, None], out=out)"),
+    # the caller's codes written without the bank block's offset
+    Mutant("bank-codes", "refiners.py",
+           "if codes is None else codes[at])",
+           "if codes is None else codes[ks])"),
+    # bank blocks sized by all the code spectra, not by one image's
+    Mutant("bank-step", "refiners.py",
+           "bank_step = max(1, _BLOCK_BYTES // uhat[0].nbytes)",
+           "bank_step = max(1, _BLOCK_BYTES // uhat.nbytes)"),
+    # the tied decoder convolves instead of correlating
+    Mutant("tied-conj", "refiners.py",
+           "dhat = np.conj(ehat) if dec is None else filter_fft(dec[bank], shape)",
+           "dhat = ehat if dec is None else filter_fft(dec[bank], shape)"),
+    # a digit table as wide as its first value, not its largest
+    Mutant("digit-width", "fileio.py",
+           "width = len(str(int(values.max())))",
+           "width = len(str(int(values[0])))"),
+    # leading zeros written as 0, not left blank
+    Mutant("digit-blank", "fileio.py",
+           "digit *= rest > 0",
+           "digit *= rest >= 0"),
+    # the lower bound clamps with the upper one
+    Mutant("project-lo", "linops.py",
+           "out = np.maximum(v, self.lo)",
+           "out = np.maximum(v, self.hi)"),
+    # the upper bound is never applied
+    Mutant("project-hi", "linops.py",
+           "np.minimum(out, self.hi, out=out)",
+           "np.minimum(out, self.hi)"),
+    # trace CSV rows numbered from 1
+    Mutant("trace-csv-iter", "solver.py",
+           "for i, r in enumerate(self.records)))",
+           "for i, r in enumerate(self.records, 1)))"),
+    # a non-finite iterate reported one iteration late
+    Mutant("cli-abort-iteration", "cli.py",
+           'f"iteration {len(trace) - 1}")',
+           'f"iteration {len(trace)}")'),
 )
 
 

@@ -1079,6 +1079,11 @@ class TestDiagnosticsTrajectory:
         assert np.all(np.isfinite(want[1:, 1:]))
         assert np.all(np.isfinite(want[:, 0])) == (count > 1)
 
+    def test_no_samples_is_a_value_error(self):
+        cfg = mn.MomentumNetConfig(n_iter=2, rho=0.5, chi=10.0)
+        with pytest.raises(ValueError, match="empty sample list"):
+            mn.run_diagnostics([mn.IdentityRefiner()], [], cfg, mn.FeasibleSet.nonneg())
+
     def test_non_finite_iterate_truncates_rows(self):
         def blow_up(u):
             return np.full_like(u, np.nan)

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mbirnet as mn
-from mbirnet.linops import ShapeError
+from mbirnet.linops import _MIN_BLOCK_NNZ, ShapeError
 
 
 def dense(mat):
@@ -176,8 +177,13 @@ class TestDiagMajorizer:
     @pytest.mark.parametrize("build", [
         lambda: mn.build_radon(mn.CtGeometry(64, 23)),
         lambda: mn.build_blur(mn.binomial_kernel(), (16, 16)),
-    ], ids=["radon", "blur"])
-    def test_nonnegative_matches_absolute_copy_bitwise(self, build, rng):
+        lambda: mn.build_blur([[0.0, -0.25, 0.0], [-0.25, 2.0, -0.25], [0.0, -0.25, 0.0]],
+                              (8, 8)),
+        # entries in (-1, 1) and at least 2 * _MIN_BLOCK_NNZ nonzeros, so two CPUs split it
+        lambda: mn.SparseMatrixOperator(np.random.default_rng(3).uniform(
+            -1.0, 1.0, (math.isqrt(2 * _MIN_BLOCK_NNZ) + 1,) * 2)),
+    ], ids=["radon", "blur", "blur-negative-taps", "signed-two-blocks"])
+    def test_majorizer_matches_absolute_copy_bitwise(self, build, rng):
         op = build()
         w = rng.uniform(0.0, 2.0, op.out_dim)
         f = mn.QuadraticDataFit(op, w, np.zeros(op.out_dim))

@@ -396,22 +396,27 @@ class TestExtrapolationBitwise:
             assert trace.records[i + 1].x.tobytes() == x.tobytes()
             assert trace.records[i + 1].z.tobytes() == z.tobytes()
 
-    def test_step_extrapolates_with_the_config_delta(self, rng):
-        """`momentum_net_step` takes delta from its config, not from the state."""
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_step_extrapolates_with_the_config_delta(self, rng, b):
+        """`momentum_net_step` takes delta from its config, not from the state,
+        and steps each sample of the stack with that sample's own data fit."""
         op = mn.SparseMatrixOperator(rng.uniform(-1, 1, (6, 4)))
-        fit = mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, 6), rng.uniform(-1, 1, 6))
+        fits = [mn.QuadraticDataFit(op, rng.uniform(0.5, 2.0, 6), rng.uniform(-1, 1, 6))
+                for _ in range(b)]
         feasible = mn.FeasibleSet.nonneg()
-        cfg = mn.MomentumNetConfig(n_iter=1, rho=0.5, gamma=0.3, delta=0.5)
-        obj = cfg.objective(fit, feasible)
+        cfg = mn.MomentumNetConfig(n_iter=1, rho=0.3, gamma=0.3, delta=0.5)
+        objs = [cfg.objective(fit, feasible) for fit in fits]
         state = mn.momentum_update(mn.momentum_update(mn.MomentumState()))
         assert state.m > 0.28
-        x, x_prev, refined = rng.uniform(0, 1, (3, 4))
-        x_new, z, _ = momentum_net_step(x, x_prev, state, refined, obj, cfg)
-        want_z = 0.5 * x + 0.5 * refined
-        x_acute = x + 0.5 ** 2 * state.m * (x - x_prev)
-        want = mn.mbir_step(x_acute, want_z, obj)
-        assert z.tobytes() == want_z.tobytes()
-        assert x_new.tobytes() == want.tobytes()
+        x, x_prev, refined = rng.uniform(0, 1, (3, b, 2, 2))
+        x_new, z = momentum_net_step(x, x_prev, state, refined, objs, cfg)
+        assert x_new.shape == z.shape == (b, 2, 2)
+        for j, obj in enumerate(objs):
+            want_z = 0.7 * x[j].ravel() + 0.3 * refined[j].ravel()
+            x_acute = x[j].ravel() + 0.5 ** 2 * state.m * (x[j].ravel() - x_prev[j].ravel())
+            want = mn.mbir_step(x_acute, want_z, obj)
+            assert z[j].tobytes() == want_z.tobytes()
+            assert x_new[j].tobytes() == want.tobytes()
 
 
 class TestReductionsOffBlas:

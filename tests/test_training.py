@@ -619,14 +619,14 @@ class TestGreedyTrain:
 
     @pytest.mark.parametrize("stages, steps", [(1, 0), (2, 3)])
     def test_no_advance_after_the_last_stage(self, rng, monkeypatch, stages, steps):
-        # an advance steps each of the 3 samples once; the last stage's would feed nothing
-        step = mbirnet.solver.momentum_net_step
+        # an advance takes one MBIR step per sample (3 in all); the last stage's would feed nothing
+        step = mbirnet.solver.mbir_step
         calls = []
 
         def counting_step(*args, **kwargs):
             calls.append(1)
             return step(*args, **kwargs)
-        monkeypatch.setattr(mbirnet.solver, "momentum_net_step", counting_step)
+        monkeypatch.setattr(mbirnet.solver, "mbir_step", counting_step)
         samples = _toy_samples(rng)
         arch = mn.RefinerArch("scnn", n_filters=2, filter_size=9)
         net_cfg = mn.MomentumNetConfig(n_iter=stages, rho=0.5, chi=10.0,
@@ -665,9 +665,9 @@ class TestGreedyTrain:
             state = mn.MomentumState()
             for i, refiner in enumerate(refiners):
                 assert inputs[i][j].tobytes() == trace.records[i].x.tobytes() == x.tobytes()
-                x_new, _, state = momentum_net_step(x, x_prev, state, refiner(x.reshape(shape)),
-                                                    obj, cfg)
-                x_prev, x = x, x_new
+                x_new, _ = momentum_net_step(x[None], x_prev[None], state,
+                                             refiner(x.reshape(shape)).reshape(1, -1), [obj], cfg)
+                x_prev, x, state = x, x_new[0], mn.momentum_update(state)
 
     def test_requires_stage(self, rng):
         samples = _toy_samples(rng)
