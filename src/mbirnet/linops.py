@@ -134,13 +134,20 @@ def _row_blocks(a: sp.csr_matrix) -> list[sp.csr_matrix]:
     blocks = []
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         lo, hi = a.indptr[r0], a.indptr[r1]
-        # scipy's (data, indices, indptr) constructor copies a view smaller
-        # than half its base, so the views are set on an empty block instead
-        block = sp.csr_matrix((int(r1 - r0), a.shape[1]), dtype=np.float64)
-        block.data, block.indices, block.indptr = (
-            a.data[lo:hi], a.indices[lo:hi], a.indptr[r0:r1 + 1] - lo)
-        blocks.append(_freeze_csr(block))
+        blocks.append(_csr_on((int(r1 - r0), a.shape[1]), a.data[lo:hi], a.indices[lo:hi],
+                              a.indptr[r0:r1 + 1] - lo))
     return blocks
+
+
+def _csr_on(shape, data, indices, indptr) -> sp.csr_matrix:
+    """A read-only CSR matrix on the given arrays, none of them copied.
+
+    scipy's (data, indices, indptr) constructor copies a view smaller than
+    half its base, so the arrays are set on an empty matrix instead.
+    """
+    matrix = sp.csr_matrix(shape, dtype=np.float64)
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    return _freeze_csr(matrix)
 
 
 def _in_threads(work, parts: int) -> list:
@@ -251,11 +258,12 @@ class QuadraticDataFit:
     Zero diagonal entries (all-zero rows/columns of A) are floored at
     1e-8 * max-entry so it stays strictly positive definite; an identically-zero
     operator falls back to an absolute 1e-8 floor.  A matrix with no negative
-    entry is its own |A|, so the product runs on the operator's matrix and
-    stored transpose without a copy; a matrix with a negative entry runs it on
-    an operator of |A|.  Either sums in the same order as the transpose view of
-    a copy of |A| would.  Like the operator's own products, it is split over one
-    thread per usable CPU when the operator is large enough, with the same bits.
+    entry is its own |A|, so the product runs on the operator's row blocks and
+    stored-transpose blocks; a matrix with a negative entry runs it on the
+    absolute values of those blocks, so |A| is never transposed.  Either sums
+    in the same order as the transpose view of a copy of |A| would.  Like the
+    operator's own products, it is split over one thread per usable CPU when
+    the operator is large enough, with the same bits.
     """
 
     op: SparseMatrixOperator
@@ -281,8 +289,11 @@ class QuadraticDataFit:
                              "data fit would too")
         ones = np.ones(self.op.in_dim)
         with np.errstate(over="ignore", invalid="ignore"):  # DiagonalMajorizer rejects inf
-            a = SparseMatrixOperator(abs(self.op.matrix)) if self.op._has_negative else self.op
-            d = _product(a._adj_blocks, self.weights * _product(a._blocks, ones))
+            blocks, adj_blocks = self.op._blocks, self.op._adj_blocks
+            if self.op._has_negative:  # |A| and its transpose share A's index arrays
+                blocks, adj_blocks = ([_csr_on(b.shape, np.abs(b.data), b.indices, b.indptr)
+                                       for b in bs] for bs in (blocks, adj_blocks))
+            d = _product(adj_blocks, self.weights * _product(blocks, ones))
             dmax = float(np.max(d)) if d.size else 0.0
             floor = 1e-8 * dmax if dmax > 0 else 1e-8
             object.__setattr__(self, "majorizer", DiagonalMajorizer(np.maximum(d, floor)))

@@ -125,12 +125,14 @@ def tf_defect(filters: np.ndarray) -> float:
     """Deviation of the tap-level Gram sum_k h_k h_k^T from I/R.
 
     Zero defect is equivalent to the tight-frame identity
-    sum_k ||h_k conv u||^2 = ||u||^2 under circular convolution.
+    sum_k ||h_k conv u||^2 = ||u||^2 under circular convolution.  A bank whose
+    Gram overflows has an infinite defect.
     """
     v = np.reshape(filters, (_bank_shape(filters)[0], -1))
     r = v.shape[1]
-    gram = v.T @ v
-    return float(np.max(np.abs(gram - np.eye(r) / r)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, caught below
+        defect = float(np.max(np.abs(v.T @ v - np.eye(r) / r)))
+    return defect if math.isfinite(defect) else math.inf
 
 
 def filter_side(n_filters: int, filter_size: int) -> int:

@@ -82,8 +82,8 @@ MUTANTS = (
            "for xa, zi, obj in zip(x_acute, z[::-1], objs)])"),
     # a signed matrix's majorizer runs on A, not on |A|
     Mutant("majorizer-absolute", "linops.py",
-           "a = SparseMatrixOperator(abs(self.op.matrix)) if self.op._has_negative else self.op",
-           "a = self.op"),
+           "if self.op._has_negative:  # |A| and its transpose share A's index arrays",
+           "if False:"),
     # code-gradient signs from hidden >= 0, so a zero code passes the mask
     Mutant("code-signs", "training.py",
            'np.sign(hidden, out=signs, casting="unsafe")',
@@ -116,6 +116,23 @@ MUTANTS = (
     Mutant("digit-blank", "fileio.py",
            "digit *= rest > 0",
            "digit *= rest >= 0"),
+    # a halfway value always rounds up, not to the even neighbour
+    Mutant("g17-tie", "fileio.py",
+           "up = (rem > half) | ((rem == half) & (digits & 1 == 1))",
+           "up = rem >= half"),
+    # a decimal exponent from log10 that is one off is kept
+    Mutant("g17-decade", "fileio.py",
+           "k[at] += step[at]",
+           "pass"),
+    # the decade read from the rounded digits: a value that rounds up onto
+    # 10**16 keeps a decimal exponent one too high
+    Mutant("g17-rounded-decade", "fileio.py",
+           "step = (digits >= 10**17).astype(np.int64) - (digits < 10**16)",
+           "step = (digits + up >= 10**17).astype(np.int64) - (digits + up < 10**16)"),
+    # one trailing zero too many is kept
+    Mutant("g17-zeros", "fileio.py",
+           "shown = np.maximum(shown.max(axis=0), k + 1)",
+           "shown = np.maximum(shown.max(axis=0) + 1, k + 1)"),
     # the lower bound clamps with the upper one
     Mutant("project-lo", "linops.py",
            "out = np.maximum(v, self.lo)",

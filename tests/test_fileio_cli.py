@@ -6,6 +6,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,6 +215,27 @@ def _reference_write_vector_csv(path, vec):
             fh.write(f"{v:.17g}\n")
 
 
+def _float_edges():
+    """Doubles where `%.17g` by integer arithmetic can go wrong, and their
+    negations: each power of ten from 1e-10 to 1e13 and its two neighbours,
+    where log10 lands a decade off; short decimals, whose digits end in zeros;
+    doubles halfway between two 17-digit decimals (an exact expansion of 18
+    digits), which round to the even one; and both ends of the range of
+    integer arithmetic with their outer neighbours."""
+    powers = [float(f"1e{j}") for j in range(-10, 14)]
+    near = [math.nextafter(p, to) for p in powers for to in (0.0, math.inf)]
+    short = [float(f"{m}e{j}") for j in range(-10, 14) for m in (2, 25, 375, 1.5, 9.75)]
+    ties = []
+    for j in range(-10, 14):
+        t = 17 - j  # fraction bits, and so fraction digits, of an 18-digit double
+        i = math.ceil(10.0**j * 2**t) | 1
+        ties += [v for v in ((i + 2 * s) / 2**t for s in range(4))
+                 if len(Decimal(v).as_tuple().digits) == 18]
+    ends = [1e-10, math.nextafter(1e-10, 0.0), math.nextafter(1e14, 0.0), 1e14]
+    edges = np.array(powers + near + short + ties + ends)
+    return np.concatenate([edges, -edges])
+
+
 def _special_values_operator():
     # -0.0 and the two NaN bit patterns are distinct keys, each with its own text
     data = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300,
@@ -286,32 +308,48 @@ class TestTextWritersMatchReference:
         _reference_write_operator(tmp_path / "old.txt", op)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
-    def test_only_the_float_column_is_formatted(self, tmp_path, monkeypatch):
-        # three blocks: the index columns are digit tables, so `_text_table`
-        # runs once per block, for the values; the vector writer's one column too
+    def test_only_out_of_range_floats_are_formatted(self, tmp_path, monkeypatch):
+        # `_text_table` sees a block's distinct values that integer arithmetic
+        # does not write, and nothing else: none of the 3-block operator's, and
+        # of the vector's, the 0.0 and NaN of its first block and the 5e-324
+        # and 1e300 of its last
         calls = []
         text_table = fileio._text_table
 
         def counted(values, text):
-            calls.append(text)
+            calls.append((sorted(values.view(np.uint64).tolist()), text))
             return text_table(values, text)
 
         monkeypatch.setattr(fileio, "_text_table", counted)
         write_operator(tmp_path / "A.txt", _multi_block_operator())
-        assert calls == [b"%.17g\n"] * 3
-        calls.clear()
-        write_vector_csv(tmp_path / "v.csv", np.arange(2 * fileio._BLOCK + 3.0))
-        assert calls == [b"%.17g\n"] * 3
+        assert calls == []
+        vec = np.linspace(1.0, 2.0, 2 * fileio._BLOCK + 3)
+        vec[[5, 9]] = 0.0, np.nan
+        vec[[-3, -2]] = 5e-324, 1e300
+        write_vector_csv(tmp_path / "v.csv", vec)
+        assert calls == [(sorted(np.array(v).view(np.uint64).tolist()), b"%.17g\n")
+                         for v in ([0.0, np.nan], [5e-324, 1e300])]
 
     @pytest.mark.parametrize("vec", [
         np.array([]),
         np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e-300, -1e300, 0.1]),
         np.random.default_rng(3).standard_normal((2, fileio._BLOCK + 1)),
-    ], ids=["empty", "special-values", "multi-block"])
+        _float_edges(),
+        np.array([np.nan, 0.0, 1e300]),
+    ], ids=["empty", "special-values", "multi-block", "edges", "none-in-range"])
     def test_vector_bytes(self, tmp_path, vec):
         write_vector_csv(tmp_path / "new.csv", vec)
         _reference_write_vector_csv(tmp_path / "old.csv", vec)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(-1e14, 1e14)), min_size=1, max_size=30))
+    def test_any_finite_doubles(self, tmp_path, values):
+        write_vector_csv(tmp_path / "v.csv", np.array(values))
+        assert (tmp_path / "v.csv").read_bytes().splitlines(keepends=True) == [
+            b"%.17g\n" % v for v in values]
 
     def test_operator_memory_peak_well_below_its_text(self, tmp_path):
         # 3e5 entries: the writer holds one block of text at a time, never the file's
@@ -611,6 +649,21 @@ class TestCmdReconstruct:
         err = capsys.readouterr().err
         assert "refiner_000.rfn" in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_tied_bank_is_config_error(self, blur_workspace, capsys):
+        # a first tap of 1e200 overflows the tied bank's tight-frame check
+        t = blur_workspace
+        bad = t / "badrefs"
+        bad.mkdir()
+        magic, header, payload = (t / "refs" / "refiner_000.rfn").read_bytes().split(b"\n", 2)
+        (bad / "refiner_000.rfn").write_bytes(
+            b"\n".join([magic, header, np.array([1e200], "<f8").tobytes() + payload[8:]]))
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", str(t / "blur.yaml"),
+                     "--refiners", str(bad), "--input", str(t / "sim"),
+                     "--out", str(t / "recx")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "refiner_000.rfn" in err and "tight-frame" in err
 
     @pytest.mark.parametrize("kind", ["scnn", "dcnn"])
     def test_filters_wider_than_the_image_are_config_error(self, blur_workspace, capsys, kind):

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -649,6 +650,19 @@ class TestSerialization:
         p.write_bytes(b"not a refiner")
         with pytest.raises(ValueError):
             mn.load_refiner(p)
+
+    def test_overflowing_tight_frame_bank_rejected_without_warning(self, tmp_path, tf_bank4):
+        # a first tap of 1e200 overflows the bank's Gram: a violated identity,
+        # not a numpy warning ahead of the error
+        path = tmp_path / "r.rfn"
+        mn.save_refiner(path, mn.TiedCaolRefiner(tf_bank4, np.zeros(4)))
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, header, np.array([1e200], "<f8").tobytes()
+                                     + payload[8:]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="r.rfn: filter bank violates the tight-frame"):
+                mn.load_refiner(path)
 
     def _saved(self, tmp_path, rng):
         path = tmp_path / "r.rfn"
